@@ -9,7 +9,7 @@ Subcommands:
 Scenario selection: `--env suburban|rural` picks the bundled study areas;
 `--scenario PATH` loads a scenario file instead.  `--tech` overrides the
 scenario's technology.  Worker processes for campaigns come from the
-TVWSPLAN_WORKERS environment variable (default 1).
+TVWSPLAN_WORKERS environment variable (an integer >= 1, default 1).
 
 On failure a machine-readable JSON error record goes to stderr and the exit
 status is non-zero.
@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from .link_budget import load_technology, max_allowable_path_loss_db
-from .planner import PlannerConfig, grow_site_set
+from .planner import PlannerConfig, env_workers, grow_site_set
 from .power_energy import load_power_params
 from .reporting import (assignment_csv, build_report, coverage_csv,
                         deployment_csv, pathloss_csv, power_csv, raster_csv,
@@ -110,62 +110,55 @@ def _power_params(profile):
     return load_power_params("tvws" if profile.name != "lte" else "macro")
 
 
-def cmd_pathloss(args) -> list:
+def _study(args):
+    """(scenario, profile, model, provenance) for the table commands."""
     scenario = _load_scenario(args)
     profile = _load_profile(scenario, args)
     model = scenario.model_for(profile)
     prov = _base_provenance(scenario, profile,
                             PlannerConfig(runs=1, base_seed=scenario.base_seed),
                             model)
+    return scenario, profile, model, prov
+
+
+def cmd_pathloss(args) -> list:
+    _, _, model, prov = _study(args)
     path = _outdir(args) / "pathloss.csv"
     path.write_text(pathloss_csv(model, prov, args.dmin, args.dmax, args.step))
     return [path]
 
 
 def cmd_coverage(args) -> list:
-    scenario = _load_scenario(args)
-    profile = _load_profile(scenario, args)
-    model = scenario.model_for(profile)
-    prov = _base_provenance(scenario, profile,
-                            PlannerConfig(runs=1, base_seed=scenario.base_seed),
-                            model)
+    scenario, profile, model, prov = _study(args)
     path = _outdir(args) / "coverage.csv"
     path.write_text(coverage_csv(profile, scenario.margins, model, prov))
     return [path]
 
 
 def cmd_sweep(args) -> list:
-    scenario = _load_scenario(args)
-    profile = _load_profile(scenario, args)
-    model = scenario.model_for(profile)
+    scenario, profile, model, prov = _study(args)
     rows = sweep_mcs(profile, scenario.margins, model,
                      scenario.region.area_km2,
                      scenario.population.expected_demand_mbps)
-    prov = _base_provenance(scenario, profile,
-                            PlannerConfig(runs=1, base_seed=scenario.base_seed),
-                            model)
     path = _outdir(args) / "sweep.csv"
     path.write_text(sweep_csv(rows, prov))
     return [path]
 
 
 def cmd_plan(args) -> list:
+    try:
+        env_workers()
+    except ValueError as e:
+        raise CliError("usage", str(e), variable="TVWSPLAN_WORKERS") from e
     scenario = _load_scenario(args)
     profile = _load_profile(scenario, args)
     model = scenario.model_for(profile)
     power_params = _power_params(profile)
-    if args.mcs:
-        try:
-            mcs = profile.mcs(args.mcs)
-        except KeyError as e:
-            raise CliError("invalid_mcs", str(e),
-                           available=[m.label for m in profile.mcs_table]) from e
-        if not mcs.deployable:
-            raise CliError("invalid_mcs",
-                           f"MCS {args.mcs!r} is not deployable on "
-                           f"{profile.name} hardware")
+    deployable = [m.label for m in profile.deployable_mcs()]
+    if args.mcs and args.mcs not in deployable:
+        raise CliError("invalid_mcs", f"MCS {args.mcs!r} is not a deployable "
+                       f"tier of {profile.name}", available=deployable)
     config = PlannerConfig(
-        mcs_mode="fixed",
         mcs_label=args.mcs or "",
         runs=args.runs if args.runs else 40,
         base_seed=args.seed if args.seed is not None else scenario.base_seed,

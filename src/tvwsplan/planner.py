@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,6 +46,7 @@ __all__ = [
     "grow_site_set",
     "check_deployment",
     "replay_event_log",
+    "env_workers",
 ]
 
 DEFAULT_RADIATED_POWER_W = 4.0  # per transmitter, 36 dBm
@@ -64,13 +65,12 @@ class PlannerConfig:
 
     mcs_mode: str = "fixed"
     mcs_label: str = ""
-    coverage_target_fraction: float = 0.95
     runs: int = 40
     base_seed: int = 1000
     mimo: bool = False
     rebalance_scope: str = "new_site"
     shuffle_user_order: bool = False  # robustness experiments only
-    workers: int = 0  # 0 -> TVWSPLAN_WORKERS env var, else serial
+    workers: int = 0  # 0 -> env_workers()
 
     def __post_init__(self):
         if self.runs < 1:
@@ -143,7 +143,16 @@ def _bs_power(power_params, n_tx: int) -> float:
     raise TypeError(f"unsupported power parameter type {type(power_params)!r}")
 
 
+def env_workers() -> int:
+    """Worker processes from TVWSPLAN_WORKERS: an integer >= 1, default 1."""
+    raw = os.environ.get("TVWSPLAN_WORKERS", "1")
+    if not (raw.strip().isdecimal() and int(raw) >= 1):
+        raise ValueError(f"TVWSPLAN_WORKERS must be an integer >= 1, got {raw!r}")
+    return int(raw)
+
+
 def _planning_mcs(scenario, profile, margins, model, config) -> str:
+    """The fixed-mode label, or the sizing sweep optimum when none is set."""
     if config.mcs_mode == "fixed" and config.mcs_label:
         mcs = profile.mcs(config.mcs_label)
         if not mcs.deployable:
@@ -302,9 +311,7 @@ def _sites_for(scenario: Scenario) -> list:
 
 
 def _run_one(args):
-    scenario, profile, margins, model, power_params, config, seed, sites = args
-    return plan_single_run(scenario, profile, margins, model, power_params,
-                           config, seed, sites=sites)
+    return plan_single_run(*args)
 
 
 def run_campaign(scenario: Scenario, profile: TechnologyProfile,
@@ -317,7 +324,7 @@ def run_campaign(scenario: Scenario, profile: TechnologyProfile,
     jobs = [(scenario, profile, margins, model, power_params, config, s, sites)
             for s in seeds]
 
-    workers = config.workers or int(os.environ.get("TVWSPLAN_WORKERS", "1"))
+    workers = config.workers or env_workers()
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_one, jobs))
@@ -342,8 +349,7 @@ def run_campaign(scenario: Scenario, profile: TechnologyProfile,
 
 def grow_site_set(scenario: Scenario, profile: TechnologyProfile,
                   margins: EnvironmentMargins, model: PathLossModel,
-                  power_params, config: PlannerConfig,
-                  target_coverage: float | None = None):
+                  power_params, config: PlannerConfig):
     """Densify the candidate lattice until pilot coverage beats the target.
 
     Starts from the sizing lower bound for the planning MCS and densifies
@@ -354,26 +360,13 @@ def grow_site_set(scenario: Scenario, profile: TechnologyProfile,
     the best coverage achieved.
     """
     policy = scenario.site_policy
-    target = target_coverage if target_coverage is not None else policy.target_coverage
+    label = _planning_mcs(scenario, profile, margins, model, config)
     rows = sweep_mcs(profile, margins, model, scenario.region.area_km2,
                      scenario.population.expected_demand_mbps)
-    if config.mcs_mode == "fixed" and config.mcs_label:
-        try:
-            start = next(r.n_bs_min for r in rows
-                         if r.mcs_label == config.mcs_label)
-        except StopIteration:
-            raise ValueError(f"MCS {config.mcs_label!r} is not a deployable "
-                             f"tier of {profile.name}") from None
-    else:
-        start = next(r.n_bs_min for r in rows if r.is_optimal)
+    start = next(r.n_bs_min for r in rows if r.mcs_label == label)
 
-    pilot = PlannerConfig(mcs_mode=config.mcs_mode, mcs_label=config.mcs_label,
-                          coverage_target_fraction=target,
-                          runs=policy.pilot_runs, base_seed=config.base_seed,
-                          mimo=config.mimo, rebalance_scope=config.rebalance_scope,
-                          workers=config.workers)
+    pilot = replace(config, runs=policy.pilot_runs)
     history = []
-    best = (0.0, None)
     count = max(1, start)
     step = max(1, int(0.3 * count + 0.5))
     while count <= policy.max_sites:
@@ -381,14 +374,13 @@ def grow_site_set(scenario: Scenario, profile: TechnologyProfile,
         result = run_campaign(scenario, profile, margins, model, power_params,
                               pilot, sites=sites)
         history.append((count, result.mean_coverage))
-        if result.mean_coverage > best[0]:
-            best = (result.mean_coverage, sites)
-        if result.mean_coverage > target:
+        if result.mean_coverage > policy.target_coverage:
             return sites, history
         count += step
     raise RuntimeError(
         f"site growth cap {policy.max_sites} reached; best mean coverage "
-        f"{best[0]:.4f} < target {target}")
+        f"{max((c for _, c in history), default=0.0):.4f} "
+        f"< target {policy.target_coverage}")
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +398,7 @@ def check_deployment(outcome: RunOutcome, scenario: Scenario,
     demand = {int(i): float(d) for i, d in zip(pop.ids, pop.demand_mbps)}
 
     if config.mcs_mode == "fixed":
-        label = config.mcs_label or None
-        mcs = profile.mcs(label) if label else None
-        if mcs is None:
-            rows = sweep_mcs(profile, margins, model, scenario.region.area_km2,
-                             scenario.population.expected_demand_mbps)
-            mcs = profile.mcs(next(r.mcs_label for r in rows if r.is_optimal))
+        mcs = profile.mcs(_planning_mcs(scenario, profile, margins, model, config))
         pl_max = max_allowable_path_loss_db(profile, margins, mcs)
         cap = mcs.bitrate_at(profile.bandwidth_mhz)
     else:

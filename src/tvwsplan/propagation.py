@@ -6,6 +6,9 @@ are calibration data (see scripts/calibrate_suburban_slope.py).  The rural
 environment uses the Okumura-Hata median loss with the small/medium-city
 mobile-antenna correction and the open-area adjustment; an additive
 `offset_db` (default 0) carries the documented rural calibration.
+
+Both families are affine in log10(d), PL(d) = a + b*log10(d/d0) + offset,
+so one expression evaluates either model and one closed form inverts it.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "ModelValidityWarning",
@@ -60,21 +65,16 @@ class PathLossModel:
         if self.variant == "one_slope":
             if self.exponent <= 0 or self.d0_km <= 0:
                 raise ValueError("one-slope model needs exponent > 0 and d0_km > 0")
-        else:
-            if self.freq_mhz <= 0 or self.bs_height_m <= 0 or self.rx_height_m <= 0:
-                raise ValueError("Hata model needs positive frequency and heights")
-            if not (HATA_FREQ_MHZ[0] <= self.freq_mhz <= HATA_FREQ_MHZ[1]):
-                warnings.warn(
-                    f"frequency {self.freq_mhz} MHz outside Hata window {HATA_FREQ_MHZ}",
-                    ModelValidityWarning, stacklevel=3)
-            if not (HATA_BS_HEIGHT_M[0] <= self.bs_height_m <= HATA_BS_HEIGHT_M[1]):
-                warnings.warn(
-                    f"BS height {self.bs_height_m} m outside Hata window {HATA_BS_HEIGHT_M}",
-                    ModelValidityWarning, stacklevel=3)
-            if not (HATA_RX_HEIGHT_M[0] <= self.rx_height_m <= HATA_RX_HEIGHT_M[1]):
-                warnings.warn(
-                    f"RX height {self.rx_height_m} m outside Hata window {HATA_RX_HEIGHT_M}",
-                    ModelValidityWarning, stacklevel=3)
+            return
+        if self.freq_mhz <= 0 or self.bs_height_m <= 0 or self.rx_height_m <= 0:
+            raise ValueError("Hata model needs positive frequency and heights")
+        for what, value, unit, (lo, hi) in (
+                ("frequency", self.freq_mhz, "MHz", HATA_FREQ_MHZ),
+                ("BS height", self.bs_height_m, "m", HATA_BS_HEIGHT_M),
+                ("RX height", self.rx_height_m, "m", HATA_RX_HEIGHT_M)):
+            if not lo <= value <= hi:
+                warnings.warn(f"{what} {value} {unit} outside Hata window {(lo, hi)}",
+                              ModelValidityWarning, stacklevel=3)
 
 
 def one_slope(pl0_db: float, d0_km: float = 1.0, exponent: float = 2.0,
@@ -90,89 +90,56 @@ def okumura_hata_rural(freq_mhz: float, bs_height_m: float, rx_height_m: float,
                          offset_db=offset_db, calibration_id=calibration_id)
 
 
-def _hata_open_area_db(freq_mhz: float, bs_height_m: float, rx_height_m: float,
-                       distance_km: float) -> float:
-    lf = math.log10(freq_mhz)
-    lhb = math.log10(bs_height_m)
+def _coefficients(model: PathLossModel) -> tuple:
+    """(a, b, d0) with PL(d) = a + b*log10(d/d0) + offset_db, b > 0."""
+    if model.variant == "one_slope":
+        return model.pl0_db, 10.0 * model.exponent, model.d0_km
+    lf = math.log10(model.freq_mhz)
+    lhb = math.log10(model.bs_height_m)
     # small/medium-city mobile-antenna correction
-    a_hm = (1.1 * lf - 0.7) * rx_height_m - (1.56 * lf - 0.8)
-    urban = (69.55 + 26.16 * lf - 13.82 * lhb - a_hm
-             + (44.9 - 6.55 * lhb) * math.log10(distance_km))
+    a_hm = (1.1 * lf - 0.7) * model.rx_height_m - (1.56 * lf - 0.8)
     open_area_correction = 4.78 * lf * lf - 18.33 * lf + 40.94
-    return urban - open_area_correction
+    fixed = 69.55 + 26.16 * lf - 13.82 * lhb - a_hm - open_area_correction
+    return fixed, 44.9 - 6.55 * lhb, 1.0
 
 
 def path_loss_db(model: PathLossModel, distance_km: float) -> float:
     """Median path loss in dB at `distance_km` (clamped below at the floor)."""
     if distance_km <= 0:
         raise ValueError(f"distance must be positive, got {distance_km}")
-    d = max(distance_km, model.min_distance_km)
-    if model.variant == "one_slope":
-        return model.pl0_db + 10.0 * model.exponent * math.log10(d / model.d0_km) + model.offset_db
-    if distance_km > HATA_MAX_DISTANCE_KM:
-        warnings.warn(
-            f"distance {distance_km:.2f} km beyond Hata validity "
-            f"({HATA_MAX_DISTANCE_KM} km); value extrapolated",
-            ModelValidityWarning, stacklevel=2)
-    return _hata_open_area_db(model.freq_mhz, model.bs_height_m,
-                              model.rx_height_m, d) + model.offset_db
+    return float(path_loss_array_db(model, distance_km))
 
 
-def path_loss_array_db(model: PathLossModel, distances_km) -> "np.ndarray":
-    """Vectorised `path_loss_db` over an array of distances.
+def path_loss_array_db(model: PathLossModel, distances_km) -> np.ndarray:
+    """Path loss in dB over an array of distances.
 
     Distances are clamped below at the model floor; a single validity
     warning covers all out-of-window entries.
     """
-    import numpy as np
     d = np.asarray(distances_km, dtype=float)
-    if np.any(d <= 0):
+    if (d <= 0).any():
         raise ValueError("distances must be positive")
-    dc = np.maximum(d, model.min_distance_km)
-    if model.variant == "one_slope":
-        return (model.pl0_db + 10.0 * model.exponent * np.log10(dc / model.d0_km)
-                + model.offset_db)
-    if np.any(d > HATA_MAX_DISTANCE_KM):
+    if model.variant == "okumura_hata_rural" and (d > HATA_MAX_DISTANCE_KM).any():
         warnings.warn(
             f"distances up to {float(d.max()):.2f} km beyond Hata validity "
             f"({HATA_MAX_DISTANCE_KM} km); values extrapolated",
             ModelValidityWarning, stacklevel=2)
-    lf = math.log10(model.freq_mhz)
-    lhb = math.log10(model.bs_height_m)
-    a_hm = (1.1 * lf - 0.7) * model.rx_height_m - (1.56 * lf - 0.8)
-    fixed = (69.55 + 26.16 * lf - 13.82 * lhb - a_hm
-             - (4.78 * lf * lf - 18.33 * lf + 40.94))
-    return fixed + (44.9 - 6.55 * lhb) * np.log10(dc) + model.offset_db
+    a, b, d0 = _coefficients(model)
+    return a + b * np.log10(np.maximum(d, model.min_distance_km) / d0) + model.offset_db
 
 
 def invert_range_km(model: PathLossModel, pl_max_db: float) -> float:
     """Distance at which the model reaches `pl_max_db`.
 
-    Closed form for the one-slope family; monotone bisection (|dd| < 1 m)
-    for Okumura-Hata.  Raises when `pl_max_db` sits below the loss at the
-    minimum evaluable distance.
+    Both families are affine in log10(d), so the inverse is closed form and
+    exact.  Raises when `pl_max_db` sits below the loss at the minimum
+    evaluable distance.
     """
     floor = path_loss_db(model, model.min_distance_km)
     if pl_max_db < floor:
         raise ValueError(
             f"range below model floor: {pl_max_db:.2f} dB < {floor:.2f} dB "
             f"at {model.min_distance_km} km")
-    if model.variant == "one_slope":
-        d = model.d0_km * 10.0 ** ((pl_max_db - model.offset_db - model.pl0_db)
-                                   / (10.0 * model.exponent))
-        return max(d, model.min_distance_km)
-    lo = model.min_distance_km
-    hi = max(2.0 * lo, 1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ModelValidityWarning)
-        while path_loss_db(model, hi) < pl_max_db:
-            hi *= 2.0
-            if hi > 1e5:
-                raise ValueError("range inversion diverged")
-        while hi - lo > 1e-4:  # 0.1 m bisection step, comfortably < 1 m
-            mid = 0.5 * (lo + hi)
-            if path_loss_db(model, mid) < pl_max_db:
-                lo = mid
-            else:
-                hi = mid
-    return 0.5 * (lo + hi)
+    a, b, d0 = _coefficients(model)
+    return max(d0 * 10.0 ** ((pl_max_db - model.offset_db - a) / b),
+               model.min_distance_km)

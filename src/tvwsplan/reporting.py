@@ -164,8 +164,7 @@ def build_report(scenario: Scenario, profile: TechnologyProfile,
 
 def report_to_json(report: SimulationReport) -> str:
     payload = {"schema_version": REPORT_SCHEMA_VERSION, **report.__dict__}
-    return json.dumps(payload, sort_keys=True, indent=2,
-                      default=lambda o: float(o)) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def verify_report(report: SimulationReport) -> list:

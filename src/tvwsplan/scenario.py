@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml
@@ -143,11 +143,6 @@ class UserPopulation:
     demand_mbps: np.ndarray  # (N,) float64
     seed: int
 
-    @property
-    def users(self):
-        return [(int(i), (float(x), float(y)), float(d))
-                for i, (x, y), d in zip(self.ids, self.xy_km, self.demand_mbps)]
-
     def __len__(self):
         return len(self.ids)
 
@@ -249,7 +244,6 @@ class Scenario:
         one-slope variant is an empirical fit with no frequency term and is
         shared by all technologies.
         """
-        from dataclasses import replace
         if (self.model.variant == "okumura_hata_rural"
                 and abs(profile.freq_mhz - self.model.freq_mhz) > 1e-9):
             return replace(self.model, freq_mhz=profile.freq_mhz)

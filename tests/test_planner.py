@@ -69,6 +69,28 @@ class TestGreedyRules:
         assert out.deployment.assignments == {0: 0, 1: 1, 2: 1}
         assert ("switch", 1, 0, 1) in out.event_log
 
+    def test_all_active_scope_moves_user_to_already_active_site(
+            self, micro_margins, micro_model, tvws_power):
+        # capacity 2, sites A(0) B(1) C(2) on a line.  user0 opens B; user1
+        # joins B although the inactive C is closer; user2 finds B full and
+        # opens A; user3 opens C.  Both scopes then move user1 from B to C,
+        # which frees B; only "all_active" also moves user2 from A to B.
+        prof = profile_with_capacity(2.0)
+        sites = [CandidateSite(0, 0.0, 1.5, 30.0), CandidateSite(1, 1.0, 1.5, 30.0),
+                 CandidateSite(2, 2.0, 1.5, 30.0)]
+        pop = manual_population([(1.0, 1.5), (1.6, 1.5), (0.7, 1.5), (2.3, 1.5)],
+                                [1.0] * 4)
+        outs = {}
+        for scope in ("new_site", "all_active"):
+            cfg = PlannerConfig(runs=1, base_seed=42, rebalance_scope=scope)
+            outs[scope] = _greedy_plan(pop, sites, prof, micro_margins,
+                                       micro_model, tvws_power, cfg,
+                                       "1/2 QPSK", 0)
+        assert outs["new_site"].deployment.assignments == {0: 1, 1: 2, 2: 0, 3: 2}
+        assert outs["all_active"].deployment.assignments == {0: 1, 1: 2, 2: 1, 3: 2}
+        assert ("switch", 2, 0, 1) in outs["all_active"].event_log
+        assert ("switch", 2, 0, 1) not in outs["new_site"].event_log
+
     def test_uncovered_when_out_of_range(self, micro_profile, micro_margins,
                                          tvws_power):
         far_model = one_slope(145.0, 1.0, 3.5)  # floor above PL_max: no reach
@@ -186,6 +208,20 @@ class TestFeasibilityChecker:
         problems = check_deployment(out, micro_scenario, micro_profile,
                                     micro_margins, micro_model, CFG, micro_sites)
         assert problems
+
+    def test_all_active_scope_passes_checker_and_replays(
+            self, micro_scenario, micro_profile, micro_margins, micro_model,
+            micro_sites, tvws_power):
+        cfg = PlannerConfig(runs=8, base_seed=100, rebalance_scope="all_active")
+        camp = run_campaign(micro_scenario, micro_profile, micro_margins,
+                            micro_model, tvws_power, cfg, sites=micro_sites)
+        for out in camp.outcomes:
+            assert check_deployment(out, micro_scenario, micro_profile,
+                                    micro_margins, micro_model, cfg,
+                                    micro_sites) == []
+            assert replay_event_log(out, micro_scenario, micro_profile,
+                                    micro_margins, micro_model, tvws_power,
+                                    cfg, micro_sites)
 
     def test_adaptive_mode_airtime_bounded(self, tvws_power):
         sc = _lattice_scenario()
@@ -316,6 +352,19 @@ class TestGrowth:
         assert history[-1][1] > 0.95
         assert len(sites) == history[-1][0]
 
+    def test_growth_pilots_keep_user_shuffle(self, micro_profile, tvws_power):
+        sc = self._grow_scenario(target=0.95)
+        cfg = PlannerConfig(runs=5, base_seed=500, shuffle_user_order=True)
+        _, history = grow_site_set(sc, micro_profile, sc.margins, sc.model,
+                                   tvws_power, cfg)
+        pilot = PlannerConfig(runs=sc.site_policy.pilot_runs, base_seed=500,
+                              shuffle_user_order=True)
+        by_hand = [(n, run_campaign(sc, micro_profile, sc.margins, sc.model,
+                                    tvws_power, pilot,
+                                    sites=sc.lattice_sites(n)).mean_coverage)
+                   for n, _ in history]
+        assert history == by_hand
+
     def test_growth_cap_raises_with_best_coverage(self, micro_profile, tvws_power):
         sc = self._grow_scenario(max_sites=2, target=0.999, user_count=40)
         cfg = PlannerConfig(runs=5, base_seed=500)
@@ -341,7 +390,7 @@ class TestAnalyticLowerBound:
         camp = run_campaign(sc, prof, sc.margins, model, pw, cfg,
                             sites=sc.lattice_sites(20))
         for out in camp.outcomes:
-            if out.coverage_fraction >= cfg.coverage_target_fraction:
+            if out.coverage_fraction >= sc.site_policy.target_coverage:
                 assert len(out.deployment.active_sites) >= n_min
 
 

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tvwsplan.cli import main as cli_main
@@ -79,6 +80,13 @@ class TestReport:
         b = report_to_json(build_report(sc, prof, sc.margins, model, pw, cfg,
                                         sites=sites)[0])
         assert a == b
+
+    def test_report_json_rejects_non_json_types(self, micro_report):
+        import copy
+        bad = copy.deepcopy(micro_report[0])
+        bad.per_run[0]["active_sites"] = np.int64(bad.per_run[0]["active_sites"])
+        with pytest.raises(TypeError):
+            report_to_json(bad)
 
     def test_golden_micro_report(self, micro_report):
         text = report_to_json(micro_report[0])
@@ -259,6 +267,26 @@ class TestCli:
                                       "--runs", "1", "--out", str(tmp_path))
         assert code != 0
         assert "9/9 HEX" in json.loads(err)["error"]["message"]
+
+    def test_plan_with_non_deployable_mcs_fails(self, tmp_path):
+        code, out, err = self.run_cli("plan", "--env", "rural",
+                                      "--tech", "802.22b", "--mcs", "7/8 256-QAM",
+                                      "--runs", "1", "--out", str(tmp_path))
+        assert code == 2
+        error = json.loads(err)["error"]
+        assert error["type"] == "invalid_mcs"
+        assert "7/8 256-QAM" not in error["available"]
+
+    @pytest.mark.parametrize("value", ["two", "0", ""])
+    def test_bad_worker_variable_is_usage_error(self, tmp_path, monkeypatch,
+                                                value):
+        monkeypatch.setenv("TVWSPLAN_WORKERS", value)
+        code, out, err = self.run_cli("plan", "--env", "suburban",
+                                      "--runs", "1", "--out", str(tmp_path))
+        assert code == 2
+        error = json.loads(err)["error"]
+        assert error["type"] == "usage"
+        assert "TVWSPLAN_WORKERS" in error["message"]
 
     def test_missing_scenario_is_machine_readable(self, tmp_path):
         code, out, err = self.run_cli("plan", "--scenario",
