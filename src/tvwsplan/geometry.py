@@ -56,30 +56,15 @@ def polygon_is_simple(vertices) -> bool:
 
 
 def point_in_polygon(x: float, y: float, vertices) -> bool:
-    """Ray-casting point-in-polygon test (boundary counts as inside)."""
-    v = np.asarray(vertices, dtype=float)
-    n = len(v)
-    inside = False
-    for i in range(n):
-        x1, y1 = v[i]
-        x2, y2 = v[(i + 1) % n]
-        # on-edge check keeps boundary points inside
-        if (min(x1, x2) - 1e-12 <= x <= max(x1, x2) + 1e-12
-                and abs((x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)) < 1e-9
-                and min(y1, y2) - 1e-12 <= y <= max(y1, y2) + 1e-12):
-            return True
-        if (y1 > y) != (y2 > y):
-            xs = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            if x < xs:
-                inside = not inside
-    return inside
+    """Containment of one point (boundary counts as inside)."""
+    return bool(points_in_polygon([(x, y)], vertices)[0])
 
 
 def points_in_polygon(points, vertices) -> np.ndarray:
     """Vectorised containment mask for an (N, 2) point array.
 
     Ray casting against all edges at once; points within 1e-9 of an edge
-    count as inside, matching the scalar test.
+    count as inside.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     v = np.asarray(vertices, dtype=float)

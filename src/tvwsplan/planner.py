@@ -16,7 +16,9 @@ parallel; aggregation is order-insensitive.
 Every accept/reject decision lands in an event log.  The independent
 feasibility checker replays a run from scratch (fresh path-loss matrix,
 fresh capacity accounting) and verifies the log, the assignment invariants
-and the capacity bounds without sharing any planner state.
+and the capacity bounds without sharing any planner state; what it shares
+is the memoised, read-only population of each seed, a pure function of the
+seed.
 """
 
 from __future__ import annotations
@@ -169,13 +171,10 @@ def plan_single_run(scenario: Scenario, profile: TechnologyProfile,
                     power_params, config: PlannerConfig, seed: int,
                     sites=None) -> RunOutcome:
     """One greedy deployment for the user population drawn with `seed`."""
-    sites = list(sites) if sites is not None else _sites_for(scenario)
-    if not sites:
-        raise ValueError("candidate site list is empty")
-    pop = generate_population(scenario.region, scenario.population, seed)
+    sites = _sites_for(scenario, sites)
     mcs_label = _planning_mcs(scenario, profile, margins, model, config)
-    return _greedy_plan(pop, sites, profile, margins, model,
-                        power_params, config, mcs_label, seed)
+    return _run_one((scenario, profile, margins, model, power_params, config,
+                     seed, sites, mcs_label))
 
 
 def _greedy_plan(pop, sites, profile, margins, model, power_params,
@@ -301,27 +300,41 @@ def _greedy_plan(pop, sites, profile, margins, model, power_params,
                       event_log=tuple(log))
 
 
-def _sites_for(scenario: Scenario) -> list:
-    policy = scenario.site_policy
-    if policy.mode == "explicit":
-        return scenario.explicit_sites()
-    if policy.mode == "lattice":
-        return scenario.lattice_sites(policy.count)
-    raise ValueError("auto_grow scenarios need grow_site_set() first")
+def _sites_for(scenario: Scenario, sites=None) -> list:
+    """The given candidate sites, else the scenario's own; never empty."""
+    if sites is None:
+        policy = scenario.site_policy
+        if policy.mode == "explicit":
+            sites = scenario.explicit_sites()
+        elif policy.mode == "lattice":
+            sites = scenario.lattice_sites(policy.count)
+        else:
+            raise ValueError("auto_grow scenarios need grow_site_set() first")
+    sites = list(sites)
+    if not sites:
+        raise ValueError("candidate site list is empty")
+    return sites
 
 
 def _run_one(args):
-    return plan_single_run(*args)
+    scenario, profile, margins, model, power_params, config, seed, sites, mcs_label = args
+    pop = generate_population(scenario.region, scenario.population, seed)
+    return _greedy_plan(pop, sites, profile, margins, model, power_params,
+                        config, mcs_label, seed)
 
 
 def run_campaign(scenario: Scenario, profile: TechnologyProfile,
                  margins: EnvironmentMargins, model: PathLossModel,
                  power_params, config: PlannerConfig, sites=None) -> CampaignResult:
-    """`config.runs` independent runs with seeds base_seed + i."""
-    sites = list(sites) if sites is not None else _sites_for(scenario)
+    """`config.runs` independent runs with seeds base_seed + i.
+
+    The planning MCS is derived once here and shared by every run.
+    """
+    sites = _sites_for(scenario, sites)
     mcs_label = _planning_mcs(scenario, profile, margins, model, config)
     seeds = [config.base_seed + i for i in range(config.runs)]
-    jobs = [(scenario, profile, margins, model, power_params, config, s, sites)
+    jobs = [(scenario, profile, margins, model, power_params, config, s, sites,
+             mcs_label)
             for s in seeds]
 
     workers = config.workers or env_workers()

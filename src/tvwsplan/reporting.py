@@ -17,12 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
+from . import __version__, geometry
 from .link_budget import (EnvironmentMargins, TechnologyProfile,
                           coverage_curve, max_allowable_path_loss_db)
 from .planner import CampaignResult, PlannerConfig, RunOutcome, run_campaign
 from .power_energy import network_energy_efficiency
-from .propagation import ModelValidityWarning, PathLossModel, path_loss_db
+from .propagation import (ModelValidityWarning, PathLossModel,
+                          path_loss_array_db, path_loss_db)
 from .scenario import Scenario, generate_population
 
 __all__ = [
@@ -257,26 +258,27 @@ def raster_csv(outcome: RunOutcome, scenario: Scenario, sites,
     """Coverage raster over the region grid at the scenario resolution."""
     xmin, ymin, xmax, ymax = scenario.region.bbox()
     step = scenario.region.resolution_m / 1000.0
+
+    def centres(lo, hi):
+        # accumulated, not lo + k*step, so the grid keeps its historical bits
+        out, v = [], lo + step / 2
+        while v < hi:
+            out.append(v)
+            v += step
+        return out
+
+    xs, ys = centres(xmin, xmax), centres(ymin, ymax)
+    grid = np.array([(x, y) for y in ys for x in xs]).reshape(-1, 2)
+    pixels = grid[geometry.points_in_polygon(grid, scenario.region.outline)].tolist()
     active = [s for s in sites if s.id in outcome.deployment.active_sites]
-    rows = []
-    y = ymin + step / 2
-    while y < ymax:
-        x = xmin + step / 2
-        while x < xmax:
-            if scenario.region.contains(x, y):
-                if active:
-                    best = min(path_loss_db(model,
-                                            max(math.hypot(x - s.x_km, y - s.y_km),
-                                                model.min_distance_km))
-                               for s in active)
-                else:
-                    best = float("inf")
-                covered = best <= pl_max_db
-                rows.append([_fmt(x), _fmt(y),
-                             _fmt(best) if math.isfinite(best) else "inf",
-                             "1" if covered else "0"])
-            x += step
-        y += step
+    # math.hypot, not np.hypot: the two differ in the last bit
+    dist = np.array([[math.hypot(x - s.x_km, y - s.y_km) for s in active]
+                     for x, y in pixels]).reshape(len(pixels), len(active))
+    best = path_loss_array_db(model, np.maximum(dist, model.min_distance_km))
+    best = best.min(axis=1, initial=math.inf).tolist()
+    rows = [[_fmt(x), _fmt(y), _fmt(b) if math.isfinite(b) else "inf",
+             "1" if b <= pl_max_db else "0"]
+            for (x, y), b in zip(pixels, best)]
     return _csv(prov, "x,y,best_pl_db,covered_flag", rows)
 
 

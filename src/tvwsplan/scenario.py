@@ -9,10 +9,18 @@ Reproducibility contract: all randomness flows through numpy's PCG64
 generator seeded explicitly; `generate_population` is a pure function of
 (region, spec, seed) and serialises byte-identically across platforms.
 Per-run seeds in a campaign are `base_seed + run_index`.
+
+Populations are memoised per (region, spec, seed) and their arrays are
+read-only, so the planner, site growth, the feasibility checker and the
+artifact writers all share one immutable draw per seed.  The sampler tests
+whole blocks of variates at once; it consumes the generator's stream in
+exactly the order of a per-attempt rejection loop (x, y until inside, then
+the demand draw), so its output is byte-identical to that loop's.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 from dataclasses import dataclass, replace
@@ -42,6 +50,8 @@ __all__ = [
 
 AREA_TOLERANCE = 0.005          # declared vs recomputed polygon area
 MAX_REJECTION_ATTEMPTS = 10_000  # per user
+MAX_SAMPLE_BLOCK = 1 << 14      # variates drawn and tested at once
+POPULATION_CACHE_SIZE = 1024    # memoised (region, spec, seed) draws
 SITE_MARGIN_KM = 2.0            # sites may sit this far outside the outline
 
 
@@ -147,6 +157,7 @@ class UserPopulation:
         return len(self.ids)
 
 
+@functools.lru_cache(maxsize=POPULATION_CACHE_SIZE)
 def generate_population(region: Region, spec: PopulationSpec, seed: int) -> UserPopulation:
     """Draw `spec.user_count` users uniformly over the region.
 
@@ -154,33 +165,45 @@ def generate_population(region: Region, spec: PopulationSpec, seed: int) -> User
     user's demand is the data bitrate when a uniform variate falls below
     `data_fraction`, else the voice bitrate.  Per user the draw order is
     position first, demand second, so output is a pure function of
-    (region, spec, seed).
+    (region, spec, seed).  Results are memoised and read-only.
     """
     if geometry.polygon_area(region.outline) <= 0:
         raise ValueError("cannot sample users: region polygon has zero area")
     rng = np.random.Generator(np.random.PCG64(seed))
     xmin, ymin, xmax, ymax = region.bbox()
     n = spec.user_count
-    xs = np.empty(n)
-    ys = np.empty(n)
-    demand = np.empty(n)
-    for k in range(n):
-        for _ in range(MAX_REJECTION_ATTEMPTS):
-            x = rng.uniform(xmin, xmax)
-            y = rng.uniform(ymin, ymax)
-            if region.contains(x, y):
-                break
-        else:
-            raise RuntimeError(
-                f"rejection sampling failed after {MAX_REJECTION_ATTEMPTS} "
-                f"attempts inside region of area {region.area_km2} km^2")
-        xs[k], ys[k] = x, y
-        demand[k] = (spec.data_bitrate_mbps
-                     if rng.uniform() < spec.data_fraction
-                     else spec.voice_bitrate_mbps)
-    return UserPopulation(ids=np.arange(n, dtype=np.int64),
-                          xy_km=np.column_stack([xs, ys]),
-                          demand_mbps=demand, seed=seed)
+    # variates per user: two per attempt, one demand draw
+    per_user = 2.0 * (xmax - xmin) * (ymax - ymin) / region.area_km2 + 1.0
+    xy = np.empty((n, 2))
+    u_demand = np.empty(n)
+    buf = np.empty(0)
+    i = tried = k = 0
+    while k < n:
+        # carry the unread tail so the stream stays contiguous
+        want = int(1.25 * per_user * (n - k)) + 16
+        buf = np.concatenate([buf[i:], rng.random(min(want, MAX_SAMPLE_BLOCK))])
+        cand = np.column_stack([xmin + (xmax - xmin) * buf[:-1],
+                                ymin + (ymax - ymin) * buf[1:]])
+        inside = geometry.points_in_polygon(cand, region.outline).tolist()
+        # replay the per-user loop: a rejected pair (x, y) advances 2, an
+        # accepted one takes the next variate as its demand draw and advances 3
+        i = 0
+        while k < n and i + 2 < len(buf):
+            if inside[i]:
+                xy[k], u_demand[k] = cand[i], buf[i + 2]
+                k, i, tried = k + 1, i + 3, 0
+                continue
+            i, tried = i + 2, tried + 1
+            if tried == MAX_REJECTION_ATTEMPTS:
+                raise RuntimeError(
+                    f"rejection sampling failed after {MAX_REJECTION_ATTEMPTS} "
+                    f"attempts inside region of area {region.area_km2} km^2")
+    demand = np.where(u_demand < spec.data_fraction,
+                      spec.data_bitrate_mbps, spec.voice_bitrate_mbps)
+    arrays = (np.arange(n, dtype=np.int64), xy, demand)
+    for a in arrays:
+        a.flags.writeable = False
+    return UserPopulation(*arrays, seed=seed)
 
 
 def total_demand(pop: UserPopulation) -> float:

@@ -1,9 +1,11 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from tvwsplan import planner
 from tvwsplan.link_budget import (EnvironmentMargins, McsEntry,
                                   TechnologyProfile, load_technology,
                                   max_allowable_path_loss_db)
@@ -303,6 +305,22 @@ class TestCampaign:
         camp = run_campaign(micro_scenario, micro_profile, micro_margins,
                             micro_model, tvws_power, cfg, sites=micro_sites)
         assert [o.seed for o in camp.outcomes] == [1000, 1001, 1002, 1003]
+
+    def test_planning_mcs_swept_once_per_campaign(self, micro_scenario,
+                                                   micro_profile, micro_margins,
+                                                   micro_model, micro_sites,
+                                                   tvws_power):
+        cfg = PlannerConfig(runs=6, base_seed=1000)
+        with mock.patch.object(planner, "sweep_mcs",
+                               wraps=planner.sweep_mcs) as sweep:
+            camp = run_campaign(micro_scenario, micro_profile, micro_margins,
+                                micro_model, tvws_power, cfg, sites=micro_sites)
+        assert sweep.call_count == 1
+        for o in camp.outcomes:  # same runs as one plan_single_run per seed
+            single = plan_single_run(micro_scenario, micro_profile, micro_margins,
+                                     micro_model, tvws_power, cfg, o.seed,
+                                     sites=micro_sites)
+            assert single.event_log == o.event_log
 
     def test_monotone_coverage_in_candidate_set(self, micro_scenario,
                                                 micro_profile, micro_margins,

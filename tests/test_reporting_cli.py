@@ -1,6 +1,8 @@
 import json
+import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +10,10 @@ import pytest
 
 from tvwsplan.cli import main as cli_main
 from tvwsplan.link_budget import load_technology, max_allowable_path_loss_db
-from tvwsplan.planner import PlannerConfig, run_campaign
+from tvwsplan.planner import Deployment, PlannerConfig, RunOutcome, run_campaign
 from tvwsplan.power_energy import load_power_params
-from tvwsplan.propagation import okumura_hata_rural, one_slope
+from tvwsplan.propagation import (ModelValidityWarning, okumura_hata_rural,
+                                  one_slope, path_loss_db)
 from tvwsplan.reporting import (assignment_csv, build_report, coverage_csv,
                                 deployment_csv, pathloss_csv, power_csv,
                                 raster_csv, report_to_json, runs_csv, svg_map,
@@ -139,6 +142,54 @@ class TestCsvEmitters:
         # 4 x 3 km at 500 m resolution: 8 x 6 interior cells
         assert len(rows) == 48
         assert all(r.split(",")[3] in ("0", "1") for r in rows)
+
+    @staticmethod
+    def scalar_raster_rows(sc, sites, active, model, pl_max):
+        """The former per-pixel, per-site raster loop, kept as the oracle."""
+        xmin, ymin, xmax, ymax = sc.region.bbox()
+        step = sc.region.resolution_m / 1000.0
+        live = [s for s in sites if s.id in active]
+        rows = []
+        y = ymin + step / 2
+        while y < ymax:
+            x = xmin + step / 2
+            while x < xmax:
+                if sc.region.contains(x, y):
+                    if live:
+                        best = min(path_loss_db(model,
+                                                max(math.hypot(x - s.x_km, y - s.y_km),
+                                                    model.min_distance_km))
+                                   for s in live)
+                    else:
+                        best = float("inf")
+                    rows.append(f"{x:.6f},{y:.6f},"
+                                + (f"{best:.6f}" if math.isfinite(best) else "inf")
+                                + ("," + ("1" if best <= pl_max else "0")))
+                x += step
+            y += step
+        return rows
+
+    @pytest.mark.parametrize("env", ["ghent_suburban", "boyeros_rural"])
+    def test_raster_matches_scalar_loop(self, env):
+        sc = bundled_scenario(env)
+        prof = load_technology(sc.technology, sc.environment)
+        model = sc.model_for(prof)
+        pl_max = max_allowable_path_loss_db(prof, sc.margins, prof.deployable_mcs()[-1])
+        sites = sc.lattice_sites(24)
+        for active in ({s.id for s in sites[::6]}, set()):
+            outcome = RunOutcome(seed=0, coverage_fraction=0.0,
+                                 deployment=Deployment(active, {}, {}, {}, set()),
+                                 total_power_w=0.0, served_mbps_total=0.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ModelValidityWarning)
+                text = raster_csv(outcome, sc, sites, model, pl_max, {})
+                expected = self.scalar_raster_rows(sc, sites, active, model, pl_max)
+            assert text.splitlines()[1:] == expected
+            assert len(expected) > 500
+            if active:  # both sides of the coverage edge are exercised
+                assert {r[-1] for r in expected} == {"0", "1"}
+            else:  # no station: every pixel unreachable
+                assert all(r.endswith(",inf,0") for r in expected)
 
     def test_pathloss_csv_values(self):
         model = one_slope(100.0, 1.0, 3.0)

@@ -1,9 +1,13 @@
+import dataclasses
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tvwsplan import geometry
+from tvwsplan import geometry, scenario
 from tvwsplan.scenario import (CandidateSite, PopulationSpec, Region,
                                Scenario, ScenarioError, available_scenarios,
                                bundled_scenario, generate_population,
@@ -67,7 +71,8 @@ class TestGeneratePopulation:
     def test_two_user_sum(self, micro_region):
         spec = PopulationSpec(user_count=2, data_fraction=1.0)
         pop = generate_population(micro_region, spec, 3)
-        pop.demand_mbps[1] = 0.064  # force the documented mix
+        # force the documented mix on a copy: drawn populations are shared
+        pop = dataclasses.replace(pop, demand_mbps=np.array([1.0, 0.064]))
         assert total_demand(pop) == pytest.approx(1.064, abs=1e-12)
 
     def test_realised_204_20_split_sums_to_205_28(self):
@@ -106,6 +111,185 @@ class TestGeneratePopulation:
         assert lines[0] == "user_id,x_km,y_km,demand_mbps"
         assert len(lines) == 4
         assert "\r" not in text
+
+
+def scalar_point_in_polygon(x, y, vertices):
+    """The former scalar ray cast of `geometry`, kept as the oracle."""
+    v = np.asarray(vertices, dtype=float)
+    n = len(v)
+    inside = False
+    for i in range(n):
+        x1, y1 = v[i]
+        x2, y2 = v[(i + 1) % n]
+        # on-edge check keeps boundary points inside
+        if (min(x1, x2) - 1e-12 <= x <= max(x1, x2) + 1e-12
+                and abs((x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)) < 1e-9
+                and min(y1, y2) - 1e-12 <= y <= max(y1, y2) + 1e-12):
+            return True
+        if (y1 > y) != (y2 > y):
+            xs = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+            if x < xs:
+                inside = not inside
+    return inside
+
+
+def scalar_population(region, spec, seed):
+    """The former per-attempt rejection loop, kept as the oracle."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    xmin, ymin, xmax, ymax = region.bbox()
+    n = spec.user_count
+    xs = np.empty(n)
+    ys = np.empty(n)
+    demand = np.empty(n)
+    for k in range(n):
+        for _ in range(scenario.MAX_REJECTION_ATTEMPTS):
+            x = rng.uniform(xmin, xmax)
+            y = rng.uniform(ymin, ymax)
+            if scalar_point_in_polygon(x, y, region.outline):
+                break
+        else:
+            raise RuntimeError(
+                f"rejection sampling failed after {scenario.MAX_REJECTION_ATTEMPTS} "
+                f"attempts inside region of area {region.area_km2} km^2")
+        xs[k], ys[k] = x, y
+        demand[k] = (spec.data_bitrate_mbps
+                     if rng.uniform() < spec.data_fraction
+                     else spec.voice_bitrate_mbps)
+    return scenario.UserPopulation(ids=np.arange(n, dtype=np.int64),
+                                   xy_km=np.column_stack([xs, ys]),
+                                   demand_mbps=demand, seed=seed)
+
+
+def region_of(outline):
+    outline = tuple((float(x), float(y)) for x, y in outline)
+    return Region(outline=outline, area_km2=geometry.polygon_area(outline))
+
+
+def thin_triangle(width):
+    """A sliver along the diagonal of a 10 x 10 km box: area 5 * width."""
+    return region_of(((0.0, 0.0), (10.0, 10.0), (10.0, 10.0 - width)))
+
+
+@st.composite
+def star_regions(draw):
+    """Simple polygons: 4-12 vertices, one per equal angular slot around a
+    centre, so every gap is below pi and the outline is star-shaped."""
+    n = draw(st.integers(4, 12))
+    cx, cy = draw(st.floats(-50, 50)), draw(st.floats(-50, 50))
+    outline = []
+    for k in range(n):
+        a = (k + draw(st.floats(0.25, 0.75))) * 2 * math.pi / n
+        r = draw(st.floats(0.3, 5.0))
+        outline.append((cx + r * math.cos(a), cy + r * math.sin(a)))
+    return region_of(outline)
+
+
+specs = st.builds(PopulationSpec, user_count=st.integers(0, 2000),
+                  data_fraction=st.floats(0.0, 1.0))
+seeds = st.integers(0, 2**32)
+
+
+def assert_same_draw(region, spec, seed):
+    new = generate_population.__wrapped__(region, spec, seed)
+    old = scalar_population(region, spec, seed)
+    assert new.ids.tobytes() == old.ids.tobytes()
+    assert new.xy_km.tobytes() == old.xy_km.tobytes()
+    assert new.demand_mbps.tobytes() == old.demand_mbps.tobytes()
+    assert population_to_csv(new) == population_to_csv(old)
+
+
+class TestSamplerMatchesScalarLoop:
+    """The block sampler reproduces the per-attempt loop bit for bit."""
+
+    def test_bundled_regions(self):
+        for name in ("ghent_suburban", "boyeros_rural"):
+            sc = bundled_scenario(name)
+            for seed in (1, 5, 123, 1000, 1039, 2000):
+                assert_same_draw(sc.region, sc.population, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(star_regions(), specs, seeds)
+    def test_random_simple_polygons(self, region, spec, seed):
+        assert_same_draw(region, spec, seed)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.floats(0.1, 1.0), st.integers(0, 200), st.floats(0.0, 1.0), seeds)
+    def test_thin_triangle_refills_blocks(self, width, users, fraction, seed):
+        # acceptance 0.005-0.05: one block holds a few dozen users at most
+        assert_same_draw(thin_triangle(width), PopulationSpec(users, fraction), seed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 64), star_regions(), st.integers(0, 300),
+           st.floats(0.0, 1.0), seeds)
+    def test_tiny_blocks_carry_the_stream(self, block, region, users, fraction, seed):
+        # a refill every few variates: pairs and demand draws straddle blocks
+        with mock.patch.object(scenario, "MAX_SAMPLE_BLOCK", block):
+            assert_same_draw(region, PopulationSpec(users, fraction), seed)
+
+    def test_sliver_raises_same_error_in_bounded_work_and_memory(self):
+        sliver = thin_triangle(2e-6)   # acceptance 1e-7 per attempt
+        spec = PopulationSpec(3, 0.5)
+        with pytest.raises(RuntimeError) as old:
+            scalar_population(sliver, spec, 1)
+        # the first user gives up after 2 * MAX_REJECTION_ATTEMPTS variates
+        budget = 2 * scenario.MAX_REJECTION_ATTEMPTS + 2 * scenario.MAX_SAMPLE_BLOCK
+        tested = []
+        real = geometry.points_in_polygon
+
+        def counted(points, vertices):
+            tested.append(len(points))
+            assert sum(tested) <= budget, "sampler kept drawing past the limit"
+            return real(points, vertices)
+
+        tracemalloc.start()
+        try:
+            with mock.patch.object(geometry, "points_in_polygon", counted), \
+                    pytest.raises(RuntimeError) as new:
+                generate_population.__wrapped__(sliver, spec, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(new.value) == str(old.value)
+        assert peak < 16 * 2**20
+
+
+class TestPopulationMemo:
+    def test_same_key_same_object(self):
+        sc = bundled_scenario("ghent_suburban")
+        a = generate_population(sc.region, sc.population, 4242)
+        b = generate_population(bundled_scenario("ghent_suburban").region,
+                                sc.population, 4242)
+        assert a is b
+        assert generate_population(sc.region, sc.population, 4243) is not a
+
+    @pytest.mark.parametrize("field", ["ids", "xy_km", "demand_mbps"])
+    def test_arrays_read_only(self, micro_region, field):
+        pop = generate_population(micro_region, PopulationSpec(4, 0.5), 3)
+        arr = getattr(pop, field)
+        with pytest.raises(ValueError):
+            arr[0] = 0
+        with pytest.raises(ValueError):
+            arr += 1
+
+
+class TestContainment:
+    """`point_in_polygon` delegates to the vectorised ray cast."""
+
+    def test_delegate_agrees_with_scalar_ray_cast(self):
+        rng = np.random.default_rng(20261018)
+        for name in ("ghent_suburban", "boyeros_rural"):
+            outline = bundled_scenario(name).region.outline
+            v = np.asarray(outline)
+            mids = 0.5 * (v + np.roll(v, -1, axis=0))
+            xmin, ymin, xmax, ymax = geometry.polygon_bbox(outline)
+            rand = np.column_stack([rng.uniform(xmin - 1, xmax + 1, 10_000),
+                                    rng.uniform(ymin - 1, ymax + 1, 10_000)])
+            pts = np.vstack([v, mids, rand])
+            expected = [scalar_point_in_polygon(x, y, outline) for x, y in pts]
+            got = [geometry.point_in_polygon(x, y, outline) for x, y in pts]
+            assert got == expected
+            assert all(expected[:2 * len(v)])  # boundary counts as inside
+            assert geometry.points_in_polygon(pts, outline).tolist() == expected
 
 
 class TestExpectedDemand:
