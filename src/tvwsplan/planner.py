@@ -9,6 +9,14 @@ site when their path loss there is strictly lower and capacity allows.
 Users with no feasible site are counted uncovered; the run ends when all
 users have been evaluated.
 
+Equal path loss breaks toward the lower site index (position in the
+candidate list).  A link costs the user's demand against the planning MCS
+bitrate in fixed mode; in adaptive mode it costs demand / rate of the
+highest-rate tier whose budget covers the link, against an airtime of 1.
+Each run sorts every user's in-range sites once and tabulates these link
+costs once, so the greedy itself never sorts; loads are still summed one
+decision at a time, in decision order.
+
 A run is strictly sequential (the greedy order is semantic).  Runs within a
 campaign are independent, seeded `base_seed + run_index`, and may execute in
 parallel; aggregation is order-insensitive.
@@ -153,16 +161,21 @@ def env_workers() -> int:
     return int(raw)
 
 
-def _planning_mcs(scenario, profile, margins, model, config) -> str:
-    """The fixed-mode label, or the sizing sweep optimum when none is set."""
+def _planning_mcs(scenario, profile, margins, model, config, rows=None) -> str:
+    """The fixed-mode label, or the sizing sweep optimum when none is set.
+
+    `rows` is a sizing sweep the caller already made; without it the sweep
+    runs here, and only when it is needed.
+    """
     if config.mcs_mode == "fixed" and config.mcs_label:
         mcs = profile.mcs(config.mcs_label)
         if not mcs.deployable:
             raise ValueError(f"MCS {mcs.label!r} is not deployable on "
                              f"{profile.name} hardware")
         return mcs.label
-    rows = sweep_mcs(profile, margins, model, scenario.region.area_km2,
-                     scenario.population.expected_demand_mbps)
+    if rows is None:
+        rows = sweep_mcs(profile, margins, model, scenario.region.area_km2,
+                         scenario.population.expected_demand_mbps)
     return next(r.mcs_label for r in rows if r.is_optimal)
 
 
@@ -177,122 +190,123 @@ def plan_single_run(scenario: Scenario, profile: TechnologyProfile,
                      seed, sites, mcs_label))
 
 
-def _greedy_plan(pop, sites, profile, margins, model, power_params,
-                 config, mcs_label, seed) -> RunOutcome:
-    n_users = len(pop)
-    n_sites = len(sites)
-    site_ids = [s.id for s in sites]
-    pl = _pl_matrix(pop, sites, model)
+def _link_costs(pl, demand, profile, margins, config, mcs_label):
+    """(pl_max, capacity, cost) of one run.
 
-    fixed = config.mcs_mode == "fixed"
-    if fixed:
+    `cost[u, j]` is the capacity user u consumes at site j, valid where
+    `pl[u, j] <= pl_max`.  Fixed mode charges the demand against the planning
+    MCS bitrate.  Adaptive mode serves each link at the highest-rate tier
+    whose budget covers it (the last in table order: tiers ascend in SNR and
+    descend in range) and charges airtime, demand / rate, against 1.
+    """
+    if config.mcs_mode == "fixed":
         mcs = profile.mcs(mcs_label)
         pl_max = max_allowable_path_loss_db(profile, margins, mcs)
         capacity = mcs.bitrate_at(profile.bandwidth_mhz)
-    else:
-        # adaptive: per-link MCS = highest-rate tier whose budget covers the
-        # link; capacity is airtime (sum of demand/bitrate <= 1)
-        tiers = [(m, max_allowable_path_loss_db(profile, margins, m),
-                  m.bitrate_at(profile.bandwidth_mhz))
-                 for m in profile.deployable_mcs()]
-        pl_max = max(t[1] for t in tiers)
-        capacity = 1.0
+        return pl_max, capacity, np.broadcast_to(demand[:, None], pl.shape)
+    tiers = [(max_allowable_path_loss_db(profile, margins, m),
+              m.bitrate_at(profile.bandwidth_mhz))
+             for m in profile.deployable_mcs()]
+    rate = np.full(pl.shape, np.nan)
+    for lim, r in tiers:
+        rate[pl <= lim] = r
+    return max(t[0] for t in tiers), 1.0, demand[:, None] / rate
 
-    def link_cost(u, j):
-        """Capacity consumed at site j by user u, or None if out of range."""
-        if pl[u, j] > pl_max:
-            return None
-        if fixed:
-            return float(pop.demand_mbps[u])
-        best = None
-        for m, lim, rate in tiers:
-            if pl[u, j] <= lim:
-                best = rate  # tiers ascend in SNR, descend in range
-        if best is None:
-            return None
-        return float(pop.demand_mbps[u]) / best
+
+def _greedy_plan(pop, sites, profile, margins, model, power_params,
+                 config, mcs_label, seed) -> RunOutcome:
+    n_users = len(pop)
+    site_ids = [s.id for s in sites]
+    user_ids = pop.ids.tolist()
+    pl = _pl_matrix(pop, sites, model)
+    pl_max, capacity, cost_table = _link_costs(pl, pop.demand_mbps, profile,
+                                               margins, config, mcs_label)
+    limit = capacity + 1e-9
+    cost = cost_table.tolist()         # cost[u][j] as Python floats
+    # each user's in-range sites in ascending (path loss, site index): the
+    # stable sort breaks equal path loss toward the lower index
+    in_range = (pl <= pl_max).sum(axis=1).tolist()
+    reach = [row[:k] for row, k in
+             zip(np.argsort(pl, axis=1, kind="stable").tolist(), in_range)]
 
     order = list(range(n_users))
     if config.shuffle_user_order:
         np.random.Generator(np.random.PCG64(seed ^ 0x5EED)).shuffle(order)
 
-    active = []                  # site indices, activation order
-    load = np.zeros(n_sites)     # consumed capacity
-    assign = {}                  # user index -> site index
+    active = []                        # site indices, activation order
+    is_active = [False] * len(sites)
+    load = [0.0] * len(sites)          # consumed capacity, summed in order
+    site_of = np.full(n_users, -1)     # user index -> site index, -1 unserved
+    users = np.arange(n_users)
+    new_site_scope = config.rebalance_scope == "new_site"
     uncovered = []
     log = []
 
-    nearest = np.argsort(pl, axis=1, kind="stable")
-
-    def try_connect(u):
-        # active sites in ascending path loss
-        for j in sorted(active, key=lambda j: (pl[u, j], j)):
-            cost = link_cost(u, j)
-            if cost is None:
-                continue
-            if load[j] + cost <= capacity + 1e-9:
-                assign[u] = j
-                load[j] += cost
-                log.append(("connect", int(pop.ids[u]), site_ids[j]))
-                return True
-            log.append(("reject_capacity", int(pop.ids[u]), site_ids[j]))
-        return False
-
     def rebalance(new_j):
-        # one pass over connected users in ascending id; move toward the new
-        # site (or any better active site in 'all_active' scope)
-        targets = [new_j] if config.rebalance_scope == "new_site" else list(active)
-        for u in sorted(assign):
-            cur = assign[u]
-            for j in sorted(targets, key=lambda j: (pl[u, j], j)):
-                if j == cur or pl[u, j] >= pl[u, cur]:
-                    continue
-                cost = link_cost(u, j)
-                if cost is None:
-                    continue
-                if load[j] + cost <= capacity + 1e-9:
-                    old_cost = link_cost(u, cur)
-                    load[cur] -= old_cost
-                    load[j] += cost
-                    assign[u] = j
-                    log.append(("switch", int(pop.ids[u]), site_ids[cur], site_ids[j]))
+        # one pass over connected users in ascending index; only users with
+        # a strictly lower path loss to the new site (in 'all_active' scope,
+        # to any active site) can move
+        pl_cur = pl[users, site_of]
+        if new_site_scope:
+            better = pl[:, new_j] < pl_cur
+        else:
+            better = (pl[:, active] < pl_cur[:, None]).any(axis=1)
+        for u in np.flatnonzero(better & (site_of >= 0)).tolist():
+            cur = int(site_of[u])
+            if new_site_scope:
+                targets = (new_j,)
+            else:
+                targets = [j for j in reach[u]
+                           if is_active[j] and pl[u, j] < pl[u, cur]]
+            for j in targets:
+                if load[j] + cost[u][j] <= limit:
+                    load[cur] -= cost[u][cur]
+                    load[j] += cost[u][j]
+                    site_of[u] = j
+                    log.append(("switch", user_ids[u], site_ids[cur], site_ids[j]))
                     break
-                log.append(("switch_reject", int(pop.ids[u]), site_ids[j]))
+                log.append(("switch_reject", user_ids[u], site_ids[j]))
 
     for u in order:
-        if try_connect(u):
-            continue
-        # activate the lowest-path-loss inactive site able to serve the user
-        chosen = None
-        for j in nearest[u]:
-            j = int(j)
-            if j in active:
+        # the nearest active site with spare capacity
+        for j in reach[u]:
+            if not is_active[j]:
                 continue
-            cost = link_cost(u, j)
-            if cost is not None and cost <= capacity + 1e-9:
-                chosen = j
+            if load[j] + cost[u][j] <= limit:
+                site_of[u] = j
+                load[j] += cost[u][j]
+                log.append(("connect", user_ids[u], site_ids[j]))
                 break
-        if chosen is None:
-            uncovered.append(u)
-            log.append(("uncovered", int(pop.ids[u])))
-            continue
-        active.append(chosen)
-        log.append(("activate", site_ids[chosen]))
-        assign[u] = chosen
-        load[chosen] += link_cost(u, chosen)
-        log.append(("connect", int(pop.ids[u]), site_ids[chosen]))
-        rebalance(chosen)
+            log.append(("reject_capacity", user_ids[u], site_ids[j]))
+        else:
+            # else switch on the nearest inactive site able to serve the user
+            chosen = next((j for j in reach[u]
+                           if not is_active[j] and cost[u][j] <= limit), None)
+            if chosen is None:
+                uncovered.append(u)
+                log.append(("uncovered", user_ids[u]))
+                continue
+            active.append(chosen)
+            is_active[chosen] = True
+            log.append(("activate", site_ids[chosen]))
+            site_of[u] = chosen
+            load[chosen] += cost[u][chosen]
+            log.append(("connect", user_ids[u], site_ids[chosen]))
+            rebalance(chosen)
 
+    # users enter the assignment in service order, as they connect
+    served_at = site_of.tolist()
+    assign = {u: served_at[u] for u in order if served_at[u] >= 0}
     bs_power = _bs_power(power_params, profile.n_transmitters)
     served = {site_ids[j]: 0.0 for j in active}
     for u, j in assign.items():
         served[site_ids[j]] += float(pop.demand_mbps[u])
     deployment = Deployment(
         active_sites={site_ids[j] for j in active},
-        assignments={int(pop.ids[u]): site_ids[j] for u, j in assign.items()},
+        assignments={user_ids[u]: site_ids[j] for u, j in assign.items()},
         per_site_served_mbps=served,
         per_site_power_w={site_ids[j]: bs_power for j in active},
-        uncovered_users={int(pop.ids[u]) for u in uncovered})
+        uncovered_users={user_ids[u] for u in uncovered})
     coverage = 1.0 - len(uncovered) / n_users if n_users else 1.0
     return RunOutcome(seed=seed, coverage_fraction=coverage, deployment=deployment,
                       total_power_w=bs_power * len(active),
@@ -373,9 +387,9 @@ def grow_site_set(scenario: Scenario, profile: TechnologyProfile,
     the best coverage achieved.
     """
     policy = scenario.site_policy
-    label = _planning_mcs(scenario, profile, margins, model, config)
     rows = sweep_mcs(profile, margins, model, scenario.region.area_km2,
                      scenario.population.expected_demand_mbps)
+    label = _planning_mcs(scenario, profile, margins, model, config, rows)
     start = next(r.n_bs_min for r in rows if r.mcs_label == label)
 
     pilot = replace(config, runs=policy.pilot_runs)

@@ -52,6 +52,7 @@ AREA_TOLERANCE = 0.005          # declared vs recomputed polygon area
 MAX_REJECTION_ATTEMPTS = 10_000  # per user
 MAX_SAMPLE_BLOCK = 1 << 14      # variates drawn and tested at once
 POPULATION_CACHE_SIZE = 1024    # memoised (region, spec, seed) draws
+LATTICE_CACHE_SIZE = 256        # memoised site lattices
 SITE_MARGIN_KM = 2.0            # sites may sit this far outside the outline
 
 
@@ -206,6 +207,16 @@ def generate_population(region: Region, spec: PopulationSpec, seed: int) -> User
     return UserPopulation(*arrays, seed=seed)
 
 
+@functools.lru_cache(maxsize=LATTICE_CACHE_SIZE)
+def _lattice_xy(outline: tuple, count: int, jitter_fraction: float,
+                seed: int) -> np.ndarray:
+    """`geometry.hex_lattice_sites`, memoised per (outline, count,
+    jitter_fraction, seed); the returned (count, 2) array is read-only."""
+    pts = geometry.hex_lattice_sites(outline, count, jitter_fraction, seed)
+    pts.flags.writeable = False
+    return pts
+
+
 def total_demand(pop: UserPopulation) -> float:
     """Sum of all user demands in Mbps."""
     return float(pop.demand_mbps.sum()) if len(pop) else 0.0
@@ -273,10 +284,14 @@ class Scenario:
         return self.model
 
     def lattice_sites(self, count: int) -> list:
-        """Deterministic jittered-hex candidate set of a given size."""
-        pts = geometry.hex_lattice_sites(self.region.outline, count,
-                                         self.site_policy.jitter_fraction,
-                                         self.site_policy.seed + count)
+        """Deterministic jittered-hex candidate set of a given size.
+
+        The coordinates are memoised (see `_lattice_xy`); every call returns
+        a fresh list of sites.
+        """
+        pts = _lattice_xy(self.region.outline, count,
+                          self.site_policy.jitter_fraction,
+                          self.site_policy.seed + count)
         return [CandidateSite(id=i, x_km=float(x), y_km=float(y),
                               antenna_height_m=self.site_policy.antenna_height_m)
                 for i, (x, y) in enumerate(pts)]

@@ -6,8 +6,11 @@ campaigns (40 runs per cell) over the two bundled scenarios and all four
 technologies, plus the 4x4 variants used by the diversity criterion.
 """
 
+import hashlib
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,9 +35,15 @@ def report(criterion: str, ok: bool, detail: str = ""):
     return ok
 
 
-@pytest.fixture(scope="module")
-def battery():
-    """Grown candidate sets and 40-run campaigns for every cell."""
+GOLDEN_BATTERY = Path(__file__).parent / "data" / "golden_battery.json"
+
+
+def build_battery():
+    """Grown candidate sets and 40-run campaigns for every cell.
+
+    Every outcome of every cell also goes through the independent
+    feasibility checker; its violations are kept per cell.
+    """
     cells = {}
     for env, scen_name in SCENARIOS.items():
         sc = tp.bundled_scenario(scen_name)
@@ -54,12 +63,42 @@ def battery():
                 per_run_ee = [network_energy_efficiency(
                     [o], sc.region.area_km2, user_count=sc.population.user_count,
                     include_user_count=True) for o in camp.outcomes]
+                violations = [v for o in camp.outcomes
+                              for v in check_deployment(o, sc, prof, sc.margins,
+                                                        model, cfg, sites)]
                 cells[(env, tech, mimo)] = dict(
                     scenario=sc, profile=prof, model=model, power=pw, cfg=cfg,
                     sites=sites, campaign=camp, ee_literal=ee_lit,
                     ee_se=float(np.std(per_run_ee) / math.sqrt(len(per_run_ee))),
-                    growth=history)
+                    growth=history, violations=violations)
     return cells
+
+
+def golden_summary(cells) -> dict:
+    """What `tests/data/golden_battery.json` locks for each battery cell.
+
+    Floats are kept as `repr` strings and event logs as the sha256 of their
+    `repr`, so any change to a decision, its order or a last bit shows.
+    """
+    out = {}
+    for (env, tech, mimo), cell in cells.items():
+        camp = cell["campaign"]
+        out[f"{env}/{tech}/{'4x4' if mimo else 'siso'}"] = {
+            "sites": len(cell["sites"]),
+            "growth": [[n, repr(c)] for n, c in cell["growth"]],
+            "mean_coverage": repr(camp.mean_coverage),
+            "mean_power_w": repr(camp.mean_power_w),
+            "ee_literal": repr(cell["ee_literal"]),
+            "event_log_sha256": [
+                hashlib.sha256(repr(o.event_log).encode()).hexdigest()
+                for o in camp.outcomes],
+        }
+    return out
+
+
+@pytest.fixture(scope="module")
+def battery():
+    return build_battery()
 
 
 # --- exact tier ------------------------------------------------------------
@@ -276,15 +315,8 @@ def test_c09_11af_rural_negative(battery):
 # --- property tier -----------------------------------------------------------
 
 def test_c10_feasibility_and_determinism(battery):
-    problems = 0
-    for env in SCENARIOS:
-        for tech in TECHS:
-            cell = battery[(env, tech, False)]
-            for out in cell["campaign"].outcomes:
-                problems += len(check_deployment(
-                    out, cell["scenario"], cell["profile"],
-                    cell["scenario"].margins, cell["model"], cell["cfg"],
-                    cell["sites"]))
+    problems = sum(len(c["violations"]) for c in battery.values())
+    checked = sum(len(c["campaign"].outcomes) for c in battery.values())
     cell = battery[("suburban", "802.22b", False)]
     cfg1 = PlannerConfig(runs=6, base_seed=cell["cfg"].base_seed, workers=1)
     cfg2 = PlannerConfig(runs=6, base_seed=cell["cfg"].base_seed, workers=2)
@@ -298,8 +330,21 @@ def test_c10_feasibility_and_determinism(battery):
         [o.event_log for o in b.outcomes]
     ok = problems == 0 and deterministic
     assert report("criterion 10: feasibility checker + determinism across workers",
-                  ok, f"{problems} violations over 320 runs; "
+                  ok, f"{problems} violations over {checked} runs; "
                       f"worker-count invariant {deterministic}")
+
+
+def test_golden_battery_lock(battery):
+    # regenerate with scripts/make_golden_battery.py only when results change
+    # on purpose, and say why in CHANGES.md
+    want = json.loads(GOLDEN_BATTERY.read_text())
+    got = golden_summary(battery)
+    changed = sorted(k for k in want.keys() | got.keys()
+                     if want.get(k) != got.get(k))
+    logs = sum(len(c["event_log_sha256"]) for c in got.values())
+    assert report("golden lock: 14-cell battery equals golden_battery.json",
+                  not changed, f"cells differing: {changed}" if changed
+                  else f"{len(got)} cells, {logs} event logs")
 
 
 def test_c11_brute_force_micro_oracle(micro_scenario, micro_profile,

@@ -4,14 +4,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tvwsplan import planner
 from tvwsplan.link_budget import (EnvironmentMargins, McsEntry,
                                   TechnologyProfile, load_technology,
                                   max_allowable_path_loss_db)
-from tvwsplan.planner import (PlannerConfig, _greedy_plan, check_deployment,
-                              grow_site_set, plan_single_run, replay_event_log,
-                              run_campaign)
+from tvwsplan.planner import (Deployment, PlannerConfig, RunOutcome,
+                              _bs_power, _greedy_plan, _pl_matrix,
+                              check_deployment, grow_site_set, plan_single_run,
+                              replay_event_log, run_campaign)
 from tvwsplan.power_energy import TvwsPowerParams, load_power_params
 from tvwsplan.propagation import one_slope, path_loss_db
 from tvwsplan.scenario import (CandidateSite, PopulationSpec, Region,
@@ -24,7 +26,7 @@ CFG = PlannerConfig(runs=1, base_seed=42)
 def manual_population(positions, demands):
     n = len(positions)
     return UserPopulation(ids=np.arange(n, dtype=np.int64),
-                          xy_km=np.array(positions, dtype=float),
+                          xy_km=np.array(positions, dtype=float).reshape(-1, 2),
                           demand_mbps=np.array(demands, dtype=float),
                           seed=0)
 
@@ -120,6 +122,207 @@ class TestGreedyRules:
         assert len(out.deployment.assignments) == 3
         assert len(out.deployment.uncovered_users) == 2
         assert out.deployment.per_site_served_mbps[0] <= 3.2 + 1e-9
+
+
+def greedy_plan_oracle(pop, sites, profile, margins, model, power_params,
+                       config, mcs_label, seed) -> RunOutcome:
+    """The former per-user loop of `planner._greedy_plan`, kept as the
+    reference: it sorts the active sites for every user and scans lists."""
+    n_users = len(pop)
+    n_sites = len(sites)
+    site_ids = [s.id for s in sites]
+    pl = _pl_matrix(pop, sites, model)
+
+    fixed = config.mcs_mode == "fixed"
+    if fixed:
+        mcs = profile.mcs(mcs_label)
+        pl_max = max_allowable_path_loss_db(profile, margins, mcs)
+        capacity = mcs.bitrate_at(profile.bandwidth_mhz)
+    else:
+        tiers = [(m, max_allowable_path_loss_db(profile, margins, m),
+                  m.bitrate_at(profile.bandwidth_mhz))
+                 for m in profile.deployable_mcs()]
+        pl_max = max(t[1] for t in tiers)
+        capacity = 1.0
+
+    def link_cost(u, j):
+        if pl[u, j] > pl_max:
+            return None
+        if fixed:
+            return float(pop.demand_mbps[u])
+        best = None
+        for m, lim, rate in tiers:
+            if pl[u, j] <= lim:
+                best = rate
+        if best is None:
+            return None
+        return float(pop.demand_mbps[u]) / best
+
+    order = list(range(n_users))
+    if config.shuffle_user_order:
+        np.random.Generator(np.random.PCG64(seed ^ 0x5EED)).shuffle(order)
+
+    active = []
+    load = np.zeros(n_sites)
+    assign = {}
+    uncovered = []
+    log = []
+
+    nearest = np.argsort(pl, axis=1, kind="stable")
+
+    def try_connect(u):
+        for j in sorted(active, key=lambda j: (pl[u, j], j)):
+            cost = link_cost(u, j)
+            if cost is None:
+                continue
+            if load[j] + cost <= capacity + 1e-9:
+                assign[u] = j
+                load[j] += cost
+                log.append(("connect", int(pop.ids[u]), site_ids[j]))
+                return True
+            log.append(("reject_capacity", int(pop.ids[u]), site_ids[j]))
+        return False
+
+    def rebalance(new_j):
+        targets = [new_j] if config.rebalance_scope == "new_site" else list(active)
+        for u in sorted(assign):
+            cur = assign[u]
+            for j in sorted(targets, key=lambda j: (pl[u, j], j)):
+                if j == cur or pl[u, j] >= pl[u, cur]:
+                    continue
+                cost = link_cost(u, j)
+                if cost is None:
+                    continue
+                if load[j] + cost <= capacity + 1e-9:
+                    old_cost = link_cost(u, cur)
+                    load[cur] -= old_cost
+                    load[j] += cost
+                    assign[u] = j
+                    log.append(("switch", int(pop.ids[u]), site_ids[cur], site_ids[j]))
+                    break
+                log.append(("switch_reject", int(pop.ids[u]), site_ids[j]))
+
+    for u in order:
+        if try_connect(u):
+            continue
+        chosen = None
+        for j in nearest[u]:
+            j = int(j)
+            if j in active:
+                continue
+            cost = link_cost(u, j)
+            if cost is not None and cost <= capacity + 1e-9:
+                chosen = j
+                break
+        if chosen is None:
+            uncovered.append(u)
+            log.append(("uncovered", int(pop.ids[u])))
+            continue
+        active.append(chosen)
+        log.append(("activate", site_ids[chosen]))
+        assign[u] = chosen
+        load[chosen] += link_cost(u, chosen)
+        log.append(("connect", int(pop.ids[u]), site_ids[chosen]))
+        rebalance(chosen)
+
+    bs_power = _bs_power(power_params, profile.n_transmitters)
+    served = {site_ids[j]: 0.0 for j in active}
+    for u, j in assign.items():
+        served[site_ids[j]] += float(pop.demand_mbps[u])
+    deployment = Deployment(
+        active_sites={site_ids[j] for j in active},
+        assignments={int(pop.ids[u]): site_ids[j] for u, j in assign.items()},
+        per_site_served_mbps=served,
+        per_site_power_w={site_ids[j]: bs_power for j in active},
+        uncovered_users={int(pop.ids[u]) for u in uncovered})
+    coverage = 1.0 - len(uncovered) / n_users if n_users else 1.0
+    return RunOutcome(seed=seed, coverage_fraction=coverage, deployment=deployment,
+                      total_power_w=bs_power * len(active),
+                      served_mbps_total=sum(served.values()),
+                      event_log=tuple(log))
+
+
+# three tiers on 1 MHz: PL_max 120 / 114 / 108 dB, that is about 2.2, 1.5 and
+# 1.0 km under one_slope(108, 1, 3.5)
+TIERED = TechnologyProfile(
+    name="tiered", eirp_dbm=20.0, freq_mhz=600.0, bandwidth_mhz=1.0,
+    total_subcarriers=64, used_subcarriers=64, sampling_factor=1.0,
+    interference_margin_db=0.0, mimo_gain_db=0.0,
+    rx_antenna_gain_db=0.0, rx_feeder_loss_db=0.0, rx_noise_figure_db=5.0,
+    mcs_table=(McsEntry("low", 6.0, {1: 3.2}), McsEntry("mid", 12.0, {1: 6.4}),
+               McsEntry("top", 18.0, {1: 9.6})))
+# near the 3.2 / 6.4 / 9.6 Mbps capacities and 1.0 airtime, so that
+# reject_capacity, switch and switch_reject all occur
+DEMANDS = (0.064, 0.5, 1.0, 1.6, 2.1, 3.1, 3.2, 3.3, 4.8, 6.4, 9.6, 9.7)
+
+
+@st.composite
+def greedy_layouts(draw):
+    """Sites on a 0.5 km grid with repeated coordinates (exact path-loss
+    ties), users inside, on top of sites (the distance floor ties them too)
+    or 20 km out (out of range of every site)."""
+    grid = st.tuples(st.integers(0, 8), st.integers(0, 6)).map(
+        lambda p: (0.5 * p[0], 0.5 * p[1]))
+    coords = draw(st.lists(grid, min_size=1, max_size=12))
+    coords += draw(st.lists(st.sampled_from(coords), max_size=12))
+    coords = draw(st.permutations(coords))
+    ids = draw(st.permutations(range(100, 100 + len(coords))))
+    sites = [CandidateSite(i, x, y, 30.0) for i, (x, y) in zip(ids, coords)]
+    # one user in ten far out, two in ten on a site, the rest anywhere inside
+    user = st.tuples(st.integers(0, 9),
+                     st.tuples(st.floats(-0.5, 4.5), st.floats(-0.5, 3.5)),
+                     st.sampled_from(coords)).map(
+        lambda t: (20.0, 20.0) if t[0] == 0 else t[2] if t[0] <= 2 else t[1])
+    n_users = draw(st.integers(0, 60))
+    positions = draw(st.lists(user, min_size=n_users, max_size=n_users))
+    demands = draw(st.lists(st.sampled_from(DEMANDS), min_size=n_users,
+                            max_size=n_users))
+    label = draw(st.sampled_from([m.label for m in TIERED.mcs_table]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return sites, manual_population(positions, demands), label, seed
+
+
+def assert_same_run(got, want):
+    assert repr(got.event_log) == repr(want.event_log)
+    assert got == want
+    # insertion order feeds the served-traffic sums
+    for field in ("assignments", "per_site_served_mbps", "per_site_power_w"):
+        assert list(getattr(got.deployment, field).items()) == \
+            list(getattr(want.deployment, field).items())
+
+
+class TestGreedyKernelOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(layout=greedy_layouts())
+    def test_kernel_equals_former_loop(self, layout, micro_margins, tvws_power):
+        sites, pop, label, seed = layout
+        model = one_slope(108.0, 1.0, 3.5)
+        for mode, scope, shuffle in itertools.product(
+                ("fixed", "adaptive"), ("new_site", "all_active"), (False, True)):
+            cfg = PlannerConfig(runs=1, mcs_mode=mode, rebalance_scope=scope,
+                                shuffle_user_order=shuffle)
+            args = (pop, sites, TIERED, micro_margins, model, tvws_power, cfg,
+                    label, seed)
+            assert_same_run(_greedy_plan(*args), greedy_plan_oracle(*args))
+
+    def test_layouts_reach_every_event_kind(self, micro_margins, tvws_power):
+        # the drawn layouts exercise each decision the kernel makes
+        kinds = set()
+
+        @settings(max_examples=50, deadline=None, derandomize=True)
+        @given(layout=greedy_layouts())
+        def collect(layout):
+            sites, pop, label, seed = layout
+            for mode in ("fixed", "adaptive"):
+                cfg = PlannerConfig(runs=1, mcs_mode=mode)
+                out = _greedy_plan(pop, sites, TIERED, micro_margins,
+                                   one_slope(108.0, 1.0, 3.5), tvws_power, cfg,
+                                   label, seed)
+                kinds.update(e[0] for e in out.event_log)
+
+        collect()
+        assert kinds == {"connect", "reject_capacity", "activate", "switch",
+                         "switch_reject", "uncovered"}
 
 
 class TestBruteForceOracle:
@@ -382,6 +585,18 @@ class TestGrowth:
                                     sites=sc.lattice_sites(n)).mean_coverage)
                    for n, _ in history]
         assert history == by_hand
+
+    def test_growth_sizes_with_one_sweep(self, micro_profile, tvws_power):
+        # one sizing sweep gives both the planning MCS and the starting
+        # count; each pilot campaign then derives its own, once
+        sc = self._grow_scenario(target=0.95)
+        cfg = PlannerConfig(runs=5, base_seed=500)
+        with mock.patch.object(planner, "sweep_mcs",
+                               wraps=planner.sweep_mcs) as sweep:
+            _, history = grow_site_set(sc, micro_profile, sc.margins, sc.model,
+                                       tvws_power, cfg)
+        assert len(history) > 1
+        assert sweep.call_count == 1 + len(history)
 
     def test_growth_cap_raises_with_best_coverage(self, micro_profile, tvws_power):
         sc = self._grow_scenario(max_sites=2, target=0.999, user_count=40)

@@ -376,3 +376,41 @@ class TestLattice:
         sc = bundled_scenario("boyeros_rural")
         for n in (1, 5, 13, 40):
             assert len(sc.lattice_sites(n)) == n
+
+    def _fresh_key_scenario(self):
+        # a policy seed no other test uses, so the first call builds
+        sc = bundled_scenario("ghent_suburban")
+        return dataclasses.replace(
+            sc, site_policy=dataclasses.replace(sc.site_policy, seed=918_273))
+
+    def test_lattice_built_once_per_key(self):
+        sc = self._fresh_key_scenario()
+        with mock.patch.object(geometry, "hex_lattice_sites",
+                               wraps=geometry.hex_lattice_sites) as build:
+            first = sc.lattice_sites(12)
+            again = sc.lattice_sites(12)
+            other = sc.lattice_sites(13)
+        assert build.call_count == 2
+        assert first == again and first is not again
+        assert len(other) == 13
+
+    def test_lattice_equals_unmemoised_build(self):
+        sc = self._fresh_key_scenario()
+        policy = sc.site_policy
+        want = geometry.hex_lattice_sites(sc.region.outline, 9,
+                                          policy.jitter_fraction, policy.seed + 9)
+        got = sc.lattice_sites(9)
+        assert [(s.x_km, s.y_km) for s in got] == [tuple(p) for p in want.tolist()]
+        assert got == sc.lattice_sites(9)
+
+    def test_lattice_coordinates_read_only(self):
+        sc = bundled_scenario("boyeros_rural")
+        policy = sc.site_policy
+        pts = scenario._lattice_xy(sc.region.outline, 7,
+                                   policy.jitter_fraction, policy.seed + 7)
+        with pytest.raises(ValueError, match="read-only"):
+            pts[0, 0] = 0.0
+        # a caller altering its site list leaves the memoised lattice alone
+        sites = sc.lattice_sites(7)
+        sites[0] = dataclasses.replace(sites[0], x_km=-99.0)
+        assert sc.lattice_sites(7)[0].x_km == float(pts[0, 0])
