@@ -96,6 +96,13 @@ def hex_lattice_sites(vertices, count: int, jitter_fraction: float, seed: int) -
     uniform jitter of at most `jitter_fraction * pitch` in both axes (points
     pushed outside the outline keep their unjittered position).  The layout
     is a pure function of (vertices, count, jitter_fraction, seed).
+
+    The search only asks whether a pitch leaves at least `count` points
+    inside, so it tests each grid in growing chunks (4 * `count` points,
+    then twice as many each time) and stops once `count` are inside.  The
+    answer equals that of testing the whole grid, because containment is
+    decided point by point: no prefix of the grid holds more inside points
+    than the grid itself.  Only the final pitch's grid is tested in full.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -103,32 +110,42 @@ def hex_lattice_sites(vertices, count: int, jitter_fraction: float, seed: int) -
     xmin, ymin, xmax, ymax = polygon_bbox(vertices)
     rng = np.random.Generator(np.random.PCG64(seed))
 
-    def lattice(pitch: float) -> np.ndarray:
+    def grid(pitch: float) -> np.ndarray:
+        # row-major points; a row's x values depend only on its parity
         dy = pitch * math.sqrt(3.0) / 2.0
         rows = np.arange(ymin + 0.5 * dy, ymax, dy)
-        pts = []
-        for r, y in enumerate(rows):
-            xs = np.arange(xmin + (0.25 if r % 2 == 0 else 0.75) * pitch, xmax, pitch)
-            pts.append(np.column_stack([xs, np.full_like(xs, y)]))
-        if not pts:
-            return np.empty((0, 2))
-        grid = np.vstack(pts)
-        return grid[points_in_polygon(grid, vertices)]
+        even = np.arange(xmin + 0.25 * pitch, xmax, pitch)
+        odd = np.arange(xmin + 0.75 * pitch, xmax, pitch)
+        ys = np.repeat(rows, np.resize([len(even), len(odd)], len(rows)))
+        xs = np.tile(np.concatenate([even, odd]), (len(rows) + 1) // 2)[:len(ys)]
+        return np.column_stack([xs, ys])
+
+    def fits(pitch: float) -> bool:
+        pts = grid(pitch)
+        missing, start, chunk = count, 0, 4 * count
+        while start < len(pts):
+            missing -= int(np.count_nonzero(
+                points_in_polygon(pts[start:start + chunk], vertices)))
+            if missing <= 0:
+                return True
+            start, chunk = start + chunk, 2 * chunk
+        return False
 
     # bracket a pitch giving at least `count` interior points
     hi = math.sqrt(2.0 * area / (math.sqrt(3.0) * count)) * 2.0
     lo = hi / 64.0
-    while len(lattice(lo)) < count:
+    while not fits(lo):
         lo /= 2.0
         if lo < 1e-4:
             raise ValueError("cannot fit requested site count inside region")
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if len(lattice(mid)) >= count:
+        if fits(mid):
             lo = mid
         else:
             hi = mid
-    pts = lattice(lo)
+    pts = grid(lo)
+    pts = pts[points_in_polygon(pts, vertices)]
     # drop surplus points farthest from the region centroid: keeps the core
     v = np.asarray(vertices, dtype=float)
     centroid = v.mean(axis=0)

@@ -17,6 +17,7 @@ different noise-bandwidth convention is a one-line change in
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import math
 from dataclasses import dataclass
@@ -157,6 +158,17 @@ def _data_dir():
     return importlib.resources.files("tvwsplan") / "data"
 
 
+@functools.cache
+def bundled_yaml(folder: str, stem: str):
+    """The parsed bundled data file `data/<folder>/<stem>.yaml`.
+
+    Each file is parsed once per process and every caller shares the parsed
+    mapping, so callers must only read it.  A missing file raises
+    FileNotFoundError, and a failed read is not memoised.
+    """
+    return yaml.safe_load((_data_dir() / folder / f"{stem}.yaml").read_text())
+
+
 def available_technologies() -> list:
     tech_dir = _data_dir() / "technologies"
     return sorted(p.name[:-5] for p in tech_dir.iterdir() if p.name.endswith(".yaml"))
@@ -175,9 +187,8 @@ def load_technology(name: str, environment: str, mimo: bool = False) -> Technolo
     diversity link gain and transmitter count; technologies without MIMO
     support reject the flag.
     """
-    path = _data_dir() / "technologies" / f"{_tech_file_name(name)}.yaml"
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = bundled_yaml("technologies", _tech_file_name(name))
     except FileNotFoundError:
         raise FileNotFoundError(
             f"no bundled technology {name!r}; available: {available_technologies()}"

@@ -23,10 +23,9 @@ convention carries the user count, and is off by default.
 
 from __future__ import annotations
 
-import importlib.resources
 from dataclasses import dataclass
 
-import yaml
+from .link_budget import bundled_yaml
 
 __all__ = [
     "TvwsPowerParams",
@@ -137,9 +136,8 @@ def network_energy_efficiency(runs, area_km2: float, user_count: int | None = No
 
 def load_power_params(kind: str):
     """Load bundled power-model parameters ("tvws" or "macro")."""
-    path = importlib.resources.files("tvwsplan") / "data" / "power" / f"{kind}.yaml"
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = bundled_yaml("power", kind)
     except FileNotFoundError:
         raise FileNotFoundError(f"no bundled power model {kind!r}") from None
     if kind == "tvws":

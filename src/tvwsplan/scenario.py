@@ -29,7 +29,7 @@ import numpy as np
 import yaml
 
 from . import geometry
-from .link_budget import EnvironmentMargins
+from .link_budget import EnvironmentMargins, bundled_yaml
 from .propagation import PathLossModel, okumura_hata_rural, one_slope
 
 __all__ = [
@@ -353,6 +353,8 @@ def _parse_sites(cfg: dict, errors: list) -> SitePolicy | None:
               jitter_fraction=float(cfg.get("jitter_fraction", 0.3)),
               seed=int(cfg.get("seed", 1)),
               antenna_height_m=float(cfg.get("antenna_height_m", 30.0)))
+    if not kw["jitter_fraction"] >= 0.0:
+        errors.append(f"sites.jitter_fraction: must be >= 0, got {kw['jitter_fraction']}")
     if mode == "explicit":
         raw = cfg.get("list") or []
         if not raw:
@@ -374,10 +376,15 @@ def _parse_sites(cfg: dict, errors: list) -> SitePolicy | None:
         except (KeyError, TypeError, ValueError):
             errors.append("sites.count: lattice mode needs an integer count")
             return None
+        if kw["count"] < 1:
+            errors.append(f"sites.count: must be >= 1, got {kw['count']}")
     else:
         kw["target_coverage"] = float(cfg.get("target_coverage", 0.95))
         kw["pilot_runs"] = int(cfg.get("pilot_runs", 10))
         kw["max_sites"] = int(cfg.get("max_sites", 200))
+        for field in ("pilot_runs", "max_sites"):
+            if kw[field] < 1:
+                errors.append(f"sites.{field}: must be >= 1, got {kw[field]}")
     return SitePolicy(**kw)
 
 
@@ -460,10 +467,8 @@ def available_scenarios() -> list:
 
 
 def bundled_scenario(name: str) -> Scenario:
-    import importlib.resources
-    path = importlib.resources.files("tvwsplan") / "data" / "scenarios" / f"{name}.yaml"
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = bundled_yaml("scenarios", name)
     except FileNotFoundError:
         raise FileNotFoundError(
             f"no bundled scenario {name!r}; available: {available_scenarios()}") from None

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from tvwsplan.cli import main as cli_main
-from tvwsplan.link_budget import load_technology, max_allowable_path_loss_db
+from tvwsplan.link_budget import (bundled_yaml, load_technology,
+                                  max_allowable_path_loss_db)
 from tvwsplan.planner import Deployment, PlannerConfig, RunOutcome, run_campaign
 from tvwsplan.power_energy import load_power_params
 from tvwsplan.propagation import (ModelValidityWarning, okumura_hata_rural,
@@ -356,6 +358,23 @@ class TestCli:
         assert record["error"]["type"] == "invalid_scenario"
         assert isinstance(record["error"]["fields"], list)
         assert record["error"]["fields"]
+
+    @pytest.mark.parametrize("sites, field", [
+        ({"mode": "lattice", "count": 0}, "sites.count"),
+        ({"mode": "auto_grow", "pilot_runs": 0}, "sites.pilot_runs"),
+        ({"mode": "auto_grow", "max_sites": 0}, "sites.max_sites"),
+        ({"mode": "lattice", "count": 9, "jitter_fraction": -0.2},
+         "sites.jitter_fraction")])
+    def test_bad_site_policy_is_invalid_scenario(self, tmp_path, sites, field):
+        path = tmp_path / "sites.yaml"
+        raw = bundled_yaml("scenarios", "ghent_suburban")
+        path.write_text(yaml.safe_dump({**raw, "sites": sites}))
+        code, out, err = self.run_cli("plan", "--scenario", str(path), "--runs", "1",
+                                      "--out", str(tmp_path))
+        assert code == 2
+        error = json.loads(err)["error"]
+        assert error["type"] == "invalid_scenario"
+        assert [f.split(":")[0] for f in error["fields"]] == [field]
 
     def test_unknown_technology_error(self, tmp_path):
         code, out, err = self.run_cli("coverage", "--env", "rural",

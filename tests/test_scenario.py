@@ -1,13 +1,17 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import yaml
+from hypothesis import assume, given, settings, strategies as st
 
-from tvwsplan import geometry, scenario
+from tvwsplan import geometry, link_budget, scenario
+from tvwsplan.link_budget import bundled_yaml, load_technology
+from tvwsplan.power_energy import load_power_params
 from tvwsplan.scenario import (CandidateSite, PopulationSpec, Region,
                                Scenario, ScenarioError, available_scenarios,
                                bundled_scenario, generate_population,
@@ -345,6 +349,18 @@ class TestScenarioFiles:
                          "sites.count"):
             assert expected.split(".")[0] in fields
 
+        # site-policy values the planner cannot run with, one field each
+        valid = bundled_yaml("scenarios", "ghent_suburban")
+        for sites, field in (
+                ({"mode": "lattice", "count": 0}, "sites.count"),
+                ({"mode": "auto_grow", "pilot_runs": 0}, "sites.pilot_runs"),
+                ({"mode": "auto_grow", "max_sites": 0}, "sites.max_sites"),
+                ({"mode": "lattice", "count": 5, "jitter_fraction": -0.1},
+                 "sites.jitter_fraction")):
+            with pytest.raises(ScenarioError) as err:
+                scenario_from_dict({**valid, "sites": sites})
+            assert [e.split(":")[0] for e in err.value.errors] == [field]
+
     def test_model_follows_technology_frequency(self):
         rur = bundled_scenario("boyeros_rural")
         from tvwsplan.link_budget import load_technology
@@ -360,6 +376,54 @@ class TestScenarioFiles:
         b = bundled_scenario("ghent_suburban")
         assert a.digest() == b.digest()
         assert a.digest() != bundled_scenario("boyeros_rural").digest()
+
+
+BATTERY_CELLS = [(env, name, tech, mimo)
+                 for env, name in (("suburban", "ghent_suburban"),
+                                   ("rural", "boyeros_rural"))
+                 for tech in ("802.22", "802.22b", "802.11af", "lte")
+                 for mimo in ((False, True) if tech != "802.22" else (False,))]
+
+BUNDLED_FILES = [("scenarios", "ghent_suburban"), ("scenarios", "boyeros_rural"),
+                 ("technologies", "802_22"), ("technologies", "802_22b"),
+                 ("technologies", "802_11af"), ("technologies", "lte"),
+                 ("power", "tvws"), ("power", "macro")]
+
+
+class TestBundledData:
+    def test_battery_cells_parse_each_file_once(self):
+        bundled_yaml.cache_clear()
+        with mock.patch.object(yaml, "safe_load", wraps=yaml.safe_load) as parse:
+            for env, name, tech, mimo in BATTERY_CELLS:
+                bundled_scenario(name)
+                load_technology(tech, env, mimo=mimo)
+                load_power_params("tvws" if tech != "lte" else "macro")
+        assert len(BATTERY_CELLS) == 14
+        assert parse.call_count == len(BUNDLED_FILES)
+        # no loader altered the shared parsed mappings
+        for folder, stem in BUNDLED_FILES:
+            path = link_budget._data_dir() / folder / f"{stem}.yaml"
+            assert bundled_yaml(folder, stem) == yaml.safe_load(path.read_text())
+
+    def test_user_scenario_file_read_on_every_load(self, tmp_path):
+        path = tmp_path / "mine.yaml"
+        raw = bundled_yaml("scenarios", "ghent_suburban")
+        path.write_text(yaml.safe_dump({**raw, "name": "first"}))
+        assert load_scenario(path).name == "first"
+        path.write_text(yaml.safe_dump({**raw, "name": "second"}))
+        assert load_scenario(path).name == "second"
+
+    def test_unknown_names_keep_their_errors(self):
+        for _ in range(2):  # a failed lookup is not memoised
+            with pytest.raises(FileNotFoundError,
+                               match=r"no bundled scenario 'atlantis'; available: "):
+                bundled_scenario("atlantis")
+            with pytest.raises(FileNotFoundError,
+                               match=r"no bundled technology 'wimax'; available: "):
+                load_technology("wimax", "rural")
+            with pytest.raises(FileNotFoundError,
+                               match=r"no bundled power model 'solar'"):
+                load_power_params("solar")
 
 
 class TestLattice:
@@ -414,3 +478,141 @@ class TestLattice:
         sites = sc.lattice_sites(7)
         sites[0] = dataclasses.replace(sites[0], x_km=-99.0)
         assert sc.lattice_sites(7)[0].x_km == float(pts[0, 0])
+
+
+    @pytest.mark.parametrize("name", ["ghent_suburban", "boyeros_rural"])
+    def test_search_tests_a_bounded_share_of_each_grid(self, name):
+        outline = bundled_scenario(name).region.outline
+        for count in (1, 13, 40, 80):
+            with mock.patch.object(geometry, "points_in_polygon",
+                                   wraps=geometry.points_in_polygon) as test:
+                geometry.hex_lattice_sites(outline, count, 0.3, count)
+            tested = sum(len(call.args[0]) for call in test.call_args_list)
+            assert tested < 250 * count, (count, tested)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_layout(vertices, count):
+    """The former full-grid pitch search of `hex_lattice_sites`, kept as the
+    oracle, up to its jitter step: (trimmed and ordered points, pitch).
+
+    It is split there, and memoised, so one search serves every jitter value
+    and seed of a (vertices, count) pair; the generator is first read by the
+    jitter step.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    area = geometry.polygon_area(vertices)
+    xmin, ymin, xmax, ymax = geometry.polygon_bbox(vertices)
+
+    def lattice(pitch: float) -> np.ndarray:
+        dy = pitch * math.sqrt(3.0) / 2.0
+        rows = np.arange(ymin + 0.5 * dy, ymax, dy)
+        pts = []
+        for r, y in enumerate(rows):
+            xs = np.arange(xmin + (0.25 if r % 2 == 0 else 0.75) * pitch, xmax, pitch)
+            pts.append(np.column_stack([xs, np.full_like(xs, y)]))
+        if not pts:
+            return np.empty((0, 2))
+        grid = np.vstack(pts)
+        return grid[geometry.points_in_polygon(grid, vertices)]
+
+    # bracket a pitch giving at least `count` interior points
+    hi = math.sqrt(2.0 * area / (math.sqrt(3.0) * count)) * 2.0
+    lo = hi / 64.0
+    while len(lattice(lo)) < count:
+        lo /= 2.0
+        if lo < 1e-4:
+            raise ValueError("cannot fit requested site count inside region")
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if len(lattice(mid)) >= count:
+            lo = mid
+        else:
+            hi = mid
+    pts = lattice(lo)
+    # drop surplus points farthest from the region centroid: keeps the core
+    v = np.asarray(vertices, dtype=float)
+    centroid = v.mean(axis=0)
+    order = np.argsort(np.hypot(*(pts - centroid).T), kind="stable")
+    pts = pts[order[:count]]
+    # stable ordering by (y, x) so ids do not depend on trimming order
+    pts = pts[np.lexsort((pts[:, 0], pts[:, 1]))]
+    return pts, lo
+
+
+def reference_hex_lattice_sites(vertices, count, jitter_fraction, seed):
+    pts, lo = reference_layout(tuple(map(tuple, vertices)), count)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if jitter_fraction > 0.0:
+        jit = rng.uniform(-jitter_fraction * lo, jitter_fraction * lo, size=pts.shape)
+        moved = pts + jit
+        keep = geometry.points_in_polygon(moved, vertices)
+        pts = np.where(keep[:, None], moved, pts)
+    return pts
+
+
+def assert_same_lattice(vertices, count, jitter_fraction, seed):
+    want = reference_hex_lattice_sites(vertices, count, jitter_fraction, seed)
+    got = geometry.hex_lattice_sites(vertices, count, jitter_fraction, seed)
+    assert got.shape == want.shape == (count, 2)
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def histogram_outlines(draw):
+    """Grid-snapped rectilinear outlines: columns of 0.5 km steps on a
+    common base, so every other edge is horizontal and many vertices share
+    a y."""
+    widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+    heights = draw(st.lists(st.integers(1, 6), min_size=len(widths),
+                            max_size=len(widths)))
+    x0, y0 = draw(st.integers(-20, 20)) * 0.5, draw(st.integers(-20, 20)) * 0.5
+    edges = np.concatenate([[0], np.cumsum(widths)]) * 0.5 + x0
+    outline = [(edges[0], y0), (edges[-1], y0)]
+    for k in reversed(range(len(widths))):
+        top = y0 + 0.5 * heights[k]
+        outline += [(edges[k + 1], top), (edges[k], top)]
+    # columns of equal height share a corner: drop the repeated vertex
+    outline = [p for i, p in enumerate(outline) if p != outline[i - 1]]
+    return tuple((float(x), float(y)) for x, y in outline)
+
+
+class TestLatticeMatchesFullGridSearch:
+    """The early-stopping search gives the former layout bit for bit."""
+
+    @pytest.mark.parametrize("name", ["ghent_suburban", "boyeros_rural"])
+    def test_bundled_outlines(self, name):
+        outline = bundled_scenario(name).region.outline
+        for count in range(1, 81):
+            for jitter in (0.0, 0.3):
+                assert_same_lattice(outline, count, jitter, 7 + count)
+
+    def test_sparse_outline(self):
+        # a diagonal strip fills a tenth of its box: near the final pitch the
+        # grid spans several chunks before `count` points are inside
+        strip = ((0.0, 0.0), (1.0, 0.0), (10.0, 9.0), (9.0, 9.0))
+        for count in range(1, 41):
+            assert_same_lattice(strip, count, 0.3, count)
+
+    @settings(max_examples=30, deadline=None)
+    @given(star_regions(), st.integers(1, 40), st.sampled_from([0.0, 0.05, 0.3]),
+           seeds)
+    def test_random_simple_polygons(self, region, count, jitter, seed):
+        assert_same_lattice(region.outline, count, jitter, seed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(histogram_outlines(), st.integers(1, 30), st.sampled_from([0.0, 0.3]),
+           seeds)
+    def test_grid_snapped_outlines(self, outline, count, jitter, seed):
+        assume(geometry.polygon_is_simple(outline))
+        assert_same_lattice(outline, count, jitter, seed)
+
+    def test_sliver_raises_the_same_error(self):
+        sliver = ((0.0, 0.0), (10.0, 0.0), (5.0, 1e-5))
+        with pytest.raises(ValueError) as old:
+            reference_hex_lattice_sites(sliver, 50, 0.3, 1)
+        with pytest.raises(ValueError) as new:
+            geometry.hex_lattice_sites(sliver, 50, 0.3, 1)
+        assert str(new.value) == str(old.value) == (
+            "cannot fit requested site count inside region")
