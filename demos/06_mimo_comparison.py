@@ -21,7 +21,7 @@ for env, scen in (("suburban", "ghent_suburban"), ("rural", "boyeros_rural")):
         for mimo in (False, True):
             profile = load_technology(tech, env, mimo=mimo)
             model = sc.model_for(profile)
-            power = load_power_params("tvws" if tech != "lte" else "macro")
+            power = load_power_params(profile.power_model)
             config = PlannerConfig(runs=40, base_seed=sc.base_seed, mimo=mimo)
             sites, _ = grow_site_set(sc, profile, sc.margins, model, power, config)
             camp = run_campaign(sc, profile, sc.margins, model, power, config,

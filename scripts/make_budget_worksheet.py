@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """Regenerate docs/link_budget_worksheet.csv.
 
-The worksheet lists every budget line per technology/environment/MCS using
+    python3 scripts/make_budget_worksheet.py [OUT]
+
+writes the worksheet to OUT (default docs/link_budget_worksheet.csv).  The
+worksheet lists every budget line per technology/environment/MCS using
 straight-line arithmetic written out independently of the library, so tests
 can cross-check `max_allowable_path_loss_db` against values that were not
 produced by it.
 """
 
+import argparse
 import csv
 import math
-import sys
 from pathlib import Path
 
 # catalogue values restated here on purpose: the worksheet must not import
@@ -65,5 +68,8 @@ def main(out_path: Path):
 
 
 if __name__ == "__main__":
-    out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("docs/link_budget_worksheet.csv")
-    main(out)
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("out", nargs="?", type=Path,
+                    default=Path("docs/link_budget_worksheet.csv"),
+                    help="output CSV path (default: %(default)s)")
+    main(ap.parse_args().out)

@@ -8,7 +8,9 @@ Subcommands:
 
 Scenario selection: `--env suburban|rural` picks the bundled study areas;
 `--scenario PATH` loads a scenario file instead.  `--tech` overrides the
-scenario's technology.  Worker processes for campaigns come from the
+scenario's technology and `--mimo` picks its SISO or 4x4 profile, which sets
+the provenance `mimo` line.  `plan` reads its MCS and raster PL_max from the
+campaign's budget.  Worker processes for campaigns come from the
 TVWSPLAN_WORKERS environment variable (an integer >= 1, default 1).
 
 On failure a machine-readable JSON error record goes to stderr and the exit
@@ -22,7 +24,7 @@ import json
 import sys
 from pathlib import Path
 
-from .link_budget import load_technology, max_allowable_path_loss_db
+from .link_budget import load_technology
 from .planner import PlannerConfig, env_workers, grow_site_set
 from .power_energy import load_power_params
 from .reporting import (assignment_csv, build_report, coverage_csv,
@@ -81,9 +83,6 @@ def _load_scenario(args):
             return load_scenario(args.scenario)
         except FileNotFoundError as e:
             raise CliError("missing_file", str(e), path=str(args.scenario)) from e
-        except ScenarioError as e:
-            raise CliError("invalid_scenario", "scenario failed validation",
-                           fields=e.errors) from e
     if args.env:
         return bundled_scenario(ENV_SCENARIOS[args.env])
     raise CliError("usage", "either --scenario or --env is required")
@@ -106,12 +105,8 @@ def _outdir(args) -> Path:
     return out
 
 
-def _power_params(profile):
-    return load_power_params("tvws" if profile.name != "lte" else "macro")
-
-
 def _study(args):
-    """(scenario, profile, model, provenance) for the table commands."""
+    """(scenario, profile, model, provenance) of the command's study."""
     scenario = _load_scenario(args)
     profile = _load_profile(scenario, args)
     model = scenario.model_for(profile)
@@ -150,10 +145,8 @@ def cmd_plan(args) -> list:
         env_workers()
     except ValueError as e:
         raise CliError("usage", str(e), variable="TVWSPLAN_WORKERS") from e
-    scenario = _load_scenario(args)
-    profile = _load_profile(scenario, args)
-    model = scenario.model_for(profile)
-    power_params = _power_params(profile)
+    scenario, profile, model, _ = _study(args)
+    power_params = load_power_params(profile.power_model)
     deployable = [m.label for m in profile.deployable_mcs()]
     if args.mcs and args.mcs not in deployable:
         raise CliError("invalid_mcs", f"MCS {args.mcs!r} is not a deployable "
@@ -162,7 +155,7 @@ def cmd_plan(args) -> list:
         mcs_label=args.mcs or "",
         runs=args.runs if args.runs else 40,
         base_seed=args.seed if args.seed is not None else scenario.base_seed,
-        mimo=args.mimo == "4x4")
+        mimo=profile.mimo)
 
     sites = None
     if scenario.site_policy.mode == "auto_grow":
@@ -178,8 +171,6 @@ def cmd_plan(args) -> list:
 
     out = _outdir(args)
     first = result.outcomes[0]
-    mcs = profile.mcs(report.planning_mcs)
-    pl_max = max_allowable_path_loss_db(profile, scenario.margins, mcs)
     prov = report.provenance
 
     first_pop = generate_population(scenario.region, scenario.population,
@@ -192,7 +183,7 @@ def cmd_plan(args) -> list:
         "assignments.csv": assignment_csv(first, scenario, result.sites, model, prov),
         "power.csv": power_csv(first, profile, prov),
         "coverage_raster.csv": raster_csv(first, scenario, result.sites, model,
-                                          pl_max, prov),
+                                          result.budget.pl_max, prov),
         "map.svg": svg_map(first, scenario, result.sites,
                            title=f"{scenario.name} / {profile.name} / "
                                  f"{report.planning_mcs}", prov=prov),
@@ -217,7 +208,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         paths = COMMANDS[args.command](args)
-    except CliError as e:
+    except (CliError, ScenarioError) as e:
+        if isinstance(e, ScenarioError):  # from a scenario file or site growth
+            e = CliError("invalid_scenario", "scenario failed validation",
+                         fields=e.errors)
         print(json.dumps(e.record, sort_keys=True), file=sys.stderr)
         return 2
     except Exception as e:  # unexpected: still machine readable

@@ -90,9 +90,11 @@ class TechnologyProfile:
     rx_noise_figure_db: float
     mcs_table: tuple = ()
     n_transmitters: int = 1
-    supports_mimo: bool = True
+    power_model: str = "tvws"  # station draw: load_power_params(power_model)
 
     def __post_init__(self):
+        if self.power_model not in ("tvws", "macro"):
+            raise ValueError(f"unknown power_model {self.power_model!r}")
         if self.total_subcarriers <= 0:
             raise ValueError("total_subcarriers must be positive")
         if self.used_subcarriers > self.total_subcarriers:
@@ -107,6 +109,10 @@ class TechnologyProfile:
             if any(b2 <= b1 for b1, b2 in zip(rates, rates[1:])):
                 raise ValueError(
                     f"bitrates at {bw} MHz must increase with required SNR")
+
+    @property
+    def mimo(self) -> bool:  # the one MIMO label
+        return self.n_transmitters > 1
 
     def mcs(self, label: str) -> McsEntry:
         for m in self.mcs_table:
@@ -198,8 +204,7 @@ def load_technology(name: str, environment: str, mimo: bool = False) -> Technolo
     env = raw["environments"][environment]
 
     mimo_gain = raw.get("mimo_gain_db")
-    supports_mimo = mimo_gain is not None
-    if mimo and not supports_mimo:
+    if mimo and mimo_gain is None:
         raise ValueError(f"{name} does not support MIMO operation")
 
     mcs_table = tuple(
@@ -223,5 +228,5 @@ def load_technology(name: str, environment: str, mimo: bool = False) -> Technolo
         rx_noise_figure_db=float(raw["rx_noise_figure_db"]),
         mcs_table=mcs_table,
         n_transmitters=4 if mimo else 1,
-        supports_mimo=supports_mimo,
+        power_model=raw["power_model"],
     )

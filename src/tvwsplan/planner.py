@@ -18,19 +18,20 @@ costs once, so the greedy itself never sorts; loads are still summed one
 decision at a time, in decision order.
 
 A run is strictly sequential (the greedy order is semantic).  Runs within a
-campaign are independent, seeded `base_seed + run_index`, and may execute in
-parallel; aggregation is order-insensitive.
+campaign are independent, seeded `base_seed + run_index`, share one budget
+(`_budget`) and may execute in parallel; aggregation is order-insensitive.
 
 Every accept/reject decision lands in an event log.  The independent
 feasibility checker replays a run from scratch (fresh path-loss matrix,
-fresh capacity accounting) and verifies the log, the assignment invariants
-and the capacity bounds without sharing any planner state; what it shares
-is the memoised, read-only population of each seed, a pure function of the
-seed.
+fresh capacity accounting, its own budget from its own arguments) and
+verifies the log, the assignment invariants and the capacity bounds without
+sharing any planner state; what it shares is the memoised, read-only
+population of each seed, a pure function of the seed.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -39,10 +40,10 @@ import numpy as np
 
 from .link_budget import (EnvironmentMargins, TechnologyProfile,
                           max_allowable_path_loss_db)
-from .power_energy import (BsPowerInput, MacroPowerParams, TvwsPowerParams,
-                           macro_bs_power_w, tvws_bs_power_w)
+from .power_energy import (BsPowerInput, TvwsPowerParams, macro_bs_power_w,
+                           tvws_bs_power_w)
 from .propagation import PathLossModel, path_loss_array_db, path_loss_db
-from .scenario import (Scenario, UserPopulation,
+from .scenario import (Scenario, ScenarioError, UserPopulation,
                        generate_population)
 from .sizing import sweep_mcs
 
@@ -70,7 +71,8 @@ class PlannerConfig:
     the sizing sweep optimum); "adaptive" serves each user at the best MCS
     its path loss supports, charging airtime instead of bitrate.
     `rebalance_scope` is "new_site" (moves toward the newly activated site
-    only) or "all_active" (any active site).
+    only) or "all_active" (any active site).  `mimo` must equal
+    `profile.mimo`: campaigns and the checker reject a config that disagrees.
     """
 
     mcs_mode: str = "fixed"
@@ -131,7 +133,20 @@ class CampaignResult:
     mean_active_sites: float
     progressive_coverage: list  # running mean after each run
     sites: list
-    planning_mcs_label: str
+    budget: "_Budget"           # what every run planned against
+
+
+@dataclass(frozen=True)
+class _Budget:
+    """What one campaign plans against, built by `_budget`: `capacity` in fixed
+    mode, `tiers` ((pl_max, rate) per deployable MCS, table order) in adaptive
+    mode, and `station_w`, one station's draw (None without power data)."""
+
+    mcs_label: str
+    pl_max: float
+    capacity: float | None = None
+    tiers: tuple = ()
+    station_w: float | None = None
 
 
 def _pl_matrix(pop: UserPopulation, sites, model: PathLossModel) -> np.ndarray:
@@ -143,16 +158,6 @@ def _pl_matrix(pop: UserPopulation, sites, model: PathLossModel) -> np.ndarray:
     return path_loss_array_db(model, dist)
 
 
-def _bs_power(power_params, n_tx: int) -> float:
-    inp = BsPowerInput(n_sectors=1, n_transmitters=n_tx,
-                       radiated_power_w=DEFAULT_RADIATED_POWER_W, load_factor=1.0)
-    if isinstance(power_params, TvwsPowerParams):
-        return tvws_bs_power_w(power_params, inp)
-    if isinstance(power_params, MacroPowerParams):
-        return macro_bs_power_w(power_params, inp)
-    raise TypeError(f"unsupported power parameter type {type(power_params)!r}")
-
-
 def env_workers() -> int:
     """Worker processes from TVWSPLAN_WORKERS: an integer >= 1, default 1."""
     raw = os.environ.get("TVWSPLAN_WORKERS", "1")
@@ -161,22 +166,42 @@ def env_workers() -> int:
     return int(raw)
 
 
-def _planning_mcs(scenario, profile, margins, model, config, rows=None) -> str:
-    """The fixed-mode label, or the sizing sweep optimum when none is set.
-
-    `rows` is a sizing sweep the caller already made; without it the sweep
-    runs here, and only when it is needed.
-    """
-    if config.mcs_mode == "fixed" and config.mcs_label:
+def _budget(scenario, profile, margins, model, config, power_params=None,
+            rows=None) -> _Budget:
+    """The budget of one campaign from its own arguments.  Its MCS is the
+    fixed-mode label if set, else the optimum of the sizing sweep `rows` (swept
+    here if not given); its station draw is at full load, by the profile's power
+    model."""
+    if config.mimo != profile.mimo:
+        raise ValueError(f"PlannerConfig.mimo={config.mimo} disagrees with the profile")
+    fixed = config.mcs_mode == "fixed"
+    if fixed and config.mcs_label:
         mcs = profile.mcs(config.mcs_label)
         if not mcs.deployable:
             raise ValueError(f"MCS {mcs.label!r} is not deployable on "
                              f"{profile.name} hardware")
-        return mcs.label
-    if rows is None:
-        rows = sweep_mcs(profile, margins, model, scenario.region.area_km2,
-                         scenario.population.expected_demand_mbps)
-    return next(r.mcs_label for r in rows if r.is_optimal)
+    else:
+        if rows is None:
+            rows = sweep_mcs(profile, margins, model, scenario.region.area_km2,
+                             scenario.population.expected_demand_mbps)
+        mcs = profile.mcs(next(r.mcs_label for r in rows if r.is_optimal))
+    station_w = None
+    if power_params is not None:
+        if isinstance(power_params, TvwsPowerParams) != (profile.power_model == "tvws"):
+            raise TypeError(f"{profile.name} needs {profile.power_model!r} "
+                            f"power parameters")
+        inp = BsPowerInput(n_transmitters=profile.n_transmitters,
+                           radiated_power_w=DEFAULT_RADIATED_POWER_W, load_factor=1.0)
+        draw = tvws_bs_power_w if profile.power_model == "tvws" else macro_bs_power_w
+        station_w = draw(power_params, inp)
+    if fixed:
+        return _Budget(mcs.label, max_allowable_path_loss_db(profile, margins, mcs),
+                       mcs.bitrate_at(profile.bandwidth_mhz), station_w=station_w)
+    tiers = tuple((max_allowable_path_loss_db(profile, margins, m),
+                   m.bitrate_at(profile.bandwidth_mhz))
+                  for m in profile.deployable_mcs())
+    return _Budget(mcs.label, max(t[0] for t in tiers), tiers=tiers,
+                   station_w=station_w)
 
 
 def plan_single_run(scenario: Scenario, profile: TechnologyProfile,
@@ -185,47 +210,33 @@ def plan_single_run(scenario: Scenario, profile: TechnologyProfile,
                     sites=None) -> RunOutcome:
     """One greedy deployment for the user population drawn with `seed`."""
     sites = _sites_for(scenario, sites)
-    mcs_label = _planning_mcs(scenario, profile, margins, model, config)
-    return _run_one((scenario, profile, margins, model, power_params, config,
-                     seed, sites, mcs_label))
+    budget = _budget(scenario, profile, margins, model, config, power_params)
+    return _run_one(scenario, sites, budget, model, config, seed)
 
 
-def _link_costs(pl, demand, profile, margins, config, mcs_label):
-    """(pl_max, capacity, cost) of one run.
-
-    `cost[u, j]` is the capacity user u consumes at site j, valid where
-    `pl[u, j] <= pl_max`.  Fixed mode charges the demand against the planning
-    MCS bitrate.  Adaptive mode serves each link at the highest-rate tier
-    whose budget covers it (the last in table order: tiers ascend in SNR and
-    descend in range) and charges airtime, demand / rate, against 1.
-    """
-    if config.mcs_mode == "fixed":
-        mcs = profile.mcs(mcs_label)
-        pl_max = max_allowable_path_loss_db(profile, margins, mcs)
-        capacity = mcs.bitrate_at(profile.bandwidth_mhz)
-        return pl_max, capacity, np.broadcast_to(demand[:, None], pl.shape)
-    tiers = [(max_allowable_path_loss_db(profile, margins, m),
-              m.bitrate_at(profile.bandwidth_mhz))
-             for m in profile.deployable_mcs()]
-    rate = np.full(pl.shape, np.nan)
-    for lim, r in tiers:
-        rate[pl <= lim] = r
-    return max(t[0] for t in tiers), 1.0, demand[:, None] / rate
-
-
-def _greedy_plan(pop, sites, profile, margins, model, power_params,
-                 config, mcs_label, seed) -> RunOutcome:
+def _greedy_plan(pop, sites, budget, model, config, seed) -> RunOutcome:
     n_users = len(pop)
     site_ids = [s.id for s in sites]
     user_ids = pop.ids.tolist()
     pl = _pl_matrix(pop, sites, model)
-    pl_max, capacity, cost_table = _link_costs(pl, pop.demand_mbps, profile,
-                                               margins, config, mcs_label)
+    # cost[u][j], the capacity user u consumes at site j where in range, as
+    # Python floats.  Fixed mode charges the demand against the planning MCS
+    # bitrate.  Adaptive mode serves each link at the highest-rate tier whose
+    # budget covers it (the last in table order: tiers ascend in SNR and
+    # descend in range) and charges airtime, demand / rate, against 1.
+    demand = pop.demand_mbps[:, None]
+    if budget.capacity is not None:
+        capacity, cost = budget.capacity, np.broadcast_to(demand, pl.shape)
+    else:
+        rate = np.full(pl.shape, np.nan)
+        for lim, r in budget.tiers:
+            rate[pl <= lim] = r
+        capacity, cost = 1.0, demand / rate
     limit = capacity + 1e-9
-    cost = cost_table.tolist()         # cost[u][j] as Python floats
+    cost = cost.tolist()
     # each user's in-range sites in ascending (path loss, site index): the
     # stable sort breaks equal path loss toward the lower index
-    in_range = (pl <= pl_max).sum(axis=1).tolist()
+    in_range = (pl <= budget.pl_max).sum(axis=1).tolist()
     reach = [row[:k] for row, k in
              zip(np.argsort(pl, axis=1, kind="stable").tolist(), in_range)]
 
@@ -297,7 +308,6 @@ def _greedy_plan(pop, sites, profile, margins, model, power_params,
     # users enter the assignment in service order, as they connect
     served_at = site_of.tolist()
     assign = {u: served_at[u] for u in order if served_at[u] >= 0}
-    bs_power = _bs_power(power_params, profile.n_transmitters)
     served = {site_ids[j]: 0.0 for j in active}
     for u, j in assign.items():
         served[site_ids[j]] += float(pop.demand_mbps[u])
@@ -305,11 +315,11 @@ def _greedy_plan(pop, sites, profile, margins, model, power_params,
         active_sites={site_ids[j] for j in active},
         assignments={user_ids[u]: site_ids[j] for u, j in assign.items()},
         per_site_served_mbps=served,
-        per_site_power_w={site_ids[j]: bs_power for j in active},
+        per_site_power_w={site_ids[j]: budget.station_w for j in active},
         uncovered_users={user_ids[u] for u in uncovered})
     coverage = 1.0 - len(uncovered) / n_users if n_users else 1.0
     return RunOutcome(seed=seed, coverage_fraction=coverage, deployment=deployment,
-                      total_power_w=bs_power * len(active),
+                      total_power_w=budget.station_w * len(active),
                       served_mbps_total=sum(served.values()),
                       event_log=tuple(log))
 
@@ -330,11 +340,9 @@ def _sites_for(scenario: Scenario, sites=None) -> list:
     return sites
 
 
-def _run_one(args):
-    scenario, profile, margins, model, power_params, config, seed, sites, mcs_label = args
+def _run_one(scenario, sites, budget, model, config, seed):
     pop = generate_population(scenario.region, scenario.population, seed)
-    return _greedy_plan(pop, sites, profile, margins, model, power_params,
-                        config, mcs_label, seed)
+    return _greedy_plan(pop, sites, budget, model, config, seed)
 
 
 def run_campaign(scenario: Scenario, profile: TechnologyProfile,
@@ -342,21 +350,22 @@ def run_campaign(scenario: Scenario, profile: TechnologyProfile,
                  power_params, config: PlannerConfig, sites=None) -> CampaignResult:
     """`config.runs` independent runs with seeds base_seed + i.
 
-    The planning MCS is derived once here and shared by every run.
+    The budget is resolved once here and shared by every run.
     """
     sites = _sites_for(scenario, sites)
-    mcs_label = _planning_mcs(scenario, profile, margins, model, config)
-    seeds = [config.base_seed + i for i in range(config.runs)]
-    jobs = [(scenario, profile, margins, model, power_params, config, s, sites,
-             mcs_label)
-            for s in seeds]
+    budget = _budget(scenario, profile, margins, model, config, power_params)
+    return _campaign(scenario, sites, budget, model, config)
 
+
+def _campaign(scenario, sites, budget, model, config) -> CampaignResult:
+    seeds = range(config.base_seed, config.base_seed + config.runs)
+    run = functools.partial(_run_one, scenario, sites, budget, model, config)
     workers = config.workers or env_workers()
-    if workers > 1 and len(jobs) > 1:
+    if workers > 1 and config.runs > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_one, jobs))
+            outcomes = list(pool.map(run, seeds))
     else:
-        outcomes = [_run_one(j) for j in jobs]
+        outcomes = list(map(run, seeds))
 
     cov = np.array([o.coverage_fraction for o in outcomes])
     pow_ = np.array([o.total_power_w for o in outcomes])
@@ -371,7 +380,7 @@ def run_campaign(scenario: Scenario, profile: TechnologyProfile,
         mean_active_sites=float(act.mean()),
         progressive_coverage=[float(x) for x in progressive],
         sites=sites,
-        planning_mcs_label=mcs_label)
+        budget=budget)
 
 
 def grow_site_set(scenario: Scenario, profile: TechnologyProfile,
@@ -382,32 +391,35 @@ def grow_site_set(scenario: Scenario, profile: TechnologyProfile,
     Starts from the sizing lower bound for the planning MCS and densifies
     the jittered lattice in batches of roughly 30% of that bound (at least
     one site), replanning a pilot campaign (`site_policy.pilot_runs` runs)
-    at each step.  Returns (sites, history) where history rows are
-    (count, mean_coverage).  Raises once the growth cap is hit, reporting
-    the best coverage achieved.
+    against one budget at each step.  Returns (sites, history) where history
+    rows are (count, mean_coverage).  Raises ScenarioError before any pilot
+    when `max_sites` is below the start, and RuntimeError once the growth
+    cap is hit, reporting the best coverage achieved.
     """
     policy = scenario.site_policy
     rows = sweep_mcs(profile, margins, model, scenario.region.area_km2,
                      scenario.population.expected_demand_mbps)
-    label = _planning_mcs(scenario, profile, margins, model, config, rows)
-    start = next(r.n_bs_min for r in rows if r.mcs_label == label)
+    budget = _budget(scenario, profile, margins, model, config, power_params,
+                     rows)
+    count = max(1, next(r.n_bs_min for r in rows
+                        if r.mcs_label == budget.mcs_label))
+    if policy.max_sites < count:
+        raise ScenarioError([f"sites.max_sites: {policy.max_sites} is below the "
+                             f"sizing lower bound of {count} sites"])
 
     pilot = replace(config, runs=policy.pilot_runs)
     history = []
-    count = max(1, start)
     step = max(1, int(0.3 * count + 0.5))
     while count <= policy.max_sites:
         sites = scenario.lattice_sites(count)
-        result = run_campaign(scenario, profile, margins, model, power_params,
-                              pilot, sites=sites)
+        result = _campaign(scenario, sites, budget, model, pilot)
         history.append((count, result.mean_coverage))
         if result.mean_coverage > policy.target_coverage:
             return sites, history
         count += step
     raise RuntimeError(
         f"site growth cap {policy.max_sites} reached; best mean coverage "
-        f"{max((c for _, c in history), default=0.0):.4f} "
-        f"< target {policy.target_coverage}")
+        f"{max(c for _, c in history):.4f} < target {policy.target_coverage}")
 
 
 # ---------------------------------------------------------------------------
@@ -424,23 +436,8 @@ def check_deployment(outcome: RunOutcome, scenario: Scenario,
     site_by_id = {s.id: s for s in sites}
     demand = {int(i): float(d) for i, d in zip(pop.ids, pop.demand_mbps)}
 
-    if config.mcs_mode == "fixed":
-        mcs = profile.mcs(_planning_mcs(scenario, profile, margins, model, config))
-        pl_max = max_allowable_path_loss_db(profile, margins, mcs)
-        cap = mcs.bitrate_at(profile.bandwidth_mhz)
-    else:
-        tiers = [(max_allowable_path_loss_db(profile, margins, m),
-                  m.bitrate_at(profile.bandwidth_mhz))
-                 for m in profile.deployable_mcs()]
-        pl_max = max(t[0] for t in tiers)
-        cap = None
-
-    def best_rate(pl: float):
-        rate = None
-        for lim, r in tiers:
-            if pl <= lim:
-                rate = r
-        return rate
+    budget = _budget(scenario, profile, margins, model, config)
+    pl_max, cap = budget.pl_max, budget.capacity
 
     pos = {int(i): (float(x), float(y)) for i, (x, y) in zip(pop.ids, pop.xy_km)}
     link_pl = {}
@@ -459,10 +456,10 @@ def check_deployment(outcome: RunOutcome, scenario: Scenario,
     airtime = {sid: 0.0 for sid in dep.active_sites}
     for uid, sid in dep.assignments.items():
         served[sid] = served.get(sid, 0.0) + demand[uid]
-        if cap is None and uid in link_pl:
-            rate = best_rate(link_pl[uid])
-            if rate is not None:
-                airtime[sid] = airtime.get(sid, 0.0) + demand[uid] / rate
+        # adaptive mode: airtime at the highest-rate tier covering the link
+        rates = [r for lim, r in budget.tiers if link_pl.get(uid, np.inf) <= lim]
+        if rates:
+            airtime[sid] = airtime.get(sid, 0.0) + demand[uid] / rates[-1]
     for sid, s_mbps in served.items():
         if cap is not None and s_mbps > cap + 1e-6:
             problems.append(f"site {sid} serves {s_mbps:.3f} Mbps > capacity {cap}")

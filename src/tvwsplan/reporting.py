@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, geometry
-from .link_budget import (EnvironmentMargins, TechnologyProfile,
-                          coverage_curve, max_allowable_path_loss_db)
-from .planner import CampaignResult, PlannerConfig, RunOutcome, run_campaign
+from .link_budget import EnvironmentMargins, TechnologyProfile, coverage_curve
+from .planner import (DEFAULT_RADIATED_POWER_W, PlannerConfig, RunOutcome,
+                      run_campaign)
 from .power_energy import network_energy_efficiency
 from .propagation import (ModelValidityWarning, PathLossModel,
                           path_loss_array_db, path_loss_db)
@@ -102,7 +102,7 @@ def _base_provenance(scenario: Scenario, profile: TechnologyProfile,
         "model_calibration": model.calibration_id or "none",
         "base_seed": config.base_seed,
         "runs": config.runs,
-        "mimo": "4x4" if config.mimo else "siso",
+        "mimo": "4x4" if profile.mimo else "siso",
     }
     prov.update({f"convention_{k}": v for k, v in CONVENTIONS.items()})
     return prov
@@ -140,8 +140,8 @@ def build_report(scenario: Scenario, profile: TechnologyProfile,
         scenario_digest=scenario.digest(),
         technology=profile.name,
         environment=scenario.environment,
-        planning_mcs=result.planning_mcs_label,
-        mimo=config.mimo,
+        planning_mcs=result.budget.mcs_label,
+        mimo=profile.mimo,
         runs=config.runs,
         base_seed=config.base_seed,
         site_count=len(result.sites),
@@ -244,10 +244,9 @@ def assignment_csv(outcome: RunOutcome, scenario: Scenario, sites,
     return _csv(prov, "user_id,site_id,pl_db", rows)
 
 
-def power_csv(outcome: RunOutcome, profile: TechnologyProfile, prov: dict,
-              radiated_power_w: float = 4.0) -> str:
+def power_csv(outcome: RunOutcome, profile: TechnologyProfile, prov: dict) -> str:
     dep = outcome.deployment
-    rows = [[str(sid), str(profile.n_transmitters), _fmt(radiated_power_w),
+    rows = [[str(sid), str(profile.n_transmitters), _fmt(DEFAULT_RADIATED_POWER_W),
              _fmt(1.0), _fmt(dep.per_site_power_w[sid])]
             for sid in sorted(dep.active_sites)]
     return _csv(prov, "bs_id,n_tx,p_r_w,load,p_total_w", rows)

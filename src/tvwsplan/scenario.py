@@ -241,8 +241,8 @@ class SitePolicy:
 
     mode "explicit": `sites` lists them outright.
     mode "lattice":  a jittered hexagonal lattice of `count` sites.
-    mode "auto_grow": start from the sizing lower bound and densify until a
-    pilot campaign reaches `target_coverage` mean user coverage.
+    mode "auto_grow": start from the sizing lower bound (<= `max_sites`) and
+    densify until a pilot's mean coverage exceeds `target_coverage` (< 1).
     """
 
     mode: str
@@ -382,6 +382,9 @@ def _parse_sites(cfg: dict, errors: list) -> SitePolicy | None:
         kw["target_coverage"] = float(cfg.get("target_coverage", 0.95))
         kw["pilot_runs"] = int(cfg.get("pilot_runs", 10))
         kw["max_sites"] = int(cfg.get("max_sites", 200))
+        if not 0.0 <= kw["target_coverage"] < 1.0:
+            errors.append("sites.target_coverage: must lie in [0, 1), got "
+                          f"{kw['target_coverage']}")
         for field in ("pilot_runs", "max_sites"):
             if kw[field] < 1:
                 errors.append(f"sites.{field}: must be >= 1, got {kw[field]}")

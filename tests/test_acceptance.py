@@ -51,7 +51,7 @@ def build_battery():
             for mimo in ((False, True) if tech != "802.22" else (False,)):
                 prof = tp.load_technology(tech, env, mimo=mimo)
                 model = sc.model_for(prof)
-                pw = load_power_params("tvws" if tech != "lte" else "macro")
+                pw = load_power_params(prof.power_model)
                 cfg = PlannerConfig(runs=40, base_seed=sc.base_seed, mimo=mimo)
                 sites, history = tp.grow_site_set(sc, prof, sc.margins, model,
                                                   pw, cfg)

@@ -2,10 +2,12 @@ import csv
 import math
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tvwsplan import link_budget
 from tvwsplan.link_budget import (EnvironmentMargins, McsEntry,
                                   TechnologyProfile, available_technologies,
                                   coverage_curve, load_technology,
@@ -202,6 +204,23 @@ class TestCatalogue:
     def test_missing_technology_names_file(self):
         with pytest.raises(FileNotFoundError, match="no bundled technology"):
             load_technology("wimax", "suburban")
+
+    def test_technology_file_names_power_model(self):
+        for tech, kind in (("802.22", "tvws"), ("802.22b", "tvws"),
+                           ("802.11af", "tvws"), ("lte", "macro")):
+            for mimo in (False, True) if tech != "802.22" else (False,):
+                prof = load_technology(tech, "rural", mimo=mimo)
+                assert prof.power_model == kind
+                assert prof.mimo == mimo
+
+    def test_unknown_power_model_is_load_error(self):
+        raw = link_budget.bundled_yaml("technologies", "802_22b")
+        with mock.patch.object(link_budget, "bundled_yaml",
+                               return_value={**raw, "power_model": "solar"}):
+            with pytest.raises(ValueError, match="power_model 'solar'"):
+                load_technology("802.22b", "rural")
+        with pytest.raises(ValueError, match="power_model"):
+            synthetic_profile(power_model="lte")
 
     def test_mimo_unsupported_on_80222(self):
         with pytest.raises(ValueError, match="does not support MIMO"):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -11,10 +12,12 @@ from tvwsplan.link_budget import (EnvironmentMargins, McsEntry,
                                   TechnologyProfile, load_technology,
                                   max_allowable_path_loss_db)
 from tvwsplan.planner import (Deployment, PlannerConfig, RunOutcome,
-                              _bs_power, _greedy_plan, _pl_matrix,
+                              _budget, _greedy_plan, _pl_matrix,
                               check_deployment, grow_site_set, plan_single_run,
                               replay_event_log, run_campaign)
-from tvwsplan.power_energy import TvwsPowerParams, load_power_params
+from tvwsplan.power_energy import (BsPowerInput, TvwsPowerParams,
+                                   load_power_params, tvws_bs_power_w)
+from tvwsplan.scenario import ScenarioError
 from tvwsplan.propagation import one_slope, path_loss_db
 from tvwsplan.scenario import (CandidateSite, PopulationSpec, Region,
                                Scenario, SitePolicy, UserPopulation,
@@ -31,6 +34,15 @@ def manual_population(positions, demands):
                           seed=0)
 
 
+def greedy(scenario, pop, sites, profile, margins, model, power_params, config,
+           mcs_label, seed) -> RunOutcome:
+    """`_greedy_plan` against the budget a campaign of `scenario` resolves,
+    with `mcs_label` as the fixed-mode label."""
+    budget = _budget(scenario, profile, margins, model,
+                     replace(config, mcs_label=mcs_label), power_params)
+    return _greedy_plan(pop, sites, budget, model, config, seed)
+
+
 def profile_with_capacity(cap_mbps):
     return TechnologyProfile(
         name="testtech", eirp_dbm=20.0, freq_mhz=600.0, bandwidth_mhz=1.0,
@@ -45,36 +57,37 @@ class TestGreedyRules:
                                micro_model, tvws_power):
         pop = manual_population([(1.0, 1.5)], [1.0])
         sites = [CandidateSite(0, 0.8, 1.5, 30.0)]
-        out = _greedy_plan(pop, sites, micro_profile, micro_margins, micro_model,
-                           tvws_power, CFG, "1/2 QPSK", 0)
+        out = greedy(micro_scenario, pop, sites, micro_profile, micro_margins,
+                     micro_model, tvws_power, CFG, "1/2 QPSK", 0)
         assert out.deployment.active_sites == {0}
         assert out.deployment.assignments == {0: 0}
         assert out.coverage_fraction == 1.0
 
-    def test_lower_path_loss_site_wins(self, micro_profile, micro_margins,
-                                       micro_model, tvws_power):
+    def test_lower_path_loss_site_wins(self, micro_scenario, micro_profile,
+                                       micro_margins, micro_model, tvws_power):
         pop = manual_population([(1.0, 1.5)], [1.0])
         sites = [CandidateSite(0, 0.8, 1.5, 30.0), CandidateSite(1, 2.0, 1.5, 30.0)]
-        out = _greedy_plan(pop, sites, micro_profile, micro_margins, micro_model,
-                           tvws_power, CFG, "1/2 QPSK", 0)
+        out = greedy(micro_scenario, pop, sites, micro_profile, micro_margins,
+                     micro_model, tvws_power, CFG, "1/2 QPSK", 0)
         assert out.deployment.active_sites == {0}  # 0.2 km beats 1.0 km
         assert out.deployment.assignments[0] == 0
 
-    def test_rebalance_moves_user_to_closer_new_site(self, micro_margins,
-                                                     micro_model, tvws_power):
+    def test_rebalance_moves_user_to_closer_new_site(self, micro_scenario,
+                                                     micro_margins, micro_model,
+                                                     tvws_power):
         # capacity 2: user0 -> A; user1 prefers (inactive) B but connects to
         # A; user2 fills B on; the rebalance pass then moves user1 to B
         prof = profile_with_capacity(2.0)
         sites = [CandidateSite(0, 0.8, 1.5, 30.0), CandidateSite(1, 2.6, 1.5, 30.0)]
         pop = manual_population([(0.6, 1.5), (1.8, 1.5), (2.8, 1.5)],
                                 [1.0, 1.0, 1.0])
-        out = _greedy_plan(pop, sites, prof, micro_margins, micro_model,
-                           tvws_power, CFG, "1/2 QPSK", 0)
+        out = greedy(micro_scenario, pop, sites, prof, micro_margins,
+                     micro_model, tvws_power, CFG, "1/2 QPSK", 0)
         assert out.deployment.assignments == {0: 0, 1: 1, 2: 1}
         assert ("switch", 1, 0, 1) in out.event_log
 
     def test_all_active_scope_moves_user_to_already_active_site(
-            self, micro_margins, micro_model, tvws_power):
+            self, micro_scenario, micro_margins, micro_model, tvws_power):
         # capacity 2, sites A(0) B(1) C(2) on a line.  user0 opens B; user1
         # joins B although the inactive C is closer; user2 finds B full and
         # opens A; user3 opens C.  Both scopes then move user1 from B to C,
@@ -87,21 +100,21 @@ class TestGreedyRules:
         outs = {}
         for scope in ("new_site", "all_active"):
             cfg = PlannerConfig(runs=1, base_seed=42, rebalance_scope=scope)
-            outs[scope] = _greedy_plan(pop, sites, prof, micro_margins,
-                                       micro_model, tvws_power, cfg,
-                                       "1/2 QPSK", 0)
+            outs[scope] = greedy(micro_scenario, pop, sites, prof,
+                                 micro_margins, micro_model, tvws_power, cfg,
+                                 "1/2 QPSK", 0)
         assert outs["new_site"].deployment.assignments == {0: 1, 1: 2, 2: 0, 3: 2}
         assert outs["all_active"].deployment.assignments == {0: 1, 1: 2, 2: 1, 3: 2}
         assert ("switch", 2, 0, 1) in outs["all_active"].event_log
         assert ("switch", 2, 0, 1) not in outs["new_site"].event_log
 
-    def test_uncovered_when_out_of_range(self, micro_profile, micro_margins,
-                                         tvws_power):
+    def test_uncovered_when_out_of_range(self, micro_scenario, micro_profile,
+                                         micro_margins, tvws_power):
         far_model = one_slope(145.0, 1.0, 3.5)  # floor above PL_max: no reach
         pop = manual_population([(1.0, 1.5), (3.0, 1.5)], [1.0, 1.0])
         sites = [CandidateSite(0, 0.8, 1.5, 30.0)]
-        out = _greedy_plan(pop, sites, micro_profile, micro_margins, far_model,
-                           tvws_power, CFG, "1/2 QPSK", 0)
+        out = greedy(micro_scenario, pop, sites, micro_profile, micro_margins,
+                     far_model, tvws_power, CFG, "1/2 QPSK", 0)
         assert out.coverage_fraction == 0.0
         assert out.deployment.active_sites == set()
         assert out.deployment.uncovered_users == {0, 1}
@@ -112,13 +125,13 @@ class TestGreedyRules:
             plan_single_run(micro_scenario, micro_profile, micro_margins,
                             micro_model, tvws_power, CFG, 42, sites=[])
 
-    def test_capacity_respected(self, micro_profile, micro_margins, micro_model,
-                                tvws_power):
+    def test_capacity_respected(self, micro_scenario, micro_profile,
+                                micro_margins, micro_model, tvws_power):
         # 5 users of 1.0 against a single 3.2 Mbps site: 3 served, 2 uncovered
         pop = manual_population([(1.0, 1.5)] * 5, [1.0] * 5)
         sites = [CandidateSite(0, 0.8, 1.5, 30.0)]
-        out = _greedy_plan(pop, sites, micro_profile, micro_margins, micro_model,
-                           tvws_power, CFG, "1/2 QPSK", 0)
+        out = greedy(micro_scenario, pop, sites, micro_profile, micro_margins,
+                     micro_model, tvws_power, CFG, "1/2 QPSK", 0)
         assert len(out.deployment.assignments) == 3
         assert len(out.deployment.uncovered_users) == 2
         assert out.deployment.per_site_served_mbps[0] <= 3.2 + 1e-9
@@ -225,7 +238,8 @@ def greedy_plan_oracle(pop, sites, profile, margins, model, power_params,
         log.append(("connect", int(pop.ids[u]), site_ids[chosen]))
         rebalance(chosen)
 
-    bs_power = _bs_power(power_params, profile.n_transmitters)
+    bs_power = tvws_bs_power_w(power_params,
+                               BsPowerInput(1, profile.n_transmitters, 4.0, 1.0))
     served = {site_ids[j]: 0.0 for j in active}
     for u, j in assign.items():
         served[site_ids[j]] += float(pop.demand_mbps[u])
@@ -294,7 +308,8 @@ def assert_same_run(got, want):
 class TestGreedyKernelOracle:
     @settings(max_examples=150, deadline=None)
     @given(layout=greedy_layouts())
-    def test_kernel_equals_former_loop(self, layout, micro_margins, tvws_power):
+    def test_kernel_equals_former_loop(self, layout, micro_scenario,
+                                       micro_margins, tvws_power):
         sites, pop, label, seed = layout
         model = one_slope(108.0, 1.0, 3.5)
         for mode, scope, shuffle in itertools.product(
@@ -303,9 +318,11 @@ class TestGreedyKernelOracle:
                                 shuffle_user_order=shuffle)
             args = (pop, sites, TIERED, micro_margins, model, tvws_power, cfg,
                     label, seed)
-            assert_same_run(_greedy_plan(*args), greedy_plan_oracle(*args))
+            assert_same_run(greedy(micro_scenario, *args),
+                            greedy_plan_oracle(*args))
 
-    def test_layouts_reach_every_event_kind(self, micro_margins, tvws_power):
+    def test_layouts_reach_every_event_kind(self, micro_scenario, micro_margins,
+                                            tvws_power):
         # the drawn layouts exercise each decision the kernel makes
         kinds = set()
 
@@ -315,9 +332,9 @@ class TestGreedyKernelOracle:
             sites, pop, label, seed = layout
             for mode in ("fixed", "adaptive"):
                 cfg = PlannerConfig(runs=1, mcs_mode=mode)
-                out = _greedy_plan(pop, sites, TIERED, micro_margins,
-                                   one_slope(108.0, 1.0, 3.5), tvws_power, cfg,
-                                   label, seed)
+                out = greedy(micro_scenario, pop, sites, TIERED, micro_margins,
+                             one_slope(108.0, 1.0, 3.5), tvws_power, cfg,
+                             label, seed)
                 kinds.update(e[0] for e in out.event_log)
 
         collect()
@@ -587,8 +604,8 @@ class TestGrowth:
         assert history == by_hand
 
     def test_growth_sizes_with_one_sweep(self, micro_profile, tvws_power):
-        # one sizing sweep gives both the planning MCS and the starting
-        # count; each pilot campaign then derives its own, once
+        # one sizing sweep gives the budget and the starting count; every
+        # pilot campaign plans against that budget without sweeping again
         sc = self._grow_scenario(target=0.95)
         cfg = PlannerConfig(runs=5, base_seed=500)
         with mock.patch.object(planner, "sweep_mcs",
@@ -596,14 +613,28 @@ class TestGrowth:
             _, history = grow_site_set(sc, micro_profile, sc.margins, sc.model,
                                        tvws_power, cfg)
         assert len(history) > 1
-        assert sweep.call_count == 1 + len(history)
+        assert sweep.call_count == 1
 
     def test_growth_cap_raises_with_best_coverage(self, micro_profile, tvws_power):
-        sc = self._grow_scenario(max_sites=2, target=0.999, user_count=40)
+        # the sizing start is 13 sites and the step 4: pilots at 13 and 17
+        sc = self._grow_scenario(max_sites=20, target=0.999, user_count=40)
         cfg = PlannerConfig(runs=5, base_seed=500)
-        with pytest.raises(RuntimeError, match="best mean coverage"):
-            grow_site_set(sc, micro_profile, sc.margins, sc.model,
-                          tvws_power, cfg)
+        with mock.patch.object(planner, "_campaign",
+                               wraps=planner._campaign) as pilots:
+            with pytest.raises(RuntimeError, match="best mean coverage"):
+                grow_site_set(sc, micro_profile, sc.margins, sc.model,
+                              tvws_power, cfg)
+        assert pilots.call_count == 2
+
+    def test_cap_below_sizing_start_is_scenario_error(self, micro_profile,
+                                                      tvws_power):
+        sc = self._grow_scenario(max_sites=2)
+        with mock.patch.object(planner, "_campaign") as pilots:
+            with pytest.raises(ScenarioError) as err:
+                grow_site_set(sc, micro_profile, sc.margins, sc.model,
+                              tvws_power, PlannerConfig(runs=5, base_seed=500))
+        assert [e.split(":")[0] for e in err.value.errors] == ["sites.max_sites"]
+        assert pilots.call_count == 0
 
 
 class TestAnalyticLowerBound:
@@ -682,3 +713,38 @@ class TestMimoVariant:
                                 cfg, sites=sites)
             results[mimo] = camp.mean_active_sites
         assert results[True] < results[False]
+
+
+class TestBudgetFollowsProfile:
+    """`PlannerConfig.mimo` and the power parameters must match the profile."""
+
+    def test_power_parameters_of_another_model_rejected(self):
+        from tvwsplan.scenario import bundled_scenario
+        sc = bundled_scenario("ghent_suburban")
+        for tech, wrong in (("lte", "tvws"), ("802.22b", "macro")):
+            prof = load_technology(tech, "suburban")
+            with pytest.raises(TypeError, match=f"needs '{prof.power_model}'"):
+                run_campaign(sc, prof, sc.margins, sc.model_for(prof),
+                             load_power_params(wrong), PlannerConfig(runs=1),
+                             sites=sc.lattice_sites(4))
+
+    def test_config_disagreeing_with_profile_rejected(self):
+        from tvwsplan.scenario import bundled_scenario
+        sc = bundled_scenario("ghent_suburban")
+        pw = load_power_params("tvws")
+        for mimo in (False, True):
+            prof = load_technology("802.22b", "suburban", mimo=mimo)
+            model = sc.model_for(prof)
+            sites = sc.lattice_sites(4)
+            good = PlannerConfig(runs=1, base_seed=sc.base_seed, mimo=mimo)
+            bad = replace(good, mimo=not mimo)
+            outcome = run_campaign(sc, prof, sc.margins, model, pw, good,
+                                   sites=sites).outcomes[0]
+            assert check_deployment(outcome, sc, prof, sc.margins, model, good,
+                                    sites) == []
+            with pytest.raises(ValueError, match="mimo"):
+                run_campaign(sc, prof, sc.margins, model, pw, bad, sites=sites)
+            with pytest.raises(ValueError, match="mimo"):
+                grow_site_set(sc, prof, sc.margins, model, pw, bad)
+            with pytest.raises(ValueError, match="mimo"):
+                check_deployment(outcome, sc, prof, sc.margins, model, bad, sites)

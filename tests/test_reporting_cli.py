@@ -364,7 +364,10 @@ class TestCli:
         ({"mode": "auto_grow", "pilot_runs": 0}, "sites.pilot_runs"),
         ({"mode": "auto_grow", "max_sites": 0}, "sites.max_sites"),
         ({"mode": "lattice", "count": 9, "jitter_fraction": -0.2},
-         "sites.jitter_fraction")])
+         "sites.jitter_fraction"),
+        ({"mode": "auto_grow", "target_coverage": 1.5}, "sites.target_coverage"),
+        # below the 802.22b sizing lower bound: rejected before any pilot
+        ({"mode": "auto_grow", "max_sites": 2}, "sites.max_sites")])
     def test_bad_site_policy_is_invalid_scenario(self, tmp_path, sites, field):
         path = tmp_path / "sites.yaml"
         raw = bundled_yaml("scenarios", "ghent_suburban")
@@ -382,6 +385,16 @@ class TestCli:
         assert code != 0
         record = json.loads(err)
         assert record["error"]["type"] == "missing_file"
+
+    def test_coverage_provenance_follows_profile_mimo(self, tmp_path):
+        for mimo in ("siso", "4x4"):
+            out = tmp_path / mimo
+            code, _, err = self.run_cli("coverage", "--env", "suburban",
+                                        "--tech", "802.22b", "--mimo", mimo,
+                                        "--out", str(out))
+            assert code == 0, err
+            text = (out / "coverage.csv").read_text()
+            assert f"# mimo={mimo}\n" in text
 
     def test_mimo_rejected_for_80222(self, tmp_path):
         code, out, err = self.run_cli("coverage", "--env", "rural",

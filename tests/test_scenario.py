@@ -355,6 +355,10 @@ class TestScenarioFiles:
                 ({"mode": "lattice", "count": 0}, "sites.count"),
                 ({"mode": "auto_grow", "pilot_runs": 0}, "sites.pilot_runs"),
                 ({"mode": "auto_grow", "max_sites": 0}, "sites.max_sites"),
+                ({"mode": "auto_grow", "target_coverage": 1.0},
+                 "sites.target_coverage"),
+                ({"mode": "auto_grow", "target_coverage": -0.01},
+                 "sites.target_coverage"),
                 ({"mode": "lattice", "count": 5, "jitter_fraction": -0.1},
                  "sites.jitter_fraction")):
             with pytest.raises(ScenarioError) as err:
@@ -396,8 +400,7 @@ class TestBundledData:
         with mock.patch.object(yaml, "safe_load", wraps=yaml.safe_load) as parse:
             for env, name, tech, mimo in BATTERY_CELLS:
                 bundled_scenario(name)
-                load_technology(tech, env, mimo=mimo)
-                load_power_params("tvws" if tech != "lte" else "macro")
+                load_power_params(load_technology(tech, env, mimo=mimo).power_model)
         assert len(BATTERY_CELLS) == 14
         assert parse.call_count == len(BUNDLED_FILES)
         # no loader altered the shared parsed mappings
