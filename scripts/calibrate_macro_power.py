@@ -22,23 +22,23 @@ Chosen: amp_efficiency 0.12 (PA draw 33.3 W = 8.7% of total, satisfying B),
 per-transmitter overhead 52 W, p_fixed = 382.47 - 85.33 = 297.14 W.
 """
 
-from tvwsplan.power_energy import BsPowerInput, MacroPowerParams, macro_bs_power_w
+from tvwsplan.power_energy import (RADIATED_POWER_W, MacroPowerParams,
+                                   station_power_w)
 
 TARGET_BS_W = 13769.0 / 36.0
 AMP_EFFICIENCY = 0.12
 P_PER_TX_OVERHEAD_W = 52.0
-RADIATED_W = 4.0
 
 
 def main():
-    per_tx = RADIATED_W / AMP_EFFICIENCY + P_PER_TX_OVERHEAD_W
+    per_tx = RADIATED_POWER_W / AMP_EFFICIENCY + P_PER_TX_OVERHEAD_W
     p_fixed = TARGET_BS_W - per_tx
     params = MacroPowerParams(p_fixed_w=round(p_fixed, 2),
                               amp_efficiency=AMP_EFFICIENCY,
                               p_per_tx_overhead_w=P_PER_TX_OVERHEAD_W)
-    siso = macro_bs_power_w(params, BsPowerInput(1, 1, RADIATED_W, 1.0))
-    mimo = macro_bs_power_w(params, BsPowerInput(1, 4, RADIATED_W, 1.0))
-    pa_share = (RADIATED_W / AMP_EFFICIENCY) / siso
+    siso = station_power_w("macro", 1, params)
+    mimo = station_power_w("macro", 4, params)
+    pa_share = (RADIATED_POWER_W / AMP_EFFICIENCY) / siso
     print(f"target per-station power: {TARGET_BS_W:.2f} W")
     print(f"p_fixed = {params.p_fixed_w} W, amp_efficiency = {AMP_EFFICIENCY}, "
           f"per-tx overhead = {P_PER_TX_OVERHEAD_W} W")

@@ -14,19 +14,26 @@ campaign's budget.  Worker processes for campaigns come from the
 TVWSPLAN_WORKERS environment variable (an integer >= 1, default 1).
 
 On failure a machine-readable JSON error record goes to stderr and the exit
-status is non-zero.
+status is non-zero; stderr holds nothing else.  Model-validity warnings are
+not printed (`plan` records its campaign's in the provenance line
+`model_warnings`).  Numeric flags out of range (`--runs` < 1, `--seed` < 0,
+`--dmin` or `--step` not positive, `--dmax` below `--dmin`, or any distance
+not finite) are `usage` errors, exit 2, naming the flag.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+import warnings
 from pathlib import Path
 
 from .link_budget import load_technology
 from .planner import PlannerConfig, env_workers, grow_site_set
 from .power_energy import load_power_params
+from .propagation import ModelValidityWarning
 from .reporting import (assignment_csv, build_report, coverage_csv,
                         deployment_csv, pathloss_csv, power_csv, raster_csv,
                         report_to_json, runs_csv, svg_map, sweep_csv,
@@ -72,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="run a planning campaign")
     _add_common(p)
     p.add_argument("--mcs", help="fixed planning MCS label (default: sweep optimum)")
-    p.add_argument("--runs", type=int, help="Monte-Carlo runs (default: 40)")
+    p.add_argument("--runs", type=int, default=PlannerConfig.runs,
+                   help="Monte-Carlo runs (default: %(default)s)")
     p.add_argument("--seed", type=int, help="base seed (default: scenario file)")
     return ap
 
@@ -99,6 +107,12 @@ def _load_profile(scenario, args):
         raise CliError("invalid_technology", str(e), technology=name) from e
 
 
+def _check_flag(ok: bool, flag: str, rule: str, value):
+    """A numeric flag out of range is a usage error naming the flag."""
+    if not ok:
+        raise CliError("usage", f"{flag} must be {rule}, got {value}", flag=flag)
+
+
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -110,13 +124,14 @@ def _study(args):
     scenario = _load_scenario(args)
     profile = _load_profile(scenario, args)
     model = scenario.model_for(profile)
-    prov = _base_provenance(scenario, profile,
-                            PlannerConfig(runs=1, base_seed=scenario.base_seed),
-                            model)
-    return scenario, profile, model, prov
+    return scenario, profile, model, _base_provenance(scenario, profile, model)
 
 
 def cmd_pathloss(args) -> list:
+    _check_flag(0 < args.dmin < math.inf, "--dmin", "positive and finite", args.dmin)
+    _check_flag(args.dmin <= args.dmax < math.inf, "--dmax",
+                "finite and at least --dmin", args.dmax)
+    _check_flag(0 < args.step < math.inf, "--step", "positive and finite", args.step)
     _, _, model, prov = _study(args)
     path = _outdir(args) / "pathloss.csv"
     path.write_text(pathloss_csv(model, prov, args.dmin, args.dmax, args.step))
@@ -141,6 +156,8 @@ def cmd_sweep(args) -> list:
 
 
 def cmd_plan(args) -> list:
+    _check_flag(args.runs >= 1, "--runs", "at least 1", args.runs)
+    _check_flag(args.seed is None or args.seed >= 0, "--seed", "at least 0", args.seed)
     try:
         env_workers()
     except ValueError as e:
@@ -153,7 +170,7 @@ def cmd_plan(args) -> list:
                        f"tier of {profile.name}", available=deployable)
     config = PlannerConfig(
         mcs_label=args.mcs or "",
-        runs=args.runs if args.runs else 40,
+        runs=args.runs,
         base_seed=args.seed if args.seed is not None else scenario.base_seed,
         mimo=profile.mimo)
 
@@ -207,7 +224,11 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        paths = COMMANDS[args.command](args)
+        with warnings.catch_warnings():
+            # stderr holds error records only; `plan` keeps its campaign's
+            # validity warnings in the provenance line `model_warnings`
+            warnings.simplefilter("ignore", ModelValidityWarning)
+            paths = COMMANDS[args.command](args)
     except (CliError, ScenarioError) as e:
         if isinstance(e, ScenarioError):  # from a scenario file or site growth
             e = CliError("invalid_scenario", "scenario failed validation",

@@ -19,6 +19,8 @@ __all__ = [
     "hex_lattice_sites",
 ]
 
+MAX_GRID_BLOCK = 1 << 16  # grid points built and tested at once
+
 
 def polygon_area(vertices) -> float:
     """Shoelace area of a closed polygon given as an (N, 2) vertex array."""
@@ -98,11 +100,12 @@ def hex_lattice_sites(vertices, count: int, jitter_fraction: float, seed: int) -
     is a pure function of (vertices, count, jitter_fraction, seed).
 
     The search only asks whether a pitch leaves at least `count` points
-    inside, so it tests each grid in growing chunks (4 * `count` points,
-    then twice as many each time) and stops once `count` are inside.  The
-    answer equals that of testing the whole grid, because containment is
-    decided point by point: no prefix of the grid holds more inside points
-    than the grid itself.  Only the final pitch's grid is tested in full.
+    inside, so it builds and tests each grid in blocks of whole rows, in grid
+    order (about 4 * `count` points, then twice as many each time, up to
+    `MAX_GRID_BLOCK` or one row), and stops once `count` are inside.  The answer equals
+    that of testing the whole grid, because containment is decided point by
+    point, and memory stays bounded however many points a grid has.  The
+    final pitch's interior points are collected from all of its blocks.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -110,25 +113,32 @@ def hex_lattice_sites(vertices, count: int, jitter_fraction: float, seed: int) -
     xmin, ymin, xmax, ymax = polygon_bbox(vertices)
     rng = np.random.Generator(np.random.PCG64(seed))
 
-    def grid(pitch: float) -> np.ndarray:
-        # row-major points; a row's x values depend only on its parity
+    def inside_blocks(pitch: float):
+        # the grid's interior points, block by block in row-major order; a
+        # row's x values depend only on its parity
         dy = pitch * math.sqrt(3.0) / 2.0
         rows = np.arange(ymin + 0.5 * dy, ymax, dy)
-        even = np.arange(xmin + 0.25 * pitch, xmax, pitch)
-        odd = np.arange(xmin + 0.75 * pitch, xmax, pitch)
-        ys = np.repeat(rows, np.resize([len(even), len(odd)], len(rows)))
-        xs = np.tile(np.concatenate([even, odd]), (len(rows) + 1) // 2)[:len(ys)]
-        return np.column_stack([xs, ys])
+        xs = (np.arange(xmin + 0.25 * pitch, xmax, pitch),
+              np.arange(xmin + 0.75 * pitch, xmax, pitch))
+        per_row = max(1, len(xs[0]))  # even rows are the longer ones
+        start, chunk = 0, min(4 * count, MAX_GRID_BLOCK)
+        while start < len(rows):
+            stop = min(len(rows), start + max(1, chunk // per_row))
+            first, second = xs[start % 2], xs[1 - start % 2]
+            ys = np.repeat(rows[start:stop],
+                           np.resize([len(first), len(second)], stop - start))
+            row_x = np.concatenate([first, second])
+            pts = np.column_stack(
+                [np.tile(row_x, (stop - start + 1) // 2)[:len(ys)], ys])
+            yield pts[points_in_polygon(pts, vertices)]
+            start, chunk = stop, min(2 * chunk, MAX_GRID_BLOCK)
 
     def fits(pitch: float) -> bool:
-        pts = grid(pitch)
-        missing, start, chunk = count, 0, 4 * count
-        while start < len(pts):
-            missing -= int(np.count_nonzero(
-                points_in_polygon(pts[start:start + chunk], vertices)))
+        missing = count
+        for pts in inside_blocks(pitch):
+            missing -= len(pts)
             if missing <= 0:
                 return True
-            start, chunk = start + chunk, 2 * chunk
         return False
 
     # bracket a pitch giving at least `count` interior points
@@ -144,8 +154,7 @@ def hex_lattice_sites(vertices, count: int, jitter_fraction: float, seed: int) -
             lo = mid
         else:
             hi = mid
-    pts = grid(lo)
-    pts = pts[points_in_polygon(pts, vertices)]
+    pts = np.concatenate(list(inside_blocks(lo)))
     # drop surplus points farthest from the region centroid: keeps the core
     v = np.asarray(vertices, dtype=float)
     centroid = v.mean(axis=0)

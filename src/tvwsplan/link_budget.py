@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import yaml
 
+from .power_energy import POWER_MODELS
 from .propagation import PathLossModel, invert_range_km
 
 __all__ = [
@@ -90,10 +91,10 @@ class TechnologyProfile:
     rx_noise_figure_db: float
     mcs_table: tuple = ()
     n_transmitters: int = 1
-    power_model: str = "tvws"  # station draw: load_power_params(power_model)
+    power_model: str = "tvws"  # a key of power_energy.POWER_MODELS
 
     def __post_init__(self):
-        if self.power_model not in ("tvws", "macro"):
+        if self.power_model not in POWER_MODELS:
             raise ValueError(f"unknown power_model {self.power_model!r}")
         if self.total_subcarriers <= 0:
             raise ValueError("total_subcarriers must be positive")

@@ -19,7 +19,11 @@ decision at a time, in decision order.
 
 A run is strictly sequential (the greedy order is semantic).  Runs within a
 campaign are independent, seeded `base_seed + run_index`, share one budget
-(`_budget`) and may execute in parallel; aggregation is order-insensitive.
+(`_budget`) and may execute in parallel, in as many processes as
+TVWSPLAN_WORKERS names; aggregation is order-insensitive.  Every active site
+draws one station's power, `power_energy.station_power_w` of the profile.
+Candidate site ids must be unique: campaigns, single runs and the checker
+raise ValueError on a repeated id.
 
 Every accept/reject decision lands in an event log.  The independent
 feasibility checker replays a run from scratch (fresh path-loss matrix,
@@ -31,6 +35,7 @@ population of each seed, a pure function of the seed.
 
 from __future__ import annotations
 
+import collections
 import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -40,8 +45,7 @@ import numpy as np
 
 from .link_budget import (EnvironmentMargins, TechnologyProfile,
                           max_allowable_path_loss_db)
-from .power_energy import (BsPowerInput, TvwsPowerParams, macro_bs_power_w,
-                           tvws_bs_power_w)
+from .power_energy import station_power_w
 from .propagation import PathLossModel, path_loss_array_db, path_loss_db
 from .scenario import (Scenario, ScenarioError, UserPopulation,
                        generate_population)
@@ -59,8 +63,6 @@ __all__ = [
     "replay_event_log",
     "env_workers",
 ]
-
-DEFAULT_RADIATED_POWER_W = 4.0  # per transmitter, 36 dBm
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,6 @@ class PlannerConfig:
     mimo: bool = False
     rebalance_scope: str = "new_site"
     shuffle_user_order: bool = False  # robustness experiments only
-    workers: int = 0  # 0 -> env_workers()
 
     def __post_init__(self):
         if self.runs < 1:
@@ -170,8 +171,7 @@ def _budget(scenario, profile, margins, model, config, power_params=None,
             rows=None) -> _Budget:
     """The budget of one campaign from its own arguments.  Its MCS is the
     fixed-mode label if set, else the optimum of the sizing sweep `rows` (swept
-    here if not given); its station draw is at full load, by the profile's power
-    model."""
+    here if not given); its station draw is `station_power_w` of the profile."""
     if config.mimo != profile.mimo:
         raise ValueError(f"PlannerConfig.mimo={config.mimo} disagrees with the profile")
     fixed = config.mcs_mode == "fixed"
@@ -187,13 +187,8 @@ def _budget(scenario, profile, margins, model, config, power_params=None,
         mcs = profile.mcs(next(r.mcs_label for r in rows if r.is_optimal))
     station_w = None
     if power_params is not None:
-        if isinstance(power_params, TvwsPowerParams) != (profile.power_model == "tvws"):
-            raise TypeError(f"{profile.name} needs {profile.power_model!r} "
-                            f"power parameters")
-        inp = BsPowerInput(n_transmitters=profile.n_transmitters,
-                           radiated_power_w=DEFAULT_RADIATED_POWER_W, load_factor=1.0)
-        draw = tvws_bs_power_w if profile.power_model == "tvws" else macro_bs_power_w
-        station_w = draw(power_params, inp)
+        station_w = station_power_w(profile.power_model, profile.n_transmitters,
+                                    power_params)
     if fixed:
         return _Budget(mcs.label, max_allowable_path_loss_db(profile, margins, mcs),
                        mcs.bitrate_at(profile.bandwidth_mhz), station_w=station_w)
@@ -328,8 +323,8 @@ def _sites_for(scenario: Scenario, sites=None) -> list:
     """The given candidate sites, else the scenario's own; never empty."""
     if sites is None:
         policy = scenario.site_policy
-        if policy.mode == "explicit":
-            sites = scenario.explicit_sites()
+        if policy.mode == "explicit":  # validated when the scenario loaded
+            sites = policy.sites
         elif policy.mode == "lattice":
             sites = scenario.lattice_sites(policy.count)
         else:
@@ -337,7 +332,18 @@ def _sites_for(scenario: Scenario, sites=None) -> list:
     sites = list(sites)
     if not sites:
         raise ValueError("candidate site list is empty")
+    _site_index(sites)
     return sites
+
+
+def _site_index(sites) -> dict:
+    """{id: site} over a candidate list; a repeated id is a ValueError."""
+    index = {s.id: s for s in sites}
+    if len(index) != len(sites):
+        counts = collections.Counter(s.id for s in sites)
+        raise ValueError("candidate site ids repeat: "
+                         f"{sorted(i for i, n in counts.items() if n > 1)}")
+    return index
 
 
 def _run_one(scenario, sites, budget, model, config, seed):
@@ -360,7 +366,7 @@ def run_campaign(scenario: Scenario, profile: TechnologyProfile,
 def _campaign(scenario, sites, budget, model, config) -> CampaignResult:
     seeds = range(config.base_seed, config.base_seed + config.runs)
     run = functools.partial(_run_one, scenario, sites, budget, model, config)
-    workers = config.workers or env_workers()
+    workers = env_workers()
     if workers > 1 and config.runs > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run, seeds))
@@ -433,7 +439,7 @@ def check_deployment(outcome: RunOutcome, scenario: Scenario,
     problems = []
     dep = outcome.deployment
     pop = generate_population(scenario.region, scenario.population, outcome.seed)
-    site_by_id = {s.id: s for s in sites}
+    site_by_id = _site_index(sites)
     demand = {int(i): float(d) for i, d in zip(pop.ids, pop.demand_mbps)}
 
     budget = _budget(scenario, profile, margins, model, config)

@@ -1,4 +1,5 @@
-"""Base-station power models and the network energy-efficiency metric.
+"""Base-station power models, the one place a station's draw is decided
+(`POWER_MODELS`, `station_power_w`), and the network energy-efficiency metric.
 
 TVWS base stations follow
 
@@ -23,20 +24,23 @@ convention carries the user count, and is off by default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .link_budget import bundled_yaml
+from dataclasses import dataclass, fields
 
 __all__ = [
     "TvwsPowerParams",
     "MacroPowerParams",
     "BsPowerInput",
     "RunEnergy",
+    "POWER_MODELS",
     "tvws_bs_power_w",
     "macro_bs_power_w",
+    "station_power_w",
     "network_energy_efficiency",
     "load_power_params",
 ]
+
+RADIATED_POWER_W = 4.0  # per transmitter, 36 dBm
+LOAD_FACTOR = 1.0       # worst case: every station at full load
 
 
 @dataclass(frozen=True)
@@ -72,8 +76,8 @@ class MacroPowerParams:
 class BsPowerInput:
     n_sectors: int = 1
     n_transmitters: int = 1
-    radiated_power_w: float = 4.0  # per transmitter
-    load_factor: float = 1.0
+    radiated_power_w: float = RADIATED_POWER_W  # per transmitter
+    load_factor: float = LOAD_FACTOR
 
     def __post_init__(self):
         if self.n_sectors < 1 or self.n_transmitters < 1:
@@ -95,6 +99,21 @@ def macro_bs_power_w(params: MacroPowerParams, inp: BsPowerInput) -> float:
             + inp.n_sectors * inp.n_transmitters
             * (inp.radiated_power_w / params.amp_efficiency
                + params.p_per_tx_overhead_w))
+
+
+POWER_MODELS = {
+    "tvws": (TvwsPowerParams, tvws_bs_power_w),
+    "macro": (MacroPowerParams, macro_bs_power_w),
+}
+
+
+def station_power_w(power_model: str, n_transmitters: int, params) -> float:
+    """One station's draw: `n_transmitters` radiating `RADIATED_POWER_W` each
+    at `LOAD_FACTOR`.  Parameters of another power model raise TypeError."""
+    cls, draw = POWER_MODELS[power_model]
+    if not isinstance(params, cls):
+        raise TypeError(f"the station draw needs {power_model!r} power parameters")
+    return draw(params, BsPowerInput(n_transmitters=n_transmitters))
 
 
 @dataclass(frozen=True)
@@ -135,22 +154,10 @@ def network_energy_efficiency(runs, area_km2: float, user_count: int | None = No
 
 
 def load_power_params(kind: str):
-    """Load bundled power-model parameters ("tvws" or "macro")."""
-    try:
-        raw = bundled_yaml("power", kind)
-    except FileNotFoundError:
-        raise FileNotFoundError(f"no bundled power model {kind!r}") from None
-    if kind == "tvws":
-        return TvwsPowerParams(
-            p_backhaul_w=float(raw["p_backhaul_w"]),
-            p_poe_w=float(raw["p_poe_w"]),
-            p_idle_w=float(raw["p_idle_w"]),
-            ru_efficiency=float(raw["ru_efficiency"]),
-            calibration_id=str(raw.get("calibration_id", "")))
-    if kind == "macro":
-        return MacroPowerParams(
-            p_fixed_w=float(raw["p_fixed_w"]),
-            amp_efficiency=float(raw["amp_efficiency"]),
-            p_per_tx_overhead_w=float(raw["p_per_tx_overhead_w"]),
-            calibration_id=str(raw.get("calibration_id", "")))
-    raise ValueError(f"unknown power model kind {kind!r}")
+    """The bundled parameters of power model `kind`, a key of POWER_MODELS."""
+    from .link_budget import bundled_yaml  # link_budget reads POWER_MODELS
+    if kind not in POWER_MODELS:
+        raise FileNotFoundError(f"no bundled power model {kind!r}")
+    cls = POWER_MODELS[kind][0]
+    raw = bundled_yaml("power", kind)
+    return cls(**{f.name: raw[f.name] for f in fields(cls)})

@@ -19,9 +19,8 @@ import numpy as np
 
 from . import __version__, geometry
 from .link_budget import EnvironmentMargins, TechnologyProfile, coverage_curve
-from .planner import (DEFAULT_RADIATED_POWER_W, PlannerConfig, RunOutcome,
-                      run_campaign)
-from .power_energy import network_energy_efficiency
+from .planner import PlannerConfig, RunOutcome, run_campaign
+from .power_energy import LOAD_FACTOR, RADIATED_POWER_W, network_energy_efficiency
 from .propagation import (ModelValidityWarning, PathLossModel,
                           path_loss_array_db, path_loss_db)
 from .scenario import Scenario, generate_population
@@ -49,7 +48,7 @@ CONVENTIONS = {
     "ee_user_count_factor": "omitted (literal variant also reported)",
     "served_bitrate_accounting": "served user demand",
     "hata_rx_correction": "small/medium city",
-    "power_load_factor": "1.0 (worst case)",
+    "power_load_factor": f"{LOAD_FACTOR} (worst case)",
 }
 
 
@@ -90,7 +89,8 @@ def provenance_lines(prov: dict) -> list:
 
 
 def _base_provenance(scenario: Scenario, profile: TechnologyProfile,
-                     config: PlannerConfig, model: PathLossModel) -> dict:
+                     model: PathLossModel) -> dict:
+    """Provenance of a study; `build_report` adds its campaign's seed and runs."""
     prov = {
         "tool": "tvwsplan",
         "tool_version": __version__,
@@ -100,8 +100,6 @@ def _base_provenance(scenario: Scenario, profile: TechnologyProfile,
         "environment": scenario.environment,
         "model_variant": model.variant,
         "model_calibration": model.calibration_id or "none",
-        "base_seed": config.base_seed,
-        "runs": config.runs,
         "mimo": "4x4" if profile.mimo else "siso",
     }
     prov.update({f"convention_{k}": v for k, v in CONVENTIONS.items()})
@@ -121,7 +119,8 @@ def build_report(scenario: Scenario, profile: TechnologyProfile,
                for o in result.outcomes]
     ee = float(np.mean(ee_runs))
     ee_lit = ee * scenario.population.user_count
-    prov = _base_provenance(scenario, profile, config, model)
+    prov = _base_provenance(scenario, profile, model)
+    prov.update(base_seed=config.base_seed, runs=config.runs)
     msgs = sorted({str(w.message) for w in caught
                    if issubclass(w.category, ModelValidityWarning)})
     if msgs:
@@ -246,8 +245,8 @@ def assignment_csv(outcome: RunOutcome, scenario: Scenario, sites,
 
 def power_csv(outcome: RunOutcome, profile: TechnologyProfile, prov: dict) -> str:
     dep = outcome.deployment
-    rows = [[str(sid), str(profile.n_transmitters), _fmt(DEFAULT_RADIATED_POWER_W),
-             _fmt(1.0), _fmt(dep.per_site_power_w[sid])]
+    rows = [[str(sid), str(profile.n_transmitters), _fmt(RADIATED_POWER_W),
+             _fmt(LOAD_FACTOR), _fmt(dep.per_site_power_w[sid])]
             for sid in sorted(dep.active_sites)]
     return _csv(prov, "bs_id,n_tx,p_r_w,load,p_total_w", rows)
 

@@ -100,7 +100,7 @@ class CandidateSite:
     antenna_height_m: float
 
     def validate_against(self, region: Region):
-        if self.antenna_height_m <= 0:
+        if not self.antenna_height_m > 0:  # NaN is not positive either
             raise ValueError(f"site {self.id}: antenna height must be positive")
         if region.contains(self.x_km, self.y_km):
             return
@@ -296,12 +296,6 @@ class Scenario:
                               antenna_height_m=self.site_policy.antenna_height_m)
                 for i, (x, y) in enumerate(pts)]
 
-    def explicit_sites(self) -> list:
-        sites = list(self.site_policy.sites)
-        for s in sites:
-            s.validate_against(self.region)
-        return sites
-
     def digest(self) -> str:
         """Stable content hash used in report provenance."""
         payload = {
@@ -344,7 +338,7 @@ def _build_model(cfg: dict, errors: list) -> PathLossModel | None:
     return None
 
 
-def _parse_sites(cfg: dict, errors: list) -> SitePolicy | None:
+def _parse_sites(cfg: dict, region: Region | None, errors: list) -> SitePolicy | None:
     mode = cfg.get("mode")
     if mode not in ("explicit", "lattice", "auto_grow"):
         errors.append(f"sites.mode: must be explicit/lattice/auto_grow, got {mode!r}")
@@ -370,6 +364,17 @@ def _parse_sites(cfg: dict, errors: list) -> SitePolicy | None:
         except (KeyError, TypeError, ValueError) as e:
             errors.append(f"sites.list: malformed entry ({e})")
             return None
+        seen = set()
+        for s in kw["sites"]:
+            if s.id in seen:
+                errors.append(f"sites.list: site id {s.id} repeats")
+            seen.add(s.id)
+            if region is None:  # its own error is already listed
+                continue
+            try:
+                s.validate_against(region)
+            except ValueError as e:
+                errors.append(f"sites.list: {e}")
     elif mode == "lattice":
         try:
             kw["count"] = int(cfg["count"])
@@ -440,7 +445,7 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
         errors.append(f"environment: {e}")
 
     model = _build_model(raw["propagation"], errors)
-    site_policy = _parse_sites(raw["sites"], errors)
+    site_policy = _parse_sites(raw["sites"], region, errors)
     technology = str(raw.get("technology", "802.22b"))
     seeds = raw.get("seeds") or {}
     base_seed = int(seeds.get("base_seed", 1000))

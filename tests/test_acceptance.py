@@ -314,18 +314,18 @@ def test_c09_11af_rural_negative(battery):
 
 # --- property tier -----------------------------------------------------------
 
-def test_c10_feasibility_and_determinism(battery):
+def test_c10_feasibility_and_determinism(battery, monkeypatch):
     problems = sum(len(c["violations"]) for c in battery.values())
     checked = sum(len(c["campaign"].outcomes) for c in battery.values())
     cell = battery[("suburban", "802.22b", False)]
-    cfg1 = PlannerConfig(runs=6, base_seed=cell["cfg"].base_seed, workers=1)
-    cfg2 = PlannerConfig(runs=6, base_seed=cell["cfg"].base_seed, workers=2)
-    a = tp.run_campaign(cell["scenario"], cell["profile"],
-                        cell["scenario"].margins, cell["model"], cell["power"],
-                        cfg1, sites=cell["sites"])
-    b = tp.run_campaign(cell["scenario"], cell["profile"],
-                        cell["scenario"].margins, cell["model"], cell["power"],
-                        cfg2, sites=cell["sites"])
+    cfg = PlannerConfig(runs=6, base_seed=cell["cfg"].base_seed)
+    campaigns = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("TVWSPLAN_WORKERS", workers)
+        campaigns.append(tp.run_campaign(
+            cell["scenario"], cell["profile"], cell["scenario"].margins,
+            cell["model"], cell["power"], cfg, sites=cell["sites"]))
+    a, b = campaigns
     deterministic = [o.event_log for o in a.outcomes] == \
         [o.event_log for o in b.outcomes]
     ok = problems == 0 and deterministic

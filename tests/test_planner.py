@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 from dataclasses import replace
@@ -124,6 +125,20 @@ class TestGreedyRules:
         with pytest.raises(ValueError, match="empty"):
             plan_single_run(micro_scenario, micro_profile, micro_margins,
                             micro_model, tvws_power, CFG, 42, sites=[])
+
+    def test_repeated_site_ids_rejected(self, micro_scenario, micro_profile,
+                                        micro_margins, micro_model, micro_sites,
+                                        tvws_power):
+        # a repeated id would make the checker judge links against the wrong site
+        twin = [*micro_sites, replace(micro_sites[2], id=micro_sites[0].id)]
+        args = (micro_scenario, micro_profile, micro_margins, micro_model)
+        with pytest.raises(ValueError, match=r"repeat: \[0\]"):
+            run_campaign(*args, tvws_power, CFG, sites=twin)
+        with pytest.raises(ValueError, match=r"repeat: \[0\]"):
+            plan_single_run(*args, tvws_power, CFG, 42, sites=twin)
+        out = plan_single_run(*args, tvws_power, CFG, 42, sites=micro_sites)
+        with pytest.raises(ValueError, match=r"repeat: \[0\]"):
+            check_deployment(out, *args, CFG, twin)
 
     def test_capacity_respected(self, micro_scenario, micro_profile,
                                 micro_margins, micro_model, tvws_power):
@@ -429,7 +444,50 @@ class TestFeasibilityChecker:
             next(iter(out.deployment.active_sites))] += 5.0
         problems = check_deployment(out, micro_scenario, micro_profile,
                                     micro_margins, micro_model, CFG, micro_sites)
-        assert problems
+        assert any("served traffic disagrees with record" in p for p in problems)
+
+    @pytest.mark.parametrize("mode, tamper, verdict", [
+        ("fixed", "deactivate_a_serving_site", "assigned to inactive site"),
+        ("fixed", "move_farthest_user_to_site_0", "exceeds PL_max"),
+        ("fixed", "crowd_the_middle_site", "> capacity"),
+        ("adaptive", "crowd_the_middle_site", "airtime"),
+        ("fixed", "mark_a_served_user_uncovered", "uncovered set does not match"),
+        ("fixed", "misstate_coverage", "coverage fraction inconsistent")])
+    def test_each_tampering_gets_its_verdict(self, micro_scenario, micro_profile,
+                                             micro_margins, micro_model,
+                                             micro_sites, tvws_power, mode,
+                                             tamper, verdict):
+        # micro run at seed 42: all three sites active, 9 of 12 users served
+        cfg = PlannerConfig(mcs_mode=mode, runs=1, base_seed=42)
+        args = (micro_scenario, micro_profile, micro_margins, micro_model)
+        out = run_campaign(*args, tvws_power, cfg, sites=micro_sites).outcomes[0]
+        assert check_deployment(out, *args, cfg, micro_sites) == []
+        out = copy.deepcopy(out)
+        dep = out.deployment
+        pop = generate_population(micro_scenario.region,
+                                  micro_scenario.population, out.seed)
+        if tamper == "deactivate_a_serving_site":
+            dep.active_sites.discard(dep.assignments[min(dep.assignments)])
+        elif tamper == "move_farthest_user_to_site_0":
+            s = micro_sites[0]
+            far = max(dep.assignments, key=lambda u: math.hypot(
+                pop.xy_km[u, 0] - s.x_km, pop.xy_km[u, 1] - s.y_km))
+            dep.assignments[far] = s.id
+        elif tamper == "crowd_the_middle_site":  # 9 Mbps against 3.2
+            dep.assignments = dict.fromkeys(dep.assignments, micro_sites[1].id)
+        elif tamper == "mark_a_served_user_uncovered":
+            dep.uncovered_users.add(min(dep.assignments))
+        elif tamper == "misstate_coverage":
+            out.coverage_fraction -= 0.25
+        problems = check_deployment(out, *args, cfg, micro_sites)
+        assert any(verdict in p for p in problems), problems
+
+    def test_config_values_validated(self):
+        for bad, match in (({"runs": 0}, "runs must be >= 1"),
+                           ({"mcs_mode": "greedy"}, "mcs_mode"),
+                           ({"rebalance_scope": "everywhere"}, "rebalance_scope")):
+            with pytest.raises(ValueError, match=match):
+                PlannerConfig(**bad)
 
     def test_all_active_scope_passes_checker_and_replays(
             self, micro_scenario, micro_profile, micro_margins, micro_model,
@@ -477,15 +535,15 @@ class TestDeterminism:
     def test_worker_count_does_not_change_results(self, micro_scenario,
                                                   micro_profile, micro_margins,
                                                   micro_model, micro_sites,
-                                                  tvws_power):
-        serial = run_campaign(micro_scenario, micro_profile, micro_margins,
-                              micro_model, tvws_power,
-                              PlannerConfig(runs=6, base_seed=11, workers=1),
-                              sites=micro_sites)
-        parallel = run_campaign(micro_scenario, micro_profile, micro_margins,
-                                micro_model, tvws_power,
-                                PlannerConfig(runs=6, base_seed=11, workers=2),
-                                sites=micro_sites)
+                                                  tvws_power, monkeypatch):
+        campaigns = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("TVWSPLAN_WORKERS", workers)
+            campaigns.append(run_campaign(
+                micro_scenario, micro_profile, micro_margins, micro_model,
+                tvws_power, PlannerConfig(runs=6, base_seed=11),
+                sites=micro_sites))
+        serial, parallel = campaigns
         assert [o.event_log for o in serial.outcomes] == \
             [o.event_log for o in parallel.outcomes]
         assert serial.mean_coverage == parallel.mean_coverage

@@ -24,6 +24,8 @@ from tvwsplan.scenario import bundled_scenario
 from tvwsplan.sizing import sweep_mcs
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_micro_report.json"
+PLAN_ARTIFACTS = ("report.json", "runs.csv", "population.csv", "deployment.csv",
+                  "assignments.csv", "power.csv", "coverage_raster.csv", "map.svg")
 
 
 @pytest.fixture(scope="module")
@@ -273,8 +275,8 @@ class TestCli:
                  if l.endswith(",1")]
         assert len(lines) == 1 and lines[0].startswith("1/2 16-QAM,")
 
-    def test_plan_micro_deterministic_bytes(self, tmp_path):
-        # custom scenario file with explicit sites, one run
+    @staticmethod
+    def micro_scenario_file(tmp_path, sites) -> Path:
         scn = {
             "name": "micro-cli", "schema_version": 1,
             "region": {"outline_km": [[0, 0], [4, 0], [4, 3], [0, 3]],
@@ -285,26 +287,44 @@ class TestCli:
             "propagation": {"variant": "one_slope", "pl0_db": 108.0,
                             "d0_km": 1.0, "exponent": 3.5},
             "technology": "802.22b",
-            "sites": {"mode": "lattice", "count": 3,
-                      "jitter_fraction": 0.1, "seed": 5,
-                      "antenna_height_m": 30.0},
+            "sites": sites,
             "seeds": {"base_seed": 42},
         }
-        import yaml
         path = tmp_path / "micro.yaml"
         path.write_text(yaml.safe_dump(scn))
+        return path
+
+    def test_plan_micro_deterministic_bytes(self, tmp_path):
+        # custom scenario file with lattice sites, one run
+        path = self.micro_scenario_file(
+            tmp_path, {"mode": "lattice", "count": 3, "jitter_fraction": 0.1,
+                       "seed": 5, "antenna_height_m": 30.0})
         outa, outb = tmp_path / "a", tmp_path / "b"
         for out in (outa, outb):
             code, _, err = self.run_cli("plan", "--scenario", str(path),
                                         "--runs", "1", "--out", str(out))
             assert code == 0, err
-        for name in ("report.json", "runs.csv", "population.csv",
-                     "deployment.csv", "assignments.csv", "power.csv",
-                     "coverage_raster.csv", "map.svg"):
+        for name in PLAN_ARTIFACTS:
             assert (outa / name).read_bytes() == (outb / name).read_bytes(), name
         pop_lines = (outa / "population.csv").read_text().splitlines()
         assert pop_lines[0] == "user_id,x_km,y_km,demand_mbps"
         assert len(pop_lines) == 13  # header + 12 users
+
+    def test_plan_with_explicit_sites(self, tmp_path):
+        # listed out of id order: the candidate list keeps the file's order
+        listed = [(7, 3.2, 1.5), (2, 0.8, 1.5), (5, 2.0, 1.5)]
+        path = self.micro_scenario_file(tmp_path, {"mode": "explicit", "list": [
+            {"id": i, "x_km": x, "y_km": y} for i, x, y in listed]})
+        code, _, err = self.run_cli("plan", "--scenario", str(path),
+                                    "--runs", "2", "--out", str(tmp_path))
+        assert code == 0, err
+        rows = [l.split(",") for l in
+                (tmp_path / "deployment.csv").read_text().splitlines()
+                if not l.startswith(("#", "site_id"))]
+        assert [(int(r[0]), float(r[1]), float(r[2])) for r in rows] == listed
+        assert any(r[3] == "1" for r in rows)
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["site_count"] == 3 and report["runs"] == 2
 
     def test_plan_with_fixed_mcs_flag(self, tmp_path):
         code, out, err = self.run_cli("plan", "--env", "rural",
@@ -329,6 +349,23 @@ class TestCli:
         error = json.loads(err)["error"]
         assert error["type"] == "invalid_mcs"
         assert "7/8 256-QAM" not in error["available"]
+
+    @pytest.mark.parametrize("args, flag", [
+        (("plan", "--runs", "0"), "--runs"),
+        (("plan", "--runs", "-2"), "--runs"),
+        (("plan", "--seed", "-5"), "--seed"),
+        (("pathloss", "--step", "0"), "--step"),
+        (("pathloss", "--step", "-0.1"), "--step"),
+        (("pathloss", "--dmin", "0"), "--dmin"),
+        (("pathloss", "--dmin", "5", "--dmax", "1"), "--dmax")])
+    def test_bad_numeric_flag_is_usage_error(self, tmp_path, args, flag):
+        code, out, err = self.run_cli(*args, "--env", "suburban",
+                                      "--out", str(tmp_path))
+        assert code == 2
+        error = json.loads(err)["error"]
+        assert error["type"] == "usage" and error["flag"] == flag
+        assert flag in error["message"]
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("value", ["two", "0", ""])
     def test_bad_worker_variable_is_usage_error(self, tmp_path, monkeypatch,
@@ -367,7 +404,17 @@ class TestCli:
          "sites.jitter_fraction"),
         ({"mode": "auto_grow", "target_coverage": 1.5}, "sites.target_coverage"),
         # below the 802.22b sizing lower bound: rejected before any pilot
-        ({"mode": "auto_grow", "max_sites": 2}, "sites.max_sites")])
+        ({"mode": "auto_grow", "max_sites": 2}, "sites.max_sites"),
+        # explicit lists: a repeated id, a site 5.5 km outside the outline,
+        # a non-positive antenna height
+        ({"mode": "explicit", "list": [{"id": 0, "x_km": 8.0, "y_km": 5.0},
+                                       {"id": 0, "x_km": 9.0, "y_km": 5.0}]},
+         "sites.list"),
+        ({"mode": "explicit", "list": [{"id": 0, "x_km": 17.6, "y_km": 5.0}]},
+         "sites.list"),
+        ({"mode": "explicit", "list": [{"id": 0, "x_km": 8.0, "y_km": 5.0,
+                                        "antenna_height_m": 0.0}]},
+         "sites.list")])
     def test_bad_site_policy_is_invalid_scenario(self, tmp_path, sites, field):
         path = tmp_path / "sites.yaml"
         raw = bundled_yaml("scenarios", "ghent_suburban")
@@ -417,12 +464,24 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "pathloss.csv").exists()
 
+    def test_plan_stderr_holds_no_warnings(self, tmp_path):
+        # rural growth pilots and the raster evaluate Hata beyond 20 km; in a
+        # subprocess, since pytest would capture the warnings in process
+        proc = subprocess.run(
+            [sys.executable, "-m", "tvwsplan.cli", "plan", "--env", "rural",
+             "--runs", "2", "--out", str(tmp_path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        prov = json.loads((tmp_path / "report.json").read_text())["provenance"]
+        assert "beyond Hata validity" in prov["model_warnings"]
+
 
 class TestWorkerEnvVariable:
     def test_campaign_worker_env(self, micro_scenario_mod, monkeypatch):
         sc, prof, model, pw, sites = micro_scenario_mod
         monkeypatch.setenv("TVWSPLAN_WORKERS", "2")
-        cfg = PlannerConfig(runs=4, base_seed=9)  # workers=0 -> env var
+        cfg = PlannerConfig(runs=4, base_seed=9)
         camp = run_campaign(sc, prof, sc.margins, model, pw, cfg, sites=sites)
         monkeypatch.setenv("TVWSPLAN_WORKERS", "1")
         camp1 = run_campaign(sc, prof, sc.margins, model, pw, cfg, sites=sites)

@@ -1,6 +1,10 @@
 import dataclasses
 import functools
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from unittest import mock
 
@@ -360,7 +364,18 @@ class TestScenarioFiles:
                 ({"mode": "auto_grow", "target_coverage": -0.01},
                  "sites.target_coverage"),
                 ({"mode": "lattice", "count": 5, "jitter_fraction": -0.1},
-                 "sites.jitter_fraction")):
+                 "sites.jitter_fraction"),
+                ({"mode": "explicit", "list": [
+                    {"id": 3, "x_km": 8.0, "y_km": 5.0},
+                    {"id": 3, "x_km": 9.0, "y_km": 5.0}]}, "sites.list"),
+                ({"mode": "explicit", "list": [
+                    {"id": 0, "x_km": 17.6, "y_km": 5.0}]}, "sites.list"),
+                ({"mode": "explicit", "list": [
+                    {"id": 0, "x_km": 8.0, "y_km": 5.0, "antenna_height_m": -1}]},
+                 "sites.list"),
+                ({"mode": "explicit", "list": [
+                    {"id": 0, "x_km": 8.0, "y_km": 5.0,
+                     "antenna_height_m": float("nan")}]}, "sites.list")):
             with pytest.raises(ScenarioError) as err:
                 scenario_from_dict({**valid, "sites": sites})
             assert [e.split(":")[0] for e in err.value.errors] == [field]
@@ -492,6 +507,30 @@ class TestLattice:
                 geometry.hex_lattice_sites(outline, count, 0.3, count)
             tested = sum(len(call.args[0]) for call in test.call_args_list)
             assert tested < 250 * count, (count, tested)
+
+    def test_thin_strip_search_stays_in_bounded_memory(self):
+        # a 10 km x 10 m strip along the diagonal: its first bracket grid
+        # alone holds ~50 M points, 783 MiB of coordinates; the search must
+        # run under a 1.5 GiB address-space cap
+        code = textwrap.dedent("""
+            import math, resource
+            from tvwsplan import geometry
+            cap = 3 * 2**29
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+            across, along = 0.01 / math.sqrt(2.0), 10.0 / math.sqrt(2.0)
+            strip = ((0.0, 0.0), (along, along),
+                     (along - across, along + across), (-across, across))
+            try:
+                print(len(geometry.hex_lattice_sites(strip, 200, 0.3, 1)))
+            except ValueError as e:
+                print(e)
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=300,
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() in (
+            "200", "cannot fit requested site count inside region")
 
 
 @functools.lru_cache(maxsize=None)
