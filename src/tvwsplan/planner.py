@@ -13,9 +13,14 @@ Equal path loss breaks toward the lower site index (position in the
 candidate list).  A link costs the user's demand against the planning MCS
 bitrate in fixed mode; in adaptive mode it costs demand / rate of the
 highest-rate tier whose budget covers the link, against an airtime of 1.
-Each run sorts every user's in-range sites once and tabulates these link
-costs once, so the greedy itself never sorts; loads are still summed one
-decision at a time, in decision order.
+Each run builds one link table from the in-range (user, site) pairs only,
+ordered by (user, path loss, site index) with each link's cost beside it;
+out-of-range pairs are never sorted, costed or converted to Python objects.
+The greedy walks a user's stretch of that table and never sorts.  Each user's
+current link (its table position, hence its cost) and that link's path loss
+are kept as decisions are made, so a switch reads no cost row and the
+re-balancing pass compares one path-loss column against the current ones.
+Loads are still summed one decision at a time, in decision order.
 
 A run is strictly sequential (the greedy order is semantic).  Runs within a
 campaign are independent, seeded `base_seed + run_index`, share one budget
@@ -46,7 +51,7 @@ import numpy as np
 from .link_budget import (EnvironmentMargins, TechnologyProfile,
                           max_allowable_path_loss_db)
 from .power_energy import station_power_w
-from .propagation import PathLossModel, path_loss_array_db, path_loss_db
+from .propagation import PathLossModel, path_loss_array_db
 from .scenario import (Scenario, ScenarioError, UserPopulation,
                        generate_population)
 from .sizing import sweep_mcs
@@ -155,7 +160,8 @@ def _pl_matrix(pop: UserPopulation, sites, model: PathLossModel) -> np.ndarray:
     sy = np.array([s.y_km for s in sites])
     dx = pop.xy_km[:, 0][:, None] - sx[None, :]
     dy = pop.xy_km[:, 1][:, None] - sy[None, :]
-    dist = np.maximum(np.hypot(dx, dy), model.min_distance_km)
+    dist = np.hypot(dx, dy, out=dx)
+    np.maximum(dist, model.min_distance_km, out=dist)
     return path_loss_array_db(model, dist)
 
 
@@ -214,26 +220,34 @@ def _greedy_plan(pop, sites, budget, model, config, seed) -> RunOutcome:
     site_ids = [s.id for s in sites]
     user_ids = pop.ids.tolist()
     pl = _pl_matrix(pop, sites, model)
-    # cost[u][j], the capacity user u consumes at site j where in range, as
-    # Python floats.  Fixed mode charges the demand against the planning MCS
-    # bitrate.  Adaptive mode serves each link at the highest-rate tier whose
-    # budget covers it (the last in table order: tiers ascend in SNR and
-    # descend in range) and charges airtime, demand / rate, against 1.
-    demand = pop.demand_mbps[:, None]
+    # the link table: the in-range (user, site) pairs only, ordered by (user,
+    # path loss, site index).  numpy orders complex numbers by real, then
+    # imaginary part, so the key user + 1j * path loss sorts by (user, path
+    # loss); flatnonzero lists the pairs row by row, so the stable sort keeps
+    # equal path loss in ascending site index.
+    flat = np.flatnonzero(pl <= budget.pl_max)
+    user, site = np.divmod(flat, len(sites))
+    link_pl = pl.ravel()[flat]
+    by_user = np.argsort(user + 1j * link_pl, kind="stable")
+    link_pl = link_pl[by_user]
+    # each link's cost, the capacity its user consumes at its site.  Fixed
+    # mode charges the demand against the planning MCS bitrate.  Adaptive mode
+    # serves the link at the highest-rate tier whose budget covers it (the
+    # last in table order: tiers ascend in SNR and descend in range) and
+    # charges airtime, demand / rate, against 1.
+    cost = pop.demand_mbps[user[by_user]]
     if budget.capacity is not None:
-        capacity, cost = budget.capacity, np.broadcast_to(demand, pl.shape)
+        capacity = budget.capacity
     else:
-        rate = np.full(pl.shape, np.nan)
+        rate = np.empty_like(link_pl)
         for lim, r in budget.tiers:
-            rate[pl <= lim] = r
-        capacity, cost = 1.0, demand / rate
+            rate[link_pl <= lim] = r
+        capacity, cost = 1.0, cost / rate
     limit = capacity + 1e-9
-    cost = cost.tolist()
-    # each user's in-range sites in ascending (path loss, site index): the
-    # stable sort breaks equal path loss toward the lower index
-    in_range = (pl <= budget.pl_max).sum(axis=1).tolist()
-    reach = [row[:k] for row, k in
-             zip(np.argsort(pl, axis=1, kind="stable").tolist(), in_range)]
+    # user u's links sit at table positions first[u] .. first[u + 1] - 1
+    first = np.searchsorted(user, np.arange(n_users + 1)).tolist()
+    link_site = site[by_user].tolist()
+    link_cost = cost.tolist()
 
     order = list(range(n_users))
     if config.shuffle_user_order:
@@ -242,70 +256,76 @@ def _greedy_plan(pop, sites, budget, model, config, seed) -> RunOutcome:
     active = []                        # site indices, activation order
     is_active = [False] * len(sites)
     load = [0.0] * len(sites)          # consumed capacity, summed in order
-    site_of = np.full(n_users, -1)     # user index -> site index, -1 unserved
-    users = np.arange(n_users)
+    link_of = [-1] * n_users           # user index -> table position, -1 unserved
+    pl_cur = np.full(n_users, -np.inf) # path loss of that link, -inf unserved
     new_site_scope = config.rebalance_scope == "new_site"
     uncovered = []
     log = []
 
+    def serve(u, k):
+        link_of[u] = k
+        pl_cur[u] = link_pl[k]
+        load[link_site[k]] += link_cost[k]
+
     def rebalance(new_j):
         # one pass over connected users in ascending index; only users with
         # a strictly lower path loss to the new site (in 'all_active' scope,
-        # to any active site) can move
-        pl_cur = pl[users, site_of]
+        # to any active site) can move, and those links precede their
+        # current one in the table
         if new_site_scope:
             better = pl[:, new_j] < pl_cur
         else:
             better = (pl[:, active] < pl_cur[:, None]).any(axis=1)
-        for u in np.flatnonzero(better & (site_of >= 0)).tolist():
-            cur = int(site_of[u])
+        for u in np.flatnonzero(better).tolist():
+            cur = link_of[u]
             if new_site_scope:
-                targets = (new_j,)
+                targets = (link_site.index(new_j, first[u], cur),)
             else:
-                targets = [j for j in reach[u]
-                           if is_active[j] and pl[u, j] < pl[u, cur]]
-            for j in targets:
-                if load[j] + cost[u][j] <= limit:
-                    load[cur] -= cost[u][cur]
-                    load[j] += cost[u][j]
-                    site_of[u] = j
-                    log.append(("switch", user_ids[u], site_ids[cur], site_ids[j]))
+                targets = [k for k in range(first[u], cur)
+                           if is_active[link_site[k]] and link_pl[k] < pl_cur[u]]
+            for k in targets:
+                j = link_site[k]
+                if load[j] + link_cost[k] <= limit:
+                    load[link_site[cur]] -= link_cost[cur]
+                    serve(u, k)
+                    log.append(("switch", user_ids[u], site_ids[link_site[cur]],
+                                site_ids[j]))
                     break
                 log.append(("switch_reject", user_ids[u], site_ids[j]))
 
     for u in order:
+        links = link_site[first[u]:first[u + 1]]
         # the nearest active site with spare capacity
-        for j in reach[u]:
+        for k, j in enumerate(links, first[u]):
             if not is_active[j]:
                 continue
-            if load[j] + cost[u][j] <= limit:
-                site_of[u] = j
-                load[j] += cost[u][j]
+            if load[j] + link_cost[k] <= limit:
+                serve(u, k)
                 log.append(("connect", user_ids[u], site_ids[j]))
                 break
             log.append(("reject_capacity", user_ids[u], site_ids[j]))
         else:
             # else switch on the nearest inactive site able to serve the user
-            chosen = next((j for j in reach[u]
-                           if not is_active[j] and cost[u][j] <= limit), None)
-            if chosen is None:
+            k = next((k for k, j in enumerate(links, first[u])
+                      if not is_active[j] and link_cost[k] <= limit), None)
+            if k is None:
                 uncovered.append(u)
                 log.append(("uncovered", user_ids[u]))
                 continue
-            active.append(chosen)
-            is_active[chosen] = True
-            log.append(("activate", site_ids[chosen]))
-            site_of[u] = chosen
-            load[chosen] += cost[u][chosen]
-            log.append(("connect", user_ids[u], site_ids[chosen]))
-            rebalance(chosen)
+            j = link_site[k]
+            active.append(j)
+            is_active[j] = True
+            log.append(("activate", site_ids[j]))
+            serve(u, k)
+            log.append(("connect", user_ids[u], site_ids[j]))
+            rebalance(j)
 
     # users enter the assignment in service order, as they connect
-    served_at = site_of.tolist()
-    assign = {u: served_at[u] for u in order if served_at[u] >= 0}
+    assign = {u: link_site[link_of[u]] for u in order if link_of[u] >= 0}
+    demand = pop.demand_mbps.tolist()
     served = {site_ids[j]: 0.0 for j in active}
     for u, j in assign.items():
-        served[site_ids[j]] += float(pop.demand_mbps[u])
+        served[site_ids[j]] += demand[u]
     deployment = Deployment(
         active_sites={site_ids[j] for j in active},
         assignments={user_ids[u]: site_ids[j] for u, j in assign.items()},
@@ -445,17 +465,19 @@ def check_deployment(outcome: RunOutcome, scenario: Scenario,
     budget = _budget(scenario, profile, margins, model, config)
     pl_max, cap = budget.pl_max, budget.capacity
 
-    pos = {int(i): (float(x), float(y)) for i, (x, y) in zip(pop.ids, pop.xy_km)}
-    link_pl = {}
+    # the path loss of every link to an active site, in one array evaluation
+    row = {uid: r for r, uid in enumerate(pop.ids.tolist())}
+    linked = [(uid, site_by_id[sid]) for uid, sid in dep.assignments.items()
+              if sid in dep.active_sites]
+    xy = pop.xy_km[[row[uid] for uid, _ in linked]].reshape(-1, 2)
+    dist = np.hypot(xy[:, 0] - [s.x_km for _, s in linked],
+                    xy[:, 1] - [s.y_km for _, s in linked])
+    pls = path_loss_array_db(model, np.maximum(dist, model.min_distance_km))
+    link_pl = dict(zip([uid for uid, _ in linked], pls.tolist()))
     for uid, sid in dep.assignments.items():
         if sid not in dep.active_sites:
             problems.append(f"user {uid} assigned to inactive site {sid}")
-            continue
-        s = site_by_id[sid]
-        d = max(np.hypot(pos[uid][0] - s.x_km, pos[uid][1] - s.y_km),
-                model.min_distance_km)
-        link_pl[uid] = path_loss_db(model, d)
-        if link_pl[uid] > pl_max + 1e-6:
+        elif link_pl[uid] > pl_max + 1e-6:
             problems.append(f"user {uid} at site {sid} exceeds PL_max")
 
     served = {sid: 0.0 for sid in dep.active_sites}

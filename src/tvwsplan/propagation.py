@@ -125,7 +125,14 @@ def path_loss_array_db(model: PathLossModel, distances_km) -> np.ndarray:
             f"({HATA_MAX_DISTANCE_KM} km); values extrapolated",
             ModelValidityWarning, stacklevel=2)
     a, b, d0 = _coefficients(model)
-    return a + b * np.log10(np.maximum(d, model.min_distance_km) / d0) + model.offset_db
+    # a + b*log10(max(d, floor)/d0) + offset_db, evaluated in one fresh array
+    pl = np.maximum(d, model.min_distance_km, out=np.empty_like(d))
+    pl /= d0
+    np.log10(pl, out=pl)
+    pl *= b
+    pl += a
+    pl += model.offset_db
+    return pl
 
 
 def invert_range_km(model: PathLossModel, pl_max_db: float) -> float:

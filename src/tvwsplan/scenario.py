@@ -298,6 +298,11 @@ class Scenario:
 
     def digest(self) -> str:
         """Stable content hash used in report provenance."""
+        return self._digest
+
+    @functools.cached_property
+    def _digest(self) -> str:
+        # computed once per scenario: one yaml dump costs milliseconds
         payload = {
             "name": self.name, "environment": self.environment,
             "outline": [[round(x, 9), round(y, 9)] for x, y in self.region.outline],
@@ -349,6 +354,8 @@ def _parse_sites(cfg: dict, region: Region | None, errors: list) -> SitePolicy |
               antenna_height_m=float(cfg.get("antenna_height_m", 30.0)))
     if not kw["jitter_fraction"] >= 0.0:
         errors.append(f"sites.jitter_fraction: must be >= 0, got {kw['jitter_fraction']}")
+    if kw["seed"] < 0:
+        errors.append(f"sites.seed: must be >= 0, got {kw['seed']}")
     if mode == "explicit":
         raw = cfg.get("list") or []
         if not raw:
@@ -449,6 +456,8 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
     technology = str(raw.get("technology", "802.22b"))
     seeds = raw.get("seeds") or {}
     base_seed = int(seeds.get("base_seed", 1000))
+    if base_seed < 0:
+        errors.append(f"seeds.base_seed: must be >= 0, got {base_seed}")
 
     if errors:
         raise ScenarioError(errors)

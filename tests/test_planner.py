@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tvwsplan import planner
 from tvwsplan.link_budget import (EnvironmentMargins, McsEntry,
@@ -311,6 +311,36 @@ def greedy_layouts(draw):
     return sites, manual_population(positions, demands), label, seed
 
 
+@st.composite
+def sparse_layouts(draw):
+    """Layouts shaped like the dense-lattice benchmark: 40-64 sites of a
+    2.5 km grid over about 20 km, a few repeated (exact path-loss ties), and
+    users who each have 0-4 sites in range under the lowest tier's 2.2 km.
+    Users sit anywhere, in a 5 km hot spot (so that they compete for a few
+    sites), on a site (the distance floor ties them) or midway between two
+    grid neighbours (equal distance to both)."""
+    grid = [(2.5 * i, 2.5 * j) for i in range(8) for j in range(8)]
+    dropped = draw(st.sets(st.sampled_from(grid), max_size=24))
+    coords = [p for p in grid if p not in dropped]
+    coords += draw(st.lists(st.sampled_from(coords), max_size=4))
+    coords = draw(st.permutations(coords))
+    ids = draw(st.permutations(range(100, 100 + len(coords))))
+    sites = [CandidateSite(i, x, y, 30.0) for i, (x, y) in zip(ids, coords)]
+    midway = st.tuples(st.integers(0, 6), st.integers(0, 7)).map(
+        lambda p: (2.5 * p[0] + 1.25, 2.5 * p[1]))
+    hx, hy = draw(st.tuples(st.floats(0.0, 12.5), st.floats(0.0, 12.5)))
+    user = st.one_of(st.tuples(st.floats(-1.0, 18.5), st.floats(-1.0, 18.5)),
+                     st.tuples(st.floats(hx, hx + 5.0), st.floats(hy, hy + 5.0)),
+                     st.sampled_from(coords), midway)
+    n_users = draw(st.integers(0, 120))
+    positions = draw(st.lists(user, min_size=n_users, max_size=n_users))
+    demands = draw(st.lists(st.sampled_from(DEMANDS), min_size=n_users,
+                            max_size=n_users))
+    label = draw(st.sampled_from([m.label for m in TIERED.mcs_table]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return sites, manual_population(positions, demands), label, seed
+
+
 def assert_same_run(got, want):
     assert repr(got.event_log) == repr(want.event_log)
     assert got == want
@@ -320,41 +350,64 @@ def assert_same_run(got, want):
             list(getattr(want.deployment, field).items())
 
 
+def assert_kernel_equals_oracle(layout, scenario, margins, power_params):
+    """Kernel and former loop agree in both MCS modes, both rebalance scopes
+    and with the user order shuffled or not."""
+    sites, pop, label, seed = layout
+    model = one_slope(108.0, 1.0, 3.5)
+    for mode, scope, shuffle in itertools.product(
+            ("fixed", "adaptive"), ("new_site", "all_active"), (False, True)):
+        cfg = PlannerConfig(runs=1, mcs_mode=mode, rebalance_scope=scope,
+                            shuffle_user_order=shuffle)
+        args = (pop, sites, TIERED, margins, model, power_params, cfg,
+                label, seed)
+        assert_same_run(greedy(scenario, *args), greedy_plan_oracle(*args))
+
+
+def event_kinds(layouts, scenario, margins, power_params) -> set:
+    """The event kinds that 50 derandomised draws of `layouts` produce."""
+    kinds = set()
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(layout=layouts)
+    def collect(layout):
+        sites, pop, label, seed = layout
+        for mode in ("fixed", "adaptive"):
+            cfg = PlannerConfig(runs=1, mcs_mode=mode)
+            out = greedy(scenario, pop, sites, TIERED, margins,
+                         one_slope(108.0, 1.0, 3.5), power_params, cfg,
+                         label, seed)
+            kinds.update(e[0] for e in out.event_log)
+
+    collect()
+    return kinds
+
+
 class TestGreedyKernelOracle:
     @settings(max_examples=150, deadline=None)
     @given(layout=greedy_layouts())
     def test_kernel_equals_former_loop(self, layout, micro_scenario,
                                        micro_margins, tvws_power):
-        sites, pop, label, seed = layout
-        model = one_slope(108.0, 1.0, 3.5)
-        for mode, scope, shuffle in itertools.product(
-                ("fixed", "adaptive"), ("new_site", "all_active"), (False, True)):
-            cfg = PlannerConfig(runs=1, mcs_mode=mode, rebalance_scope=scope,
-                                shuffle_user_order=shuffle)
-            args = (pop, sites, TIERED, micro_margins, model, tvws_power, cfg,
-                    label, seed)
-            assert_same_run(greedy(micro_scenario, *args),
-                            greedy_plan_oracle(*args))
+        assert_kernel_equals_oracle(layout, micro_scenario, micro_margins,
+                                    tvws_power)
+
+    @settings(max_examples=50, deadline=None)
+    @given(layout=sparse_layouts())
+    @example(layout=([CandidateSite(100 + i, 2.5 * i, 0.0, 30.0) for i in range(8)],
+                     manual_population([], []), "low", 0))
+    def test_kernel_equals_former_loop_on_sparse_reach(
+            self, layout, micro_scenario, micro_margins, tvws_power):
+        assert_kernel_equals_oracle(layout, micro_scenario, micro_margins,
+                                    tvws_power)
 
     def test_layouts_reach_every_event_kind(self, micro_scenario, micro_margins,
                                             tvws_power):
         # the drawn layouts exercise each decision the kernel makes
-        kinds = set()
-
-        @settings(max_examples=50, deadline=None, derandomize=True)
-        @given(layout=greedy_layouts())
-        def collect(layout):
-            sites, pop, label, seed = layout
-            for mode in ("fixed", "adaptive"):
-                cfg = PlannerConfig(runs=1, mcs_mode=mode)
-                out = greedy(micro_scenario, pop, sites, TIERED, micro_margins,
-                             one_slope(108.0, 1.0, 3.5), tvws_power, cfg,
-                             label, seed)
-                kinds.update(e[0] for e in out.event_log)
-
-        collect()
-        assert kinds == {"connect", "reject_capacity", "activate", "switch",
-                         "switch_reject", "uncovered"}
+        for layouts in (greedy_layouts(), sparse_layouts()):
+            assert event_kinds(layouts, micro_scenario, micro_margins,
+                               tvws_power) == {
+                "connect", "reject_capacity", "activate", "switch",
+                "switch_reject", "uncovered"}
 
 
 class TestBruteForceOracle:

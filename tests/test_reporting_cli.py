@@ -12,7 +12,7 @@ import yaml
 from tvwsplan.cli import main as cli_main
 from tvwsplan.link_budget import (bundled_yaml, load_technology,
                                   max_allowable_path_loss_db)
-from tvwsplan.planner import Deployment, PlannerConfig, RunOutcome, run_campaign
+from tvwsplan.planner import Deployment, PlannerConfig, RunOutcome
 from tvwsplan.power_energy import load_power_params
 from tvwsplan.propagation import (ModelValidityWarning, okumura_hata_rural,
                                   one_slope, path_loss_db)
@@ -414,7 +414,8 @@ class TestCli:
          "sites.list"),
         ({"mode": "explicit", "list": [{"id": 0, "x_km": 8.0, "y_km": 5.0,
                                         "antenna_height_m": 0.0}]},
-         "sites.list")])
+         "sites.list"),
+        ({"mode": "lattice", "count": 9, "seed": -3}, "sites.seed")])
     def test_bad_site_policy_is_invalid_scenario(self, tmp_path, sites, field):
         path = tmp_path / "sites.yaml"
         raw = bundled_yaml("scenarios", "ghent_suburban")
@@ -425,6 +426,17 @@ class TestCli:
         error = json.loads(err)["error"]
         assert error["type"] == "invalid_scenario"
         assert [f.split(":")[0] for f in error["fields"]] == [field]
+
+    def test_negative_base_seed_is_invalid_scenario(self, tmp_path):
+        path = tmp_path / "seeds.yaml"
+        raw = bundled_yaml("scenarios", "ghent_suburban")
+        path.write_text(yaml.safe_dump({**raw, "seeds": {"base_seed": -5}}))
+        code, out, err = self.run_cli("plan", "--scenario", str(path), "--runs", "1",
+                                      "--out", str(tmp_path))
+        assert code == 2
+        error = json.loads(err)["error"]
+        assert error["type"] == "invalid_scenario"
+        assert [f.split(":")[0] for f in error["fields"]] == ["seeds.base_seed"]
 
     def test_unknown_technology_error(self, tmp_path):
         code, out, err = self.run_cli("coverage", "--env", "rural",
@@ -475,15 +487,3 @@ class TestCli:
         assert proc.stderr == ""
         prov = json.loads((tmp_path / "report.json").read_text())["provenance"]
         assert "beyond Hata validity" in prov["model_warnings"]
-
-
-class TestWorkerEnvVariable:
-    def test_campaign_worker_env(self, micro_scenario_mod, monkeypatch):
-        sc, prof, model, pw, sites = micro_scenario_mod
-        monkeypatch.setenv("TVWSPLAN_WORKERS", "2")
-        cfg = PlannerConfig(runs=4, base_seed=9)
-        camp = run_campaign(sc, prof, sc.margins, model, pw, cfg, sites=sites)
-        monkeypatch.setenv("TVWSPLAN_WORKERS", "1")
-        camp1 = run_campaign(sc, prof, sc.margins, model, pw, cfg, sites=sites)
-        assert [o.event_log for o in camp.outcomes] == \
-            [o.event_log for o in camp1.outcomes]

@@ -375,10 +375,16 @@ class TestScenarioFiles:
                  "sites.list"),
                 ({"mode": "explicit", "list": [
                     {"id": 0, "x_km": 8.0, "y_km": 5.0,
-                     "antenna_height_m": float("nan")}]}, "sites.list")):
+                     "antenna_height_m": float("nan")}]}, "sites.list"),
+                ({"mode": "lattice", "count": 5, "seed": -1}, "sites.seed")):
             with pytest.raises(ScenarioError) as err:
                 scenario_from_dict({**valid, "sites": sites})
             assert [e.split(":")[0] for e in err.value.errors] == [field]
+
+        # a negative seed is an itemised error, not a failure of the generator
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict({**valid, "seeds": {"base_seed": -5}})
+        assert [e.split(":")[0] for e in err.value.errors] == ["seeds.base_seed"]
 
     def test_model_follows_technology_frequency(self):
         rur = bundled_scenario("boyeros_rural")
@@ -395,6 +401,17 @@ class TestScenarioFiles:
         b = bundled_scenario("ghent_suburban")
         assert a.digest() == b.digest()
         assert a.digest() != bundled_scenario("boyeros_rural").digest()
+
+    def test_digest_computed_once_per_scenario(self):
+        sc = bundled_scenario("ghent_suburban")
+        with mock.patch.object(scenario.yaml, "safe_dump",
+                               wraps=yaml.safe_dump) as dump:
+            assert sc.digest() == sc.digest()
+            assert dump.call_count == 1
+            # a changed copy hashes its own content
+            other = dataclasses.replace(sc, base_seed=sc.base_seed + 1)
+            assert other.digest() != sc.digest()
+            assert dump.call_count == 2
 
 
 BATTERY_CELLS = [(env, name, tech, mimo)
