@@ -10,23 +10,22 @@ Users with no feasible site are counted uncovered; the run ends when all
 users have been evaluated.
 
 Equal path loss breaks toward the lower site index (position in the
-candidate list).  A link costs the user's demand against the planning MCS
-bitrate in fixed mode; in adaptive mode it costs demand / rate of the
-highest-rate tier whose budget covers the link, against an airtime of 1.
+candidate list).  Every link is planned at one MCS: a user costs its demand
+against that MCS's bitrate at whichever site serves it.
 Each run builds one link table from the in-range (user, site) pairs only,
-ordered by (user, path loss, site index) with each link's cost beside it;
-out-of-range pairs are never sorted, costed or converted to Python objects.
-The greedy walks a user's stretch of that table and never sorts.  Each user's
-current link (its table position, hence its cost) and that link's path loss
-are kept as decisions are made, so a switch reads no cost row and the
-re-balancing pass compares one path-loss column against the current ones.
+ordered by (user, path loss, site index); out-of-range pairs are never sorted
+or converted to Python objects.  The greedy walks a user's stretch of that
+table and never sorts.  Each user's current link (its table position) and
+that link's path loss are kept as decisions are made, so the re-balancing
+pass compares one path-loss column against the current ones.
 Loads are still summed one decision at a time, in decision order.
 
 A run is strictly sequential (the greedy order is semantic).  Runs within a
 campaign are independent, seeded `base_seed + run_index`, share one budget
 (`_budget`) and may execute in parallel, in as many processes as
-TVWSPLAN_WORKERS names; aggregation is order-insensitive.  Every active site
-draws one station's power, `power_energy.station_power_w` of the profile.
+TVWSPLAN_WORKERS names but never more than there are runs; aggregation is
+order-insensitive.  Every active site draws one station's power,
+`power_energy.station_power_w` of the profile.
 Candidate site ids must be unique: campaigns, single runs and the checker
 raise ValueError on a repeated id.
 
@@ -74,29 +73,19 @@ __all__ = [
 class PlannerConfig:
     """Campaign controls.
 
-    mcs_mode "fixed" plans every link at `mcs_label` (empty string selects
-    the sizing sweep optimum); "adaptive" serves each user at the best MCS
-    its path loss supports, charging airtime instead of bitrate.
-    `rebalance_scope` is "new_site" (moves toward the newly activated site
-    only) or "all_active" (any active site).  `mimo` must equal
-    `profile.mimo`: campaigns and the checker reject a config that disagrees.
+    Every link is planned at `mcs_label` (empty string selects the sizing
+    sweep optimum).  `mimo` must equal `profile.mimo`: campaigns and the
+    checker reject a config that disagrees.
     """
 
-    mcs_mode: str = "fixed"
     mcs_label: str = ""
     runs: int = 40
     base_seed: int = 1000
     mimo: bool = False
-    rebalance_scope: str = "new_site"
-    shuffle_user_order: bool = False  # robustness experiments only
 
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
-        if self.mcs_mode not in ("fixed", "adaptive"):
-            raise ValueError("mcs_mode must be 'fixed' or 'adaptive'")
-        if self.rebalance_scope not in ("new_site", "all_active"):
-            raise ValueError("rebalance_scope must be 'new_site' or 'all_active'")
 
 
 @dataclass
@@ -144,14 +133,13 @@ class CampaignResult:
 
 @dataclass(frozen=True)
 class _Budget:
-    """What one campaign plans against, built by `_budget`: `capacity` in fixed
-    mode, `tiers` ((pl_max, rate) per deployable MCS, table order) in adaptive
-    mode, and `station_w`, one station's draw (None without power data)."""
+    """What one campaign plans against, built by `_budget`: the planning MCS,
+    its `pl_max` and `capacity` (its bitrate), and `station_w`, one station's
+    draw (None without power data)."""
 
     mcs_label: str
     pl_max: float
-    capacity: float | None = None
-    tiers: tuple = ()
+    capacity: float
     station_w: float | None = None
 
 
@@ -175,13 +163,13 @@ def env_workers() -> int:
 
 def _budget(scenario, profile, margins, model, config, power_params=None,
             rows=None) -> _Budget:
-    """The budget of one campaign from its own arguments.  Its MCS is the
-    fixed-mode label if set, else the optimum of the sizing sweep `rows` (swept
-    here if not given); its station draw is `station_power_w` of the profile."""
+    """The budget of one campaign from its own arguments.  Its MCS is
+    `config.mcs_label` if set, else the optimum of the sizing sweep `rows`
+    (swept here if not given); its station draw is `station_power_w` of the
+    profile."""
     if config.mimo != profile.mimo:
         raise ValueError(f"PlannerConfig.mimo={config.mimo} disagrees with the profile")
-    fixed = config.mcs_mode == "fixed"
-    if fixed and config.mcs_label:
+    if config.mcs_label:
         mcs = profile.mcs(config.mcs_label)
         if not mcs.deployable:
             raise ValueError(f"MCS {mcs.label!r} is not deployable on "
@@ -195,14 +183,8 @@ def _budget(scenario, profile, margins, model, config, power_params=None,
     if power_params is not None:
         station_w = station_power_w(profile.power_model, profile.n_transmitters,
                                     power_params)
-    if fixed:
-        return _Budget(mcs.label, max_allowable_path_loss_db(profile, margins, mcs),
-                       mcs.bitrate_at(profile.bandwidth_mhz), station_w=station_w)
-    tiers = tuple((max_allowable_path_loss_db(profile, margins, m),
-                   m.bitrate_at(profile.bandwidth_mhz))
-                  for m in profile.deployable_mcs())
-    return _Budget(mcs.label, max(t[0] for t in tiers), tiers=tiers,
-                   station_w=station_w)
+    return _Budget(mcs.label, max_allowable_path_loss_db(profile, margins, mcs),
+                   mcs.bitrate_at(profile.bandwidth_mhz), station_w)
 
 
 def plan_single_run(scenario: Scenario, profile: TechnologyProfile,
@@ -212,10 +194,10 @@ def plan_single_run(scenario: Scenario, profile: TechnologyProfile,
     """One greedy deployment for the user population drawn with `seed`."""
     sites = _sites_for(scenario, sites)
     budget = _budget(scenario, profile, margins, model, config, power_params)
-    return _run_one(scenario, sites, budget, model, config, seed)
+    return _run_one(scenario, sites, budget, model, seed)
 
 
-def _greedy_plan(pop, sites, budget, model, config, seed) -> RunOutcome:
+def _greedy_plan(pop, sites, budget, model, seed) -> RunOutcome:
     n_users = len(pop)
     site_ids = [s.id for s in sites]
     user_ids = pop.ids.tolist()
@@ -230,76 +212,47 @@ def _greedy_plan(pop, sites, budget, model, config, seed) -> RunOutcome:
     link_pl = pl.ravel()[flat]
     by_user = np.argsort(user + 1j * link_pl, kind="stable")
     link_pl = link_pl[by_user]
-    # each link's cost, the capacity its user consumes at its site.  Fixed
-    # mode charges the demand against the planning MCS bitrate.  Adaptive mode
-    # serves the link at the highest-rate tier whose budget covers it (the
-    # last in table order: tiers ascend in SNR and descend in range) and
-    # charges airtime, demand / rate, against 1.
-    cost = pop.demand_mbps[user[by_user]]
-    if budget.capacity is not None:
-        capacity = budget.capacity
-    else:
-        rate = np.empty_like(link_pl)
-        for lim, r in budget.tiers:
-            rate[link_pl <= lim] = r
-        capacity, cost = 1.0, cost / rate
-    limit = capacity + 1e-9
     # user u's links sit at table positions first[u] .. first[u + 1] - 1
     first = np.searchsorted(user, np.arange(n_users + 1)).tolist()
     link_site = site[by_user].tolist()
-    link_cost = cost.tolist()
-
-    order = list(range(n_users))
-    if config.shuffle_user_order:
-        np.random.Generator(np.random.PCG64(seed ^ 0x5EED)).shuffle(order)
+    # a user consumes its demand of the capacity at whichever site serves it
+    demand = pop.demand_mbps.tolist()
+    limit = budget.capacity + 1e-9
 
     active = []                        # site indices, activation order
     is_active = [False] * len(sites)
     load = [0.0] * len(sites)          # consumed capacity, summed in order
     link_of = [-1] * n_users           # user index -> table position, -1 unserved
     pl_cur = np.full(n_users, -np.inf) # path loss of that link, -inf unserved
-    new_site_scope = config.rebalance_scope == "new_site"
     uncovered = []
     log = []
 
     def serve(u, k):
         link_of[u] = k
         pl_cur[u] = link_pl[k]
-        load[link_site[k]] += link_cost[k]
+        load[link_site[k]] += demand[u]
 
     def rebalance(new_j):
         # one pass over connected users in ascending index; only users with
-        # a strictly lower path loss to the new site (in 'all_active' scope,
-        # to any active site) can move, and those links precede their
-        # current one in the table
-        if new_site_scope:
-            better = pl[:, new_j] < pl_cur
-        else:
-            better = (pl[:, active] < pl_cur[:, None]).any(axis=1)
-        for u in np.flatnonzero(better).tolist():
-            cur = link_of[u]
-            if new_site_scope:
-                targets = (link_site.index(new_j, first[u], cur),)
+        # a strictly lower path loss to the new site can move, and that link
+        # precedes their current one in the table
+        for u in np.flatnonzero(pl[:, new_j] < pl_cur).tolist():
+            if load[new_j] + demand[u] <= limit:
+                cur = link_of[u]
+                load[link_site[cur]] -= demand[u]
+                serve(u, link_site.index(new_j, first[u], cur))
+                log.append(("switch", user_ids[u], site_ids[link_site[cur]],
+                            site_ids[new_j]))
             else:
-                targets = [k for k in range(first[u], cur)
-                           if is_active[link_site[k]] and link_pl[k] < pl_cur[u]]
-            for k in targets:
-                j = link_site[k]
-                if load[j] + link_cost[k] <= limit:
-                    load[link_site[cur]] -= link_cost[cur]
-                    serve(u, k)
-                    log.append(("switch", user_ids[u], site_ids[link_site[cur]],
-                                site_ids[j]))
-                    break
-                log.append(("switch_reject", user_ids[u], site_ids[j]))
+                log.append(("switch_reject", user_ids[u], site_ids[new_j]))
 
-    for u in order:
+    for u in range(n_users):
         links = link_site[first[u]:first[u + 1]]
         # the nearest active site with spare capacity
         for k, j in enumerate(links, first[u]):
             if not is_active[j]:
                 continue
-            if load[j] + link_cost[k] <= limit:
+            if load[j] + demand[u] <= limit:
                 serve(u, k)
                 log.append(("connect", user_ids[u], site_ids[j]))
                 break
@@ -307,8 +260,8 @@ def _greedy_plan(pop, sites, budget, model, config, seed) -> RunOutcome:
         else:
             # else switch on the nearest inactive site able to serve the user
             k = next((k for k, j in enumerate(links, first[u])
-                      if not is_active[j] and link_cost[k] <= limit), None)
-            if k is None:
+                      if not is_active[j]), None)
+            if k is None or demand[u] > limit:
                 uncovered.append(u)
                 log.append(("uncovered", user_ids[u]))
                 continue
@@ -320,9 +273,8 @@ def _greedy_plan(pop, sites, budget, model, config, seed) -> RunOutcome:
             log.append(("connect", user_ids[u], site_ids[j]))
             rebalance(j)
 
-    # users enter the assignment in service order, as they connect
-    assign = {u: link_site[link_of[u]] for u in order if link_of[u] >= 0}
-    demand = pop.demand_mbps.tolist()
+    # users enter the assignment in service order, ascending index
+    assign = {u: link_site[link_of[u]] for u in range(n_users) if link_of[u] >= 0}
     served = {site_ids[j]: 0.0 for j in active}
     for u, j in assign.items():
         served[site_ids[j]] += demand[u]
@@ -366,9 +318,9 @@ def _site_index(sites) -> dict:
     return index
 
 
-def _run_one(scenario, sites, budget, model, config, seed):
+def _run_one(scenario, sites, budget, model, seed):
     pop = generate_population(scenario.region, scenario.population, seed)
-    return _greedy_plan(pop, sites, budget, model, config, seed)
+    return _greedy_plan(pop, sites, budget, model, seed)
 
 
 def run_campaign(scenario: Scenario, profile: TechnologyProfile,
@@ -385,9 +337,10 @@ def run_campaign(scenario: Scenario, profile: TechnologyProfile,
 
 def _campaign(scenario, sites, budget, model, config) -> CampaignResult:
     seeds = range(config.base_seed, config.base_seed + config.runs)
-    run = functools.partial(_run_one, scenario, sites, budget, model, config)
-    workers = env_workers()
-    if workers > 1 and config.runs > 1:
+    run = functools.partial(_run_one, scenario, sites, budget, model)
+    # with fork, a pool starts all max_workers processes at the first submit
+    workers = min(env_workers(), config.runs)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run, seeds))
     else:
@@ -481,18 +434,11 @@ def check_deployment(outcome: RunOutcome, scenario: Scenario,
             problems.append(f"user {uid} at site {sid} exceeds PL_max")
 
     served = {sid: 0.0 for sid in dep.active_sites}
-    airtime = {sid: 0.0 for sid in dep.active_sites}
     for uid, sid in dep.assignments.items():
         served[sid] = served.get(sid, 0.0) + demand[uid]
-        # adaptive mode: airtime at the highest-rate tier covering the link
-        rates = [r for lim, r in budget.tiers if link_pl.get(uid, np.inf) <= lim]
-        if rates:
-            airtime[sid] = airtime.get(sid, 0.0) + demand[uid] / rates[-1]
     for sid, s_mbps in served.items():
-        if cap is not None and s_mbps > cap + 1e-6:
+        if s_mbps > cap + 1e-6:
             problems.append(f"site {sid} serves {s_mbps:.3f} Mbps > capacity {cap}")
-        if cap is None and airtime.get(sid, 0.0) > 1.0 + 1e-6:
-            problems.append(f"site {sid} airtime {airtime[sid]:.4f} exceeds 1")
         if abs(s_mbps - dep.per_site_served_mbps.get(sid, -1.0)) > 1e-6:
             problems.append(f"site {sid} served traffic disagrees with record")
 

@@ -38,10 +38,10 @@ def manual_population(positions, demands):
 def greedy(scenario, pop, sites, profile, margins, model, power_params, config,
            mcs_label, seed) -> RunOutcome:
     """`_greedy_plan` against the budget a campaign of `scenario` resolves,
-    with `mcs_label` as the fixed-mode label."""
+    with `mcs_label` as the planning MCS."""
     budget = _budget(scenario, profile, margins, model,
                      replace(config, mcs_label=mcs_label), power_params)
-    return _greedy_plan(pop, sites, budget, model, config, seed)
+    return _greedy_plan(pop, sites, budget, model, seed)
 
 
 def profile_with_capacity(cap_mbps):
@@ -87,27 +87,21 @@ class TestGreedyRules:
         assert out.deployment.assignments == {0: 0, 1: 1, 2: 1}
         assert ("switch", 1, 0, 1) in out.event_log
 
-    def test_all_active_scope_moves_user_to_already_active_site(
+    def test_rebalance_moves_users_toward_the_new_site_only(
             self, micro_scenario, micro_margins, micro_model, tvws_power):
         # capacity 2, sites A(0) B(1) C(2) on a line.  user0 opens B; user1
         # joins B although the inactive C is closer; user2 finds B full and
-        # opens A; user3 opens C.  Both scopes then move user1 from B to C,
-        # which frees B; only "all_active" also moves user2 from A to B.
+        # opens A; user3 opens C.  Re-balancing then moves user1 from B to C,
+        # which frees B, but user2 stays on A: B is not the new site.
         prof = profile_with_capacity(2.0)
         sites = [CandidateSite(0, 0.0, 1.5, 30.0), CandidateSite(1, 1.0, 1.5, 30.0),
                  CandidateSite(2, 2.0, 1.5, 30.0)]
         pop = manual_population([(1.0, 1.5), (1.6, 1.5), (0.7, 1.5), (2.3, 1.5)],
                                 [1.0] * 4)
-        outs = {}
-        for scope in ("new_site", "all_active"):
-            cfg = PlannerConfig(runs=1, base_seed=42, rebalance_scope=scope)
-            outs[scope] = greedy(micro_scenario, pop, sites, prof,
-                                 micro_margins, micro_model, tvws_power, cfg,
-                                 "1/2 QPSK", 0)
-        assert outs["new_site"].deployment.assignments == {0: 1, 1: 2, 2: 0, 3: 2}
-        assert outs["all_active"].deployment.assignments == {0: 1, 1: 2, 2: 1, 3: 2}
-        assert ("switch", 2, 0, 1) in outs["all_active"].event_log
-        assert ("switch", 2, 0, 1) not in outs["new_site"].event_log
+        out = greedy(micro_scenario, pop, sites, prof, micro_margins,
+                     micro_model, tvws_power, CFG, "1/2 QPSK", 0)
+        assert out.deployment.assignments == {0: 1, 1: 2, 2: 0, 3: 2}
+        assert ("switch", 2, 0, 1) not in out.event_log
 
     def test_uncovered_when_out_of_range(self, micro_scenario, micro_profile,
                                          micro_margins, tvws_power):
@@ -153,7 +147,7 @@ class TestGreedyRules:
 
 
 def greedy_plan_oracle(pop, sites, profile, margins, model, power_params,
-                       config, mcs_label, seed) -> RunOutcome:
+                       mcs_label, seed) -> RunOutcome:
     """The former per-user loop of `planner._greedy_plan`, kept as the
     reference: it sorts the active sites for every user and scans lists."""
     n_users = len(pop)
@@ -161,34 +155,14 @@ def greedy_plan_oracle(pop, sites, profile, margins, model, power_params,
     site_ids = [s.id for s in sites]
     pl = _pl_matrix(pop, sites, model)
 
-    fixed = config.mcs_mode == "fixed"
-    if fixed:
-        mcs = profile.mcs(mcs_label)
-        pl_max = max_allowable_path_loss_db(profile, margins, mcs)
-        capacity = mcs.bitrate_at(profile.bandwidth_mhz)
-    else:
-        tiers = [(m, max_allowable_path_loss_db(profile, margins, m),
-                  m.bitrate_at(profile.bandwidth_mhz))
-                 for m in profile.deployable_mcs()]
-        pl_max = max(t[1] for t in tiers)
-        capacity = 1.0
+    mcs = profile.mcs(mcs_label)
+    pl_max = max_allowable_path_loss_db(profile, margins, mcs)
+    capacity = mcs.bitrate_at(profile.bandwidth_mhz)
 
     def link_cost(u, j):
         if pl[u, j] > pl_max:
             return None
-        if fixed:
-            return float(pop.demand_mbps[u])
-        best = None
-        for m, lim, rate in tiers:
-            if pl[u, j] <= lim:
-                best = rate
-        if best is None:
-            return None
-        return float(pop.demand_mbps[u]) / best
-
-    order = list(range(n_users))
-    if config.shuffle_user_order:
-        np.random.Generator(np.random.PCG64(seed ^ 0x5EED)).shuffle(order)
+        return float(pop.demand_mbps[u])
 
     active = []
     load = np.zeros(n_sites)
@@ -211,26 +185,24 @@ def greedy_plan_oracle(pop, sites, profile, margins, model, power_params,
             log.append(("reject_capacity", int(pop.ids[u]), site_ids[j]))
         return False
 
-    def rebalance(new_j):
-        targets = [new_j] if config.rebalance_scope == "new_site" else list(active)
+    def rebalance(j):
         for u in sorted(assign):
             cur = assign[u]
-            for j in sorted(targets, key=lambda j: (pl[u, j], j)):
-                if j == cur or pl[u, j] >= pl[u, cur]:
-                    continue
-                cost = link_cost(u, j)
-                if cost is None:
-                    continue
-                if load[j] + cost <= capacity + 1e-9:
-                    old_cost = link_cost(u, cur)
-                    load[cur] -= old_cost
-                    load[j] += cost
-                    assign[u] = j
-                    log.append(("switch", int(pop.ids[u]), site_ids[cur], site_ids[j]))
-                    break
+            if j == cur or pl[u, j] >= pl[u, cur]:
+                continue
+            cost = link_cost(u, j)
+            if cost is None:
+                continue
+            if load[j] + cost <= capacity + 1e-9:
+                old_cost = link_cost(u, cur)
+                load[cur] -= old_cost
+                load[j] += cost
+                assign[u] = j
+                log.append(("switch", int(pop.ids[u]), site_ids[cur], site_ids[j]))
+            else:
                 log.append(("switch_reject", int(pop.ids[u]), site_ids[j]))
 
-    for u in order:
+    for u in range(n_users):
         if try_connect(u):
             continue
         chosen = None
@@ -280,8 +252,8 @@ TIERED = TechnologyProfile(
     rx_antenna_gain_db=0.0, rx_feeder_loss_db=0.0, rx_noise_figure_db=5.0,
     mcs_table=(McsEntry("low", 6.0, {1: 3.2}), McsEntry("mid", 12.0, {1: 6.4}),
                McsEntry("top", 18.0, {1: 9.6})))
-# near the 3.2 / 6.4 / 9.6 Mbps capacities and 1.0 airtime, so that
-# reject_capacity, switch and switch_reject all occur
+# near the 3.2 / 6.4 / 9.6 Mbps capacities, so that reject_capacity, switch
+# and switch_reject all occur
 DEMANDS = (0.064, 0.5, 1.0, 1.6, 2.1, 3.1, 3.2, 3.3, 4.8, 6.4, 9.6, 9.7)
 
 
@@ -351,17 +323,14 @@ def assert_same_run(got, want):
 
 
 def assert_kernel_equals_oracle(layout, scenario, margins, power_params):
-    """Kernel and former loop agree in both MCS modes, both rebalance scopes
-    and with the user order shuffled or not."""
+    """Kernel and former loop agree at the layout's planning MCS."""
     sites, pop, label, seed = layout
     model = one_slope(108.0, 1.0, 3.5)
-    for mode, scope, shuffle in itertools.product(
-            ("fixed", "adaptive"), ("new_site", "all_active"), (False, True)):
-        cfg = PlannerConfig(runs=1, mcs_mode=mode, rebalance_scope=scope,
-                            shuffle_user_order=shuffle)
-        args = (pop, sites, TIERED, margins, model, power_params, cfg,
-                label, seed)
-        assert_same_run(greedy(scenario, *args), greedy_plan_oracle(*args))
+    assert_same_run(
+        greedy(scenario, pop, sites, TIERED, margins, model, power_params, CFG,
+               label, seed),
+        greedy_plan_oracle(pop, sites, TIERED, margins, model, power_params,
+                           label, seed))
 
 
 def event_kinds(layouts, scenario, margins, power_params) -> set:
@@ -372,12 +341,9 @@ def event_kinds(layouts, scenario, margins, power_params) -> set:
     @given(layout=layouts)
     def collect(layout):
         sites, pop, label, seed = layout
-        for mode in ("fixed", "adaptive"):
-            cfg = PlannerConfig(runs=1, mcs_mode=mode)
-            out = greedy(scenario, pop, sites, TIERED, margins,
-                         one_slope(108.0, 1.0, 3.5), power_params, cfg,
-                         label, seed)
-            kinds.update(e[0] for e in out.event_log)
+        out = greedy(scenario, pop, sites, TIERED, margins,
+                     one_slope(108.0, 1.0, 3.5), power_params, CFG, label, seed)
+        kinds.update(e[0] for e in out.event_log)
 
     collect()
     return kinds
@@ -499,22 +465,20 @@ class TestFeasibilityChecker:
                                     micro_margins, micro_model, CFG, micro_sites)
         assert any("served traffic disagrees with record" in p for p in problems)
 
-    @pytest.mark.parametrize("mode, tamper, verdict", [
-        ("fixed", "deactivate_a_serving_site", "assigned to inactive site"),
-        ("fixed", "move_farthest_user_to_site_0", "exceeds PL_max"),
-        ("fixed", "crowd_the_middle_site", "> capacity"),
-        ("adaptive", "crowd_the_middle_site", "airtime"),
-        ("fixed", "mark_a_served_user_uncovered", "uncovered set does not match"),
-        ("fixed", "misstate_coverage", "coverage fraction inconsistent")])
+    @pytest.mark.parametrize("tamper, verdict", [
+        ("deactivate_a_serving_site", "assigned to inactive site"),
+        ("move_farthest_user_to_site_0", "exceeds PL_max"),
+        ("crowd_the_middle_site", "> capacity"),
+        ("mark_a_served_user_uncovered", "uncovered set does not match"),
+        ("misstate_coverage", "coverage fraction inconsistent")])
     def test_each_tampering_gets_its_verdict(self, micro_scenario, micro_profile,
                                              micro_margins, micro_model,
-                                             micro_sites, tvws_power, mode,
-                                             tamper, verdict):
+                                             micro_sites, tvws_power, tamper,
+                                             verdict):
         # micro run at seed 42: all three sites active, 9 of 12 users served
-        cfg = PlannerConfig(mcs_mode=mode, runs=1, base_seed=42)
         args = (micro_scenario, micro_profile, micro_margins, micro_model)
-        out = run_campaign(*args, tvws_power, cfg, sites=micro_sites).outcomes[0]
-        assert check_deployment(out, *args, cfg, micro_sites) == []
+        out = run_campaign(*args, tvws_power, CFG, sites=micro_sites).outcomes[0]
+        assert check_deployment(out, *args, CFG, micro_sites) == []
         out = copy.deepcopy(out)
         dep = out.deployment
         pop = generate_population(micro_scenario.region,
@@ -532,45 +496,12 @@ class TestFeasibilityChecker:
             dep.uncovered_users.add(min(dep.assignments))
         elif tamper == "misstate_coverage":
             out.coverage_fraction -= 0.25
-        problems = check_deployment(out, *args, cfg, micro_sites)
+        problems = check_deployment(out, *args, CFG, micro_sites)
         assert any(verdict in p for p in problems), problems
 
     def test_config_values_validated(self):
-        for bad, match in (({"runs": 0}, "runs must be >= 1"),
-                           ({"mcs_mode": "greedy"}, "mcs_mode"),
-                           ({"rebalance_scope": "everywhere"}, "rebalance_scope")):
-            with pytest.raises(ValueError, match=match):
-                PlannerConfig(**bad)
-
-    def test_all_active_scope_passes_checker_and_replays(
-            self, micro_scenario, micro_profile, micro_margins, micro_model,
-            micro_sites, tvws_power):
-        cfg = PlannerConfig(runs=8, base_seed=100, rebalance_scope="all_active")
-        camp = run_campaign(micro_scenario, micro_profile, micro_margins,
-                            micro_model, tvws_power, cfg, sites=micro_sites)
-        for out in camp.outcomes:
-            assert check_deployment(out, micro_scenario, micro_profile,
-                                    micro_margins, micro_model, cfg,
-                                    micro_sites) == []
-            assert replay_event_log(out, micro_scenario, micro_profile,
-                                    micro_margins, micro_model, tvws_power,
-                                    cfg, micro_sites)
-
-    def test_adaptive_mode_airtime_bounded(self, tvws_power):
-        sc = _lattice_scenario()
-        prof = load_technology("802.22b", "suburban")
-        cfg = PlannerConfig(mcs_mode="adaptive", runs=3, base_seed=7)
-        sites = sc.lattice_sites(6)
-        camp = run_campaign(sc, prof, sc.margins, sc.model, tvws_power, cfg,
-                            sites=sites)
-        for out in camp.outcomes:
-            assert check_deployment(out, sc, prof, sc.margins, sc.model, cfg,
-                                    sites) == []
-
-
-def _lattice_scenario():
-    from tvwsplan.scenario import bundled_scenario
-    return bundled_scenario("ghent_suburban")
+        with pytest.raises(ValueError, match="runs must be >= 1"):
+            PlannerConfig(runs=0)
 
 
 class TestDeterminism:
@@ -601,6 +532,35 @@ class TestDeterminism:
             [o.event_log for o in parallel.outcomes]
         assert serial.mean_coverage == parallel.mean_coverage
         assert serial.progressive_coverage == parallel.progressive_coverage
+
+    def test_pool_has_no_more_workers_than_runs(self, micro_scenario,
+                                                micro_profile, micro_margins,
+                                                micro_model, micro_sites,
+                                                tvws_power, monkeypatch):
+        # a forked pool starts all of its workers at the first submit
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(planner, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setenv("TVWSPLAN_WORKERS", "16")
+        for runs in (4, 1, 20):
+            run_campaign(micro_scenario, micro_profile, micro_margins,
+                         micro_model, tvws_power,
+                         PlannerConfig(runs=runs, base_seed=11),
+                         sites=micro_sites)
+        assert pools == [4, 16]
 
 
 class TestCampaign:
@@ -702,12 +662,12 @@ class TestGrowth:
         assert len(sites) == history[-1][0]
 
     def test_growth_pilots_keep_user_shuffle(self, micro_profile, tvws_power):
+        # the growth history is what hand-run pilot campaigns measure
         sc = self._grow_scenario(target=0.95)
-        cfg = PlannerConfig(runs=5, base_seed=500, shuffle_user_order=True)
+        cfg = PlannerConfig(runs=5, base_seed=500)
         _, history = grow_site_set(sc, micro_profile, sc.margins, sc.model,
                                    tvws_power, cfg)
-        pilot = PlannerConfig(runs=sc.site_policy.pilot_runs, base_seed=500,
-                              shuffle_user_order=True)
+        pilot = PlannerConfig(runs=sc.site_policy.pilot_runs, base_seed=500)
         by_hand = [(n, run_campaign(sc, micro_profile, sc.margins, sc.model,
                                     tvws_power, pilot,
                                     sites=sc.lattice_sites(n)).mean_coverage)
@@ -767,23 +727,6 @@ class TestAnalyticLowerBound:
         for out in camp.outcomes:
             if out.coverage_fraction >= sc.site_policy.target_coverage:
                 assert len(out.deployment.active_sites) >= n_min
-
-
-class TestUserOrderShuffle:
-    def test_shuffled_order_stays_feasible(self, micro_scenario, micro_profile,
-                                           micro_margins, micro_model,
-                                           micro_sites, tvws_power):
-        cfg = PlannerConfig(runs=1, base_seed=42, shuffle_user_order=True)
-        out = plan_single_run(micro_scenario, micro_profile, micro_margins,
-                              micro_model, tvws_power, cfg, 42, sites=micro_sites)
-        assert check_deployment(out, micro_scenario, micro_profile,
-                                micro_margins, micro_model, cfg,
-                                micro_sites) == []
-        # the shuffled run is itself deterministic for a given seed
-        again = plan_single_run(micro_scenario, micro_profile, micro_margins,
-                                micro_model, tvws_power, cfg, 42,
-                                sites=micro_sites)
-        assert out.event_log == again.event_log
 
 
 class TestBundledCampaignLevels:
