@@ -7,8 +7,7 @@ comparison below reruns the full pipeline (growth + campaign) per antenna
 configuration and reports the network-efficiency change.
 """
 
-from tvwsplan import (PlannerConfig, bundled_scenario, grow_site_set,
-                      load_power_params, load_technology, run_campaign)
+from tvwsplan import PlannerConfig, bundled_scenario, load_technology, plan
 from tvwsplan.power_energy import network_energy_efficiency
 
 print(f"{'cell':26s} {'mode':5s} {'cand':>5s} {'active':>7s} {'power':>9s} "
@@ -20,19 +19,15 @@ for env, scen in (("suburban", "ghent_suburban"), ("rural", "boyeros_rural")):
         results = {}
         for mimo in (False, True):
             profile = load_technology(tech, env, mimo=mimo)
-            model = sc.model_for(profile)
-            power = load_power_params(profile.power_model)
             config = PlannerConfig(runs=40, base_seed=sc.base_seed, mimo=mimo)
-            sites, _ = grow_site_set(sc, profile, sc.margins, model, power, config)
-            camp = run_campaign(sc, profile, sc.margins, model, power, config,
-                                sites=sites)
+            camp, _ = plan(sc, profile, config)
             ee = network_energy_efficiency(camp.outcomes, sc.region.area_km2,
                                            user_count=sc.population.user_count,
                                            include_user_count=True)
-            results[mimo] = (len(sites), camp, ee)
+            results[mimo] = ee
             label = "4x4" if mimo else "SISO"
-            print(f"{env + '/' + tech:26s} {label:5s} {len(sites):5d} "
+            print(f"{env + '/' + tech:26s} {label:5s} {len(camp.sites):5d} "
                   f"{camp.mean_active_sites:7.1f} {camp.mean_power_w:8.1f}W "
                   f"{camp.mean_coverage:9.4f} {ee:8.1f}")
-        delta = (results[True][2] - results[False][2]) / results[False][2]
+        delta = (results[True] - results[False]) / results[False]
         print(f"{'':26s} efficiency change with 4x4: {delta:+.1%}\n")

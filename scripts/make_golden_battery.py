@@ -16,18 +16,15 @@ Run it only when planner results change on purpose:
 
 import json
 import sys
-import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from tvwsplan.propagation import ModelValidityWarning  # noqa: E402
 import test_acceptance  # noqa: E402
 
 
 def main() -> int:
-    warnings.filterwarnings("ignore", category=ModelValidityWarning)
     cells = test_acceptance.build_battery()
     bad = {k: len(c["violations"]) for k, c in cells.items() if c["violations"]}
     if bad:

@@ -11,7 +11,7 @@ from .link_budget import (EnvironmentMargins, McsEntry, TechnologyProfile,
                           coverage_curve, load_technology,
                           max_allowable_path_loss_db, occupied_bandwidth_hz)
 from .planner import (Deployment, PlannerConfig, RunOutcome, check_deployment,
-                      grow_site_set, plan_single_run, run_campaign)
+                      grow_site_set, plan, plan_single_run, run_campaign)
 from .power_energy import (BsPowerInput, MacroPowerParams, TvwsPowerParams,
                            load_power_params, macro_bs_power_w,
                            network_energy_efficiency, tvws_bs_power_w)
@@ -27,7 +27,7 @@ __all__ = [
     "EnvironmentMargins", "McsEntry", "TechnologyProfile", "coverage_curve",
     "load_technology", "max_allowable_path_loss_db", "occupied_bandwidth_hz",
     "Deployment", "PlannerConfig", "RunOutcome", "check_deployment",
-    "grow_site_set", "plan_single_run", "run_campaign",
+    "grow_site_set", "plan", "plan_single_run", "run_campaign",
     "BsPowerInput", "MacroPowerParams", "TvwsPowerParams", "load_power_params",
     "macro_bs_power_w", "network_energy_efficiency", "tvws_bs_power_w",
     "PathLossModel", "invert_range_km", "okumura_hata_rural", "one_slope",

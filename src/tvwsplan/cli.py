@@ -9,16 +9,16 @@ Subcommands:
 Scenario selection: `--env suburban|rural` picks the bundled study areas;
 `--scenario PATH` loads a scenario file instead.  `--tech` overrides the
 scenario's technology and `--mimo` picks its SISO or 4x4 profile, which sets
-the provenance `mimo` line.  `plan` reads its MCS and raster PL_max from the
-campaign's budget.  Worker processes for campaigns come from the
-TVWSPLAN_WORKERS environment variable (an integer >= 1, default 1).
+the provenance `mimo` line.  `plan` runs `planner.plan` and reads its MCS
+and raster PL_max from the campaign's budget.  Worker processes come from
+TVWSPLAN_WORKERS (an integer >= 1, default 1) and change no output.
 
 On failure a machine-readable JSON error record goes to stderr and the exit
 status is non-zero; stderr holds nothing else.  Model-validity warnings are
-not printed (`plan` records its campaign's in the provenance line
-`model_warnings`).  Numeric flags out of range (`--runs` < 1, `--seed` < 0,
-`--dmin` or `--step` not positive, `--dmax` below `--dmin`, or any distance
-not finite) are `usage` errors, exit 2, naming the flag.
+not printed (`plan` records those of its campaign's runs in the provenance
+line `model_warnings`).  Numeric flags out of range (`--runs` < 1, `--seed`
+< 0, `--dmin` or `--step` not positive, `--dmax` below `--dmin`, or any
+distance not finite) are `usage` errors, exit 2, naming the flag.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ import warnings
 from pathlib import Path
 
 from .link_budget import load_technology
-from .planner import PlannerConfig, env_workers, grow_site_set
-from .power_energy import load_power_params
+from .planner import PlannerConfig, env_workers, plan
 from .propagation import ModelValidityWarning
 from .reporting import (assignment_csv, build_report, coverage_csv,
                         deployment_csv, pathloss_csv, power_csv, raster_csv,
@@ -163,7 +162,6 @@ def cmd_plan(args) -> list:
     except ValueError as e:
         raise CliError("usage", str(e), variable="TVWSPLAN_WORKERS") from e
     scenario, profile, model, _ = _study(args)
-    power_params = load_power_params(profile.power_model)
     deployable = [m.label for m in profile.deployable_mcs()]
     if args.mcs and args.mcs not in deployable:
         raise CliError("invalid_mcs", f"MCS {args.mcs!r} is not a deployable "
@@ -173,14 +171,8 @@ def cmd_plan(args) -> list:
         runs=args.runs,
         base_seed=args.seed if args.seed is not None else scenario.base_seed,
         mimo=profile.mimo)
-
-    sites = None
-    if scenario.site_policy.mode == "auto_grow":
-        sites, _ = grow_site_set(scenario, profile, scenario.margins, model,
-                                 power_params, config)
-
-    report, result = build_report(scenario, profile, scenario.margins, model,
-                                  power_params, config, sites=sites)
+    result, _ = plan(scenario, profile, config)
+    report = build_report(scenario, profile, result)
     bad = verify_report(report)
     if bad:  # internal consistency guard; never expected to trip
         raise CliError("internal", "report failed round-trip verification",
@@ -225,8 +217,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with warnings.catch_warnings():
-            # stderr holds error records only; `plan` keeps its campaign's
-            # validity warnings in the provenance line `model_warnings`
+            # stderr holds error records only; a campaign keeps its runs'
+            # validity warnings for the provenance line `model_warnings`
             warnings.simplefilter("ignore", ModelValidityWarning)
             paths = COMMANDS[args.command](args)
     except (CliError, ScenarioError) as e:

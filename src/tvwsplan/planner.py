@@ -29,6 +29,9 @@ order-insensitive.  Every active site draws one station's power,
 Candidate site ids must be unique: campaigns, single runs and the checker
 raise ValueError on a repeated id.
 
+Each run keeps the model-validity warnings it raises, also in a worker
+process, and a campaign their sorted distinct set.
+
 Every accept/reject decision lands in an event log.  The independent
 feasibility checker replays a run from scratch (fresh path-loss matrix,
 fresh capacity accounting, its own budget from its own arguments) and
@@ -42,6 +45,7 @@ from __future__ import annotations
 import collections
 import functools
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -49,8 +53,8 @@ import numpy as np
 
 from .link_budget import (EnvironmentMargins, TechnologyProfile,
                           max_allowable_path_loss_db)
-from .power_energy import station_power_w
-from .propagation import PathLossModel, path_loss_array_db
+from .power_energy import load_power_params, station_power_w
+from .propagation import ModelValidityWarning, PathLossModel, path_loss_array_db
 from .scenario import (Scenario, ScenarioError, UserPopulation,
                        generate_population)
 from .sizing import sweep_mcs
@@ -60,6 +64,7 @@ __all__ = [
     "Deployment",
     "RunOutcome",
     "CampaignResult",
+    "plan",
     "plan_single_run",
     "run_campaign",
     "grow_site_set",
@@ -105,6 +110,7 @@ class RunOutcome:
     total_power_w: float
     served_mbps_total: float
     event_log: tuple = ()
+    model_warnings: tuple = ()   # distinct ModelValidityWarning messages
 
     # duck-typed RunEnergy interface for network_energy_efficiency
     @property
@@ -129,6 +135,7 @@ class CampaignResult:
     progressive_coverage: list  # running mean after each run
     sites: list
     budget: "_Budget"           # what every run planned against
+    model_warnings: tuple       # sorted distinct messages of all runs
 
 
 @dataclass(frozen=True)
@@ -320,7 +327,17 @@ def _site_index(sites) -> dict:
 
 def _run_one(scenario, sites, budget, model, seed):
     pop = generate_population(scenario.region, scenario.population, seed)
-    return _greedy_plan(pop, sites, budget, model, seed)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ModelValidityWarning)
+        outcome = _greedy_plan(pop, sites, budget, model, seed)
+    kept = set()
+    for w in caught:  # record=True takes every warning; pass the others on
+        if issubclass(w.category, ModelValidityWarning):
+            kept.add(str(w.message))
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    outcome.model_warnings = tuple(sorted(kept))
+    return outcome
 
 
 def run_campaign(scenario: Scenario, profile: TechnologyProfile,
@@ -359,7 +376,9 @@ def _campaign(scenario, sites, budget, model, config) -> CampaignResult:
         mean_active_sites=float(act.mean()),
         progressive_coverage=[float(x) for x in progressive],
         sites=sites,
-        budget=budget)
+        budget=budget,
+        model_warnings=tuple(sorted({m for o in outcomes
+                                     for m in o.model_warnings})))
 
 
 def grow_site_set(scenario: Scenario, profile: TechnologyProfile,
@@ -375,6 +394,13 @@ def grow_site_set(scenario: Scenario, profile: TechnologyProfile,
     when `max_sites` is below the start, and RuntimeError once the growth
     cap is hit, reporting the best coverage achieved.
     """
+    pilot, history = _grow(scenario, profile, margins, model, power_params,
+                           config)
+    return pilot.sites, history
+
+
+def _grow(scenario, profile, margins, model, power_params, config):
+    """`grow_site_set` as (last pilot CampaignResult, history)."""
     policy = scenario.site_policy
     rows = sweep_mcs(profile, margins, model, scenario.region.area_km2,
                      scenario.population.expected_demand_mbps)
@@ -394,11 +420,32 @@ def grow_site_set(scenario: Scenario, profile: TechnologyProfile,
         result = _campaign(scenario, sites, budget, model, pilot)
         history.append((count, result.mean_coverage))
         if result.mean_coverage > policy.target_coverage:
-            return sites, history
+            return result, history
         count += step
     raise RuntimeError(
         f"site growth cap {policy.max_sites} reached; best mean coverage "
         f"{max(c for _, c in history):.4f} < target {policy.target_coverage}")
+
+
+def plan(scenario: Scenario, profile: TechnologyProfile,
+         config: PlannerConfig):
+    """The one planning pipeline: (CampaignResult, growth history).
+
+    Model, margins and power parameters come from the scenario and profile.
+    `auto_grow` sites grow as in `grow_site_set`, else the history is empty.
+    The last pilot has the campaign's sites, budget and seeds, so it is the
+    campaign when `config.runs` equals `pilot_runs`.
+    """
+    model = scenario.model_for(profile)
+    power_params = load_power_params(profile.power_model)
+    if scenario.site_policy.mode != "auto_grow":
+        return run_campaign(scenario, profile, scenario.margins, model,
+                            power_params, config), []
+    pilot, history = _grow(scenario, profile, scenario.margins, model,
+                           power_params, config)
+    if config.runs == scenario.site_policy.pilot_runs:
+        return pilot, history
+    return _campaign(scenario, pilot.sites, pilot.budget, model, config), history
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ CSV is the canonical output format: '.' decimal separator, LF line endings,
 a provenance block as leading '#' comment lines, then the header row.  The
 SVG map is a rendering of the CSV content, never a data source.  Every
 aggregate in a report is recomputable from the per-run rows;
-`verify_report` performs that round trip.
+`verify_report` performs that round trip.  `build_report` assembles a
+report from a finished campaign (`planner.plan` runs it) and runs nothing.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import __version__, geometry
 from .link_budget import EnvironmentMargins, TechnologyProfile, coverage_curve
-from .planner import PlannerConfig, RunOutcome, run_campaign
+from .planner import CampaignResult, RunOutcome
 from .power_energy import LOAD_FACTOR, RADIATED_POWER_W, network_energy_efficiency
 from .propagation import (ModelValidityWarning, PathLossModel,
                           path_loss_array_db, path_loss_db)
@@ -107,24 +108,19 @@ def _base_provenance(scenario: Scenario, profile: TechnologyProfile,
 
 
 def build_report(scenario: Scenario, profile: TechnologyProfile,
-                 margins: EnvironmentMargins, model: PathLossModel,
-                 power_params, config: PlannerConfig,
-                 sites=None) -> tuple:
-    """Run a campaign and assemble (SimulationReport, CampaignResult)."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ModelValidityWarning)
-        result = run_campaign(scenario, profile, margins, model, power_params,
-                              config, sites=sites)
+                 result: CampaignResult) -> SimulationReport:
+    """The report of a finished campaign; its provenance keeps the validity
+    warnings of the campaign's runs as `model_warnings`."""
+    runs = len(result.outcomes)
+    base_seed = result.outcomes[0].seed
     ee_runs = [network_energy_efficiency([o], scenario.region.area_km2)
                for o in result.outcomes]
     ee = float(np.mean(ee_runs))
     ee_lit = ee * scenario.population.user_count
-    prov = _base_provenance(scenario, profile, model)
-    prov.update(base_seed=config.base_seed, runs=config.runs)
-    msgs = sorted({str(w.message) for w in caught
-                   if issubclass(w.category, ModelValidityWarning)})
-    if msgs:
-        prov["model_warnings"] = " | ".join(msgs)
+    prov = _base_provenance(scenario, profile, scenario.model_for(profile))
+    prov.update(base_seed=base_seed, runs=runs)
+    if result.model_warnings:
+        prov["model_warnings"] = " | ".join(result.model_warnings)
 
     per_run = [{
         "seed": o.seed,
@@ -134,15 +130,15 @@ def build_report(scenario: Scenario, profile: TechnologyProfile,
         "active_sites": len(o.deployment.active_sites),
     } for o in result.outcomes]
 
-    report = SimulationReport(
+    return SimulationReport(
         scenario_name=scenario.name,
         scenario_digest=scenario.digest(),
         technology=profile.name,
         environment=scenario.environment,
         planning_mcs=result.budget.mcs_label,
         mimo=profile.mimo,
-        runs=config.runs,
-        base_seed=config.base_seed,
+        runs=runs,
+        base_seed=base_seed,
         site_count=len(result.sites),
         area_km2=scenario.region.area_km2,
         user_count=scenario.population.user_count,
@@ -159,7 +155,6 @@ def build_report(scenario: Scenario, profile: TechnologyProfile,
         * scenario.population.user_count,
         progressive_coverage=result.progressive_coverage,
         provenance=prov)
-    return report, result
 
 
 def report_to_json(report: SimulationReport) -> str:

@@ -53,10 +53,7 @@ def build_battery():
                 model = sc.model_for(prof)
                 pw = load_power_params(prof.power_model)
                 cfg = PlannerConfig(runs=40, base_seed=sc.base_seed, mimo=mimo)
-                sites, history = tp.grow_site_set(sc, prof, sc.margins, model,
-                                                  pw, cfg)
-                camp = tp.run_campaign(sc, prof, sc.margins, model, pw, cfg,
-                                       sites=sites)
+                camp, history = tp.plan(sc, prof, cfg)
                 ee_lit = network_energy_efficiency(
                     camp.outcomes, sc.region.area_km2,
                     user_count=sc.population.user_count, include_user_count=True)
@@ -65,10 +62,10 @@ def build_battery():
                     include_user_count=True) for o in camp.outcomes]
                 violations = [v for o in camp.outcomes
                               for v in check_deployment(o, sc, prof, sc.margins,
-                                                        model, cfg, sites)]
+                                                        model, cfg, camp.sites)]
                 cells[(env, tech, mimo)] = dict(
                     scenario=sc, profile=prof, model=model, power=pw, cfg=cfg,
-                    sites=sites, campaign=camp, ee_literal=ee_lit,
+                    campaign=camp, ee_literal=ee_lit,
                     ee_se=float(np.std(per_run_ee) / math.sqrt(len(per_run_ee))),
                     growth=history, violations=violations)
     return cells
@@ -84,7 +81,7 @@ def golden_summary(cells) -> dict:
     for (env, tech, mimo), cell in cells.items():
         camp = cell["campaign"]
         out[f"{env}/{tech}/{'4x4' if mimo else 'siso'}"] = {
-            "sites": len(cell["sites"]),
+            "sites": len(camp.sites),
             "growth": [[n, repr(c)] for n, c in cell["growth"]],
             "mean_coverage": repr(camp.mean_coverage),
             "mean_power_w": repr(camp.mean_power_w),
@@ -220,7 +217,7 @@ def test_c08_site_counts(battery):
     ok = True
     details = []
     for (env, tech), (target, tol) in SITE_BANDS.items():
-        n = len(battery[(env, tech, False)]["sites"])
+        n = len(battery[(env, tech, False)]["campaign"].sites)
         lo, hi = target * (1 - tol), target * (1 + tol)
         good = lo <= n <= hi
         ok &= good
@@ -324,7 +321,7 @@ def test_c10_feasibility_and_determinism(battery, monkeypatch):
         monkeypatch.setenv("TVWSPLAN_WORKERS", workers)
         campaigns.append(tp.run_campaign(
             cell["scenario"], cell["profile"], cell["scenario"].margins,
-            cell["model"], cell["power"], cfg, sites=cell["sites"]))
+            cell["model"], cell["power"], cfg, sites=cell["campaign"].sites))
     a, b = campaigns
     deterministic = [o.event_log for o in a.outcomes] == \
         [o.event_log for o in b.outcomes]

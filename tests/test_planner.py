@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -19,7 +20,7 @@ from tvwsplan.planner import (Deployment, PlannerConfig, RunOutcome,
 from tvwsplan.power_energy import (BsPowerInput, TvwsPowerParams,
                                    load_power_params, tvws_bs_power_w)
 from tvwsplan.scenario import ScenarioError
-from tvwsplan.propagation import one_slope, path_loss_db
+from tvwsplan.propagation import ModelValidityWarning, one_slope, path_loss_db
 from tvwsplan.scenario import (CandidateSite, PopulationSpec, Region,
                                Scenario, SitePolicy, UserPopulation,
                                generate_population)
@@ -613,6 +614,24 @@ class TestCampaign:
                                      sites=micro_sites)
             assert single.event_log == o.event_log
 
+    def test_runs_keep_validity_warnings_and_pass_others_on(
+            self, micro_scenario, micro_profile, micro_margins, micro_model,
+            micro_sites, tvws_power):
+        real = planner._greedy_plan
+
+        def greedy(*args):
+            warnings.warn("stretched", ModelValidityWarning)
+            warnings.warn("unrelated", RuntimeWarning)
+            return real(*args)
+        with mock.patch.object(planner, "_greedy_plan", greedy), \
+                pytest.warns(RuntimeWarning, match="unrelated"):
+            camp = run_campaign(micro_scenario, micro_profile, micro_margins,
+                                micro_model, tvws_power,
+                                PlannerConfig(runs=2, base_seed=42),
+                                sites=micro_sites)
+        assert [o.model_warnings for o in camp.outcomes] == [("stretched",)] * 2
+        assert camp.model_warnings == ("stretched",)
+
     def test_monotone_coverage_in_candidate_set(self, micro_scenario,
                                                 micro_profile, micro_margins,
                                                 micro_model, micro_sites,
@@ -661,8 +680,8 @@ class TestGrowth:
         assert history[-1][1] > 0.95
         assert len(sites) == history[-1][0]
 
-    def test_growth_pilots_keep_user_shuffle(self, micro_profile, tvws_power):
-        # the growth history is what hand-run pilot campaigns measure
+    def test_growth_history_equals_hand_run_pilots(self, micro_profile,
+                                                   tvws_power):
         sc = self._grow_scenario(target=0.95)
         cfg = PlannerConfig(runs=5, base_seed=500)
         _, history = grow_site_set(sc, micro_profile, sc.margins, sc.model,
@@ -685,6 +704,28 @@ class TestGrowth:
                                        tvws_power, cfg)
         assert len(history) > 1
         assert sweep.call_count == 1
+
+    @pytest.mark.parametrize("runs, final", [(5, 0), (7, 1)])
+    def test_plan_reuses_the_last_pilot(self, micro_profile, tvws_power, runs,
+                                        final):
+        # with runs == pilot_runs the last pilot is the campaign; otherwise
+        # one campaign more runs on the grown sites.  One sweep either way.
+        sc = self._grow_scenario(target=0.95)
+        cfg = PlannerConfig(runs=runs, base_seed=500)
+        with mock.patch.object(planner, "_campaign",
+                               wraps=planner._campaign) as campaigns, \
+                mock.patch.object(planner, "sweep_mcs",
+                                  wraps=planner.sweep_mcs) as sweep:
+            result, history = planner.plan(sc, micro_profile, cfg)
+        assert len(history) > 1
+        assert campaigns.call_count == len(history) + final
+        assert sweep.call_count == 1
+        fresh = run_campaign(sc, micro_profile, sc.margins, sc.model,
+                             tvws_power, cfg, sites=result.sites)
+        assert [o.event_log for o in result.outcomes] == \
+            [o.event_log for o in fresh.outcomes]
+        assert (len(result.sites), result.mean_coverage) == \
+            (history[-1][0], fresh.mean_coverage)
 
     def test_growth_cap_raises_with_best_coverage(self, micro_profile, tvws_power):
         # the sizing start is 13 sites and the step 4: pilots at 13 and 17
@@ -756,17 +797,12 @@ class TestMimoVariant:
     def test_mimo_reduces_active_sites_suburban(self):
         from tvwsplan.scenario import bundled_scenario
         sc = bundled_scenario("ghent_suburban")
-        pw = load_power_params("tvws")
-        results = {}
+        active = []
         for mimo in (False, True):
             prof = load_technology("802.22b", "suburban", mimo=mimo)
             cfg = PlannerConfig(runs=8, base_seed=sc.base_seed, mimo=mimo)
-            sites, _ = grow_site_set(sc, prof, sc.margins, sc.model_for(prof),
-                                     pw, cfg)
-            camp = run_campaign(sc, prof, sc.margins, sc.model_for(prof), pw,
-                                cfg, sites=sites)
-            results[mimo] = camp.mean_active_sites
-        assert results[True] < results[False]
+            active.append(planner.plan(sc, prof, cfg)[0].mean_active_sites)
+        assert active[1] < active[0]
 
 
 class TestBudgetFollowsProfile:

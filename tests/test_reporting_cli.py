@@ -12,8 +12,7 @@ import yaml
 from tvwsplan.cli import main as cli_main
 from tvwsplan.link_budget import (bundled_yaml, load_technology,
                                   max_allowable_path_loss_db)
-from tvwsplan.planner import Deployment, PlannerConfig, RunOutcome
-from tvwsplan.power_energy import load_power_params
+from tvwsplan.planner import Deployment, PlannerConfig, RunOutcome, plan
 from tvwsplan.propagation import (ModelValidityWarning, okumura_hata_rural,
                                   one_slope, path_loss_db)
 from tvwsplan.reporting import (assignment_csv, build_report, coverage_csv,
@@ -29,23 +28,11 @@ PLAN_ARTIFACTS = ("report.json", "runs.csv", "population.csv", "deployment.csv",
 
 
 @pytest.fixture(scope="module")
-def micro_report(micro_scenario_mod):
-    sc, prof, model, pw, sites = micro_scenario_mod
+def micro_report(micro_scenario, micro_profile, micro_model, micro_sites):
     cfg = PlannerConfig(runs=3, base_seed=42)
-    report, result = build_report(sc, prof, sc.margins, model, pw, cfg,
-                                  sites=sites)
-    return report, result, sc, prof, model, cfg, sites
-
-
-@pytest.fixture(scope="module")
-def micro_scenario_mod(request):
-    # bundle the session-scoped micro fixtures for module-level reuse
-    sc = request.getfixturevalue("micro_scenario")
-    prof = request.getfixturevalue("micro_profile")
-    model = request.getfixturevalue("micro_model")
-    sites = request.getfixturevalue("micro_sites")
-    pw = request.getfixturevalue("tvws_power")
-    return sc, prof, model, pw, sites
+    result, _ = plan(micro_scenario, micro_profile, cfg)
+    return (build_report(micro_scenario, micro_profile, result), result,
+            micro_scenario, micro_profile, micro_model, cfg, micro_sites)
 
 
 class TestReport:
@@ -79,13 +66,11 @@ class TestReport:
         payload = json.loads(report_to_json(report))
         assert payload["schema_version"] == 1
 
-    def test_report_json_deterministic(self, micro_scenario_mod):
-        sc, prof, model, pw, sites = micro_scenario_mod
+    def test_report_json_deterministic(self, micro_scenario, micro_profile):
+        sc, prof = micro_scenario, micro_profile
         cfg = PlannerConfig(runs=2, base_seed=42)
-        a = report_to_json(build_report(sc, prof, sc.margins, model, pw, cfg,
-                                        sites=sites)[0])
-        b = report_to_json(build_report(sc, prof, sc.margins, model, pw, cfg,
-                                        sites=sites)[0])
+        a, b = (report_to_json(build_report(sc, prof, plan(sc, prof, cfg)[0]))
+                for _ in range(2))
         assert a == b
 
     def test_report_json_rejects_non_json_types(self, micro_report):
@@ -487,3 +472,16 @@ class TestCli:
         assert proc.stderr == ""
         prov = json.loads((tmp_path / "report.json").read_text())["provenance"]
         assert "beyond Hata validity" in prov["model_warnings"]
+
+    def test_plan_artifacts_independent_of_worker_count(self, tmp_path,
+                                                        monkeypatch):
+        # rural runs raise Hata warnings, also in worker processes, and the
+        # provenance line `model_warnings` must carry them either way
+        for workers in ("1", "2"):
+            monkeypatch.setenv("TVWSPLAN_WORKERS", workers)
+            code, _, err = self.run_cli("plan", "--env", "rural", "--runs", "2",
+                                        "--out", str(tmp_path / workers))
+            assert code == 0, err
+        for name in PLAN_ARTIFACTS:
+            assert (tmp_path / "1" / name).read_bytes() == \
+                (tmp_path / "2" / name).read_bytes(), name
