@@ -88,7 +88,7 @@ def _load_scenario(args):
     if args.scenario:
         try:
             return load_scenario(args.scenario)
-        except FileNotFoundError as e:
+        except OSError as e:  # missing, a directory, unreadable
             raise CliError("missing_file", str(e), path=str(args.scenario)) from e
     if args.env:
         return bundled_scenario(ENV_SCENARIOS[args.env])

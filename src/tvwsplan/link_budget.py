@@ -71,8 +71,9 @@ class EnvironmentMargins:
     fade_margin_db: float
 
     def __post_init__(self):
-        if self.shadow_margin_db < 0 or self.fade_margin_db < 0:
-            raise ValueError("margins must be non-negative")
+        for name in ("shadow_margin_db", "fade_margin_db"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -62,12 +62,13 @@ class PathLossModel:
             raise ValueError(f"unknown path-loss variant {self.variant!r}")
         if self.min_distance_km <= 0:
             raise ValueError("min_distance_km must be positive")
-        if self.variant == "one_slope":
-            if self.exponent <= 0 or self.d0_km <= 0:
-                raise ValueError("one-slope model needs exponent > 0 and d0_km > 0")
+        is_one_slope = self.variant == "one_slope"
+        for name in (("exponent", "d0_km") if is_one_slope
+                     else ("freq_mhz", "bs_height_m", "rx_height_m")):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if is_one_slope:
             return
-        if self.freq_mhz <= 0 or self.bs_height_m <= 0 or self.rx_height_m <= 0:
-            raise ValueError("Hata model needs positive frequency and heights")
         for what, value, unit, (lo, hi) in (
                 ("frequency", self.freq_mhz, "MHz", HATA_FREQ_MHZ),
                 ("BS height", self.bs_height_m, "m", HATA_BS_HEIGHT_M),

@@ -23,6 +23,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import io
+import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,7 +32,7 @@ import yaml
 
 from . import geometry
 from .link_budget import EnvironmentMargins, bundled_yaml
-from .propagation import PathLossModel, okumura_hata_rural, one_slope
+from .propagation import PathLossModel
 
 __all__ = [
     "Region",
@@ -78,7 +80,7 @@ class Region:
         actual = geometry.polygon_area(self.outline)
         if actual <= 0:
             raise ValueError("region outline has zero area")
-        if abs(actual - self.area_km2) > AREA_TOLERANCE * self.area_km2:
+        if not abs(actual - self.area_km2) <= AREA_TOLERANCE * self.area_km2:  # NaN too
             raise ValueError(
                 f"declared area {self.area_km2} km^2 differs from polygon area "
                 f"{actual:.4f} km^2 by more than {AREA_TOLERANCE:.1%}")
@@ -136,8 +138,9 @@ class PopulationSpec:
             raise ValueError("user_count must be >= 0")
         if not 0.0 <= self.data_fraction <= 1.0:
             raise ValueError("data_fraction must lie in [0, 1]")
-        if self.data_bitrate_mbps <= 0 or self.voice_bitrate_mbps <= 0:
-            raise ValueError("bitrates must be positive")
+        for name in ("data_bitrate_mbps", "voice_bitrate_mbps"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
     @property
     def expected_demand_mbps(self) -> float:
@@ -267,7 +270,6 @@ class Scenario:
     technology: str
     site_policy: SitePolicy
     base_seed: int = 1000
-    schema_version: int = 1
 
     def model_for(self, profile) -> PathLossModel:
         """Path-loss model resolved for one technology.
@@ -321,159 +323,155 @@ class Scenario:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _build_model(cfg: dict, errors: list) -> PathLossModel | None:
-    variant = cfg.get("variant")
-    try:
-        if variant == "one_slope":
-            return one_slope(pl0_db=float(cfg["pl0_db"]),
-                             d0_km=float(cfg.get("d0_km", 1.0)),
-                             exponent=float(cfg["exponent"]),
-                             calibration_id=str(cfg.get("calibration_id", "")))
-        if variant == "okumura_hata_rural":
-            return okumura_hata_rural(freq_mhz=float(cfg["freq_mhz"]),
-                                      bs_height_m=float(cfg["bs_height_m"]),
-                                      rx_height_m=float(cfg["rx_height_m"]),
-                                      offset_db=float(cfg.get("offset_db", 0.0)),
-                                      calibration_id=str(cfg.get("calibration_id", "")))
-        errors.append(f"propagation.variant: unknown value {variant!r}")
-    except KeyError as e:
-        errors.append(f"propagation.{e.args[0]}: required field missing")
-    except (TypeError, ValueError) as e:
-        errors.append(f"propagation: {e}")
-    return None
+_KINDS = {int: "an integer", float: "a number", str: "a string",
+          list: "a list", dict: "a mapping"}
+
+# Table rows are `_field` arguments (name, kind[, default[, lo[, hi]]]); a
+# field whose default is None, or not given, is required.
+_TOP = (("schema_version", int, 1, 1, 2), ("technology", str, "802.22b"),
+        ("region", dict), ("population", dict), ("environment", dict),
+        ("propagation", dict), ("sites", dict), ("seeds", dict, {}))
+_REGION = (("area_km2", float), ("resolution_m", float, 250.0))
+_POPULATION = (("user_count", int), ("data_fraction", float),
+               ("data_bitrate_mbps", float, 1.0), ("voice_bitrate_mbps", float, 0.064))
+_MARGINS = (("shadow_margin_db", float), ("fade_margin_db", float))
+_MODEL = (("calibration_id", str, ""),)  # rows every variant takes
+_MODELS = {
+    "one_slope": _MODEL + (("pl0_db", float), ("d0_km", float, 1.0), ("exponent", float)),
+    "okumura_hata_rural": _MODEL + (("freq_mhz", float), ("bs_height_m", float),
+                                    ("rx_height_m", float), ("offset_db", float, 0.0)),
+}
+_SITES = (("jitter_fraction", float, 0.3, 0), ("seed", int, 1, 0),
+          ("antenna_height_m", float, 30.0))
+_SITE_MODES = {
+    "explicit": _SITES + (("list", list, []),),
+    "lattice": _SITES + (("count", int, None, 1),),
+    "auto_grow": _SITES + (("target_coverage", float, 0.95, 0, 1),
+                           ("pilot_runs", int, 10, 1), ("max_sites", int, 200, 1)),
+}
+_SITE_ENTRY = (("id", int), ("x_km", float), ("y_km", float))
 
 
-def _parse_sites(cfg: dict, region: Region | None, errors: list) -> SitePolicy | None:
-    mode = cfg.get("mode")
-    if mode not in ("explicit", "lattice", "auto_grow"):
-        errors.append(f"sites.mode: must be explicit/lattice/auto_grow, got {mode!r}")
+def _field(errors: list, cfg: dict, where: str, name: str, kind, default=None,
+           lo=-math.inf, hi=math.inf):
+    """`cfg[name]` as `kind` (a type or a tuple of allowed strings), or None
+    after listing one error "where.name: ...".  Nothing is coerced: a number
+    is finite, not a bool, in [`lo`, `hi`) and whole in an integer field."""
+    label = f"{where}.{name}" if where else name
+    if name not in cfg and default is None:
+        errors.append(f"{label}: required field missing")
         return None
-    kw = dict(mode=mode,
-              jitter_fraction=float(cfg.get("jitter_fraction", 0.3)),
-              seed=int(cfg.get("seed", 1)),
-              antenna_height_m=float(cfg.get("antenna_height_m", 30.0)))
-    if not kw["jitter_fraction"] >= 0.0:
-        errors.append(f"sites.jitter_fraction: must be >= 0, got {kw['jitter_fraction']}")
-    if kw["seed"] < 0:
-        errors.append(f"sites.seed: must be >= 0, got {kw['seed']}")
-    if mode == "explicit":
-        raw = cfg.get("list") or []
-        if not raw:
-            errors.append("sites.list: explicit mode needs at least one site")
-            return None
-        try:
-            kw["sites"] = tuple(
-                CandidateSite(id=int(s["id"]), x_km=float(s["x_km"]),
-                              y_km=float(s["y_km"]),
-                              antenna_height_m=float(
-                                  s.get("antenna_height_m", kw["antenna_height_m"])))
-                for s in raw)
-        except (KeyError, TypeError, ValueError) as e:
-            errors.append(f"sites.list: malformed entry ({e})")
-            return None
-        seen = set()
-        for s in kw["sites"]:
-            if s.id in seen:
-                errors.append(f"sites.list: site id {s.id} repeats")
-            seen.add(s.id)
-            if region is None:  # its own error is already listed
-                continue
-            try:
-                s.validate_against(region)
-            except ValueError as e:
-                errors.append(f"sites.list: {e}")
-    elif mode == "lattice":
-        try:
-            kw["count"] = int(cfg["count"])
-        except (KeyError, TypeError, ValueError):
-            errors.append("sites.count: lattice mode needs an integer count")
-            return None
-        if kw["count"] < 1:
-            errors.append(f"sites.count: must be >= 1, got {kw['count']}")
+    value = cfg.get(name, default)
+    if isinstance(kind, tuple):
+        problem = value not in kind and "must be one of " + "/".join(kind)
+    elif kind not in (int, float):
+        problem = not isinstance(value, kind) and f"must be {_KINDS[kind]}"
+    elif (isinstance(value, bool) or not isinstance(value, (int, float))
+          or kind is int and isinstance(value, float) and not value.is_integer()):
+        problem = f"must be {_KINDS[kind]}"
+    elif not abs(value) <= sys.float_info.max:  # NaN, +-inf, ints beyond float
+        problem = "must be finite"
+    elif not lo <= value < hi:
+        problem = f"must lie in [{lo}, {hi})"
     else:
-        kw["target_coverage"] = float(cfg.get("target_coverage", 0.95))
-        kw["pilot_runs"] = int(cfg.get("pilot_runs", 10))
-        kw["max_sites"] = int(cfg.get("max_sites", 200))
-        if not 0.0 <= kw["target_coverage"] < 1.0:
-            errors.append("sites.target_coverage: must lie in [0, 1), got "
-                          f"{kw['target_coverage']}")
-        for field in ("pilot_runs", "max_sites"):
-            if kw[field] < 1:
-                errors.append(f"sites.{field}: must be >= 1, got {kw[field]}")
-    return SitePolicy(**kw)
+        return kind(value)
+    if problem:
+        errors.append(f"{label}: {problem}, got {value!r}")
+        return None
+    return value
+
+
+def _read(errors: list, cfg: dict, where: str, rows, make=dict, **known):
+    """`make(**known, **fields)` over the fields `rows` of `cfg`, or None when
+    a field or a known value is faulty (its error is listed already).  A
+    `ValueError` from `make`, a class invariant, is listed under `where`."""
+    fields = dict(known, **{row[0]: _field(errors, cfg, where, *row) for row in rows})
+    if None in fields.values():
+        return None
+    try:
+        return make(**fields)
+    except ValueError as e:
+        errors.append(f"{where}: {e}")
+        return None
+
+
+def _outline(errors: list, cfg: dict) -> tuple | None:
+    """`region.outline_km` as ((x, y), ...), each coordinate read by `_field`."""
+    vertices = _field(errors, cfg, "region", "outline_km", list)
+    outline = []
+    for i, vertex in enumerate(vertices or ()):
+        where = f"region.outline_km[{i}]"
+        if isinstance(vertex, list) and len(vertex) == 2:
+            outline.append(tuple(_field(errors, dict(zip("xy", vertex)), where, c, float)
+                                 for c in "xy"))
+        else:
+            errors.append(f"{where}: must be an [x, y] pair, got {vertex!r}")
+            outline.append((None,))
+    return None if vertices is None or any(None in xy for xy in outline) else tuple(outline)
+
+
+def _site_list(errors: list, policy: dict, region: Region | None):
+    """Read `policy["list"]` into `policy["sites"]`, listing faults under `sites.list`."""
+    entries = policy.pop("list")
+    if not entries:
+        errors.append("sites.list: explicit mode needs at least one site")
+    rows = _SITE_ENTRY + (("antenna_height_m", float, policy["antenna_height_m"]),)
+    sites = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            errors.append(f"sites.list: [{i}]: must be a mapping, got {entry!r}")
+        elif site := _read(errors, entry, f"sites.list: [{i}]", rows, CandidateSite):
+            if site.id in {s.id for s in sites}:
+                errors.append(f"sites.list: site id {site.id} repeats")
+            sites.append(site)
+    for site in sites if region is not None else ():  # else its error is listed
+        try:
+            site.validate_against(region)
+        except ValueError as e:
+            errors.append(f"sites.list: {e}")
+    policy["sites"] = tuple(sites)
 
 
 def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
-    errors = []
+    """Validate a parsed scenario file; each faulty field is one error of
+    the raised `ScenarioError`, prefixed with its `section.field`."""
     if not isinstance(raw, dict):
         raise ScenarioError(["top level: expected a mapping"])
-
-    for key in ("region", "population", "environment", "propagation", "sites"):
-        if key not in raw:
-            errors.append(f"{key}: required section missing")
-    if errors:
+    errors = []
+    top = _read(errors, raw, "", _TOP + (("name", str, name_hint),))
+    if top is None:
         raise ScenarioError(errors)
 
-    region = None
-    rcfg = raw["region"]
-    try:
-        region = Region(outline=tuple((float(x), float(y)) for x, y in rcfg["outline_km"]),
-                        area_km2=float(rcfg["area_km2"]),
-                        resolution_m=float(rcfg.get("resolution_m", 250.0)))
-    except KeyError as e:
-        errors.append(f"region.{e.args[0]}: required field missing")
-    except (TypeError, ValueError) as e:
-        errors.append(f"region: {e}")
-
-    population = None
-    pcfg = raw["population"]
-    try:
-        population = PopulationSpec(
-            user_count=int(pcfg["user_count"]),
-            data_fraction=float(pcfg["data_fraction"]),
-            data_bitrate_mbps=float(pcfg.get("data_bitrate_mbps", 1.0)),
-            voice_bitrate_mbps=float(pcfg.get("voice_bitrate_mbps", 0.064)))
-    except KeyError as e:
-        errors.append(f"population.{e.args[0]}: required field missing")
-    except (TypeError, ValueError) as e:
-        errors.append(f"population: {e}")
-
-    margins = None
-    ecfg = raw["environment"]
-    environment = str(ecfg.get("kind", ""))
-    if environment not in ("suburban", "rural"):
-        errors.append(f"environment.kind: must be suburban or rural, got {environment!r}")
-    try:
-        margins = EnvironmentMargins(shadow_margin_db=float(ecfg["shadow_margin_db"]),
-                                     fade_margin_db=float(ecfg["fade_margin_db"]))
-    except KeyError as e:
-        errors.append(f"environment.{e.args[0]}: required field missing")
-    except (TypeError, ValueError) as e:
-        errors.append(f"environment: {e}")
-
-    model = _build_model(raw["propagation"], errors)
-    site_policy = _parse_sites(raw["sites"], region, errors)
-    technology = str(raw.get("technology", "802.22b"))
-    seeds = raw.get("seeds") or {}
-    base_seed = int(seeds.get("base_seed", 1000))
-    if base_seed < 0:
-        errors.append(f"seeds.base_seed: must be >= 0, got {base_seed}")
-
+    region = _read(errors, top["region"], "region", _REGION, Region,
+                   outline=_outline(errors, top["region"]))
+    population = _read(errors, top["population"], "population", _POPULATION, PopulationSpec)
+    env = top["environment"]
+    environment = _field(errors, env, "environment", "kind", ("suburban", "rural"))
+    margins = _read(errors, env, "environment", _MARGINS, EnvironmentMargins)
+    variant = _field(errors, top["propagation"], "propagation", "variant", tuple(_MODELS))
+    model = variant and _read(errors, top["propagation"], "propagation", _MODELS[variant],
+                              PathLossModel, variant=variant)
+    mode = _field(errors, top["sites"], "sites", "mode", tuple(_SITE_MODES))
+    policy = mode and _read(errors, top["sites"], "sites", _SITE_MODES[mode], mode=mode)
+    if policy and mode == "explicit":
+        _site_list(errors, policy, region)
+    seeds = _read(errors, top["seeds"], "seeds", (("base_seed", int, 1000, 0),))
     if errors:
         raise ScenarioError(errors)
-    return Scenario(name=str(raw.get("name", name_hint)), environment=environment,
-                    region=region, population=population, margins=margins,
-                    model=model, technology=technology, site_policy=site_policy,
-                    base_seed=base_seed,
-                    schema_version=int(raw.get("schema_version", 1)))
+    return Scenario(name=top["name"], environment=environment, region=region,
+                    population=population, margins=margins, model=model,
+                    technology=top["technology"], site_policy=SitePolicy(**policy),
+                    base_seed=seeds["base_seed"])
 
 
 def load_scenario(path) -> Scenario:
+    """Scenario from a YAML file.  A file that cannot be read raises
+    `OSError`; bad YAML or bytes that are not UTF-8 raise `ScenarioError`."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
-    except FileNotFoundError:
-        raise FileNotFoundError(f"scenario file not found: {path}") from None
+    except (yaml.YAMLError, UnicodeDecodeError) as e:  # str(e) names line and column
+        raise ScenarioError([f"file: {' '.join(str(e).split())}"]) from None
     return scenario_from_dict(raw, name_hint=str(path))
 
 

@@ -412,16 +412,29 @@ class TestCli:
         assert error["type"] == "invalid_scenario"
         assert [f.split(":")[0] for f in error["fields"]] == [field]
 
-    def test_negative_base_seed_is_invalid_scenario(self, tmp_path):
+    @pytest.mark.parametrize("seed", [-5, "abc", [1], 1.5, True],
+                             ids=["-5", "abc", "list", "1.5", "True"])
+    def test_negative_base_seed_is_invalid_scenario(self, tmp_path, seed):
         path = tmp_path / "seeds.yaml"
         raw = bundled_yaml("scenarios", "ghent_suburban")
-        path.write_text(yaml.safe_dump({**raw, "seeds": {"base_seed": -5}}))
+        path.write_text(yaml.safe_dump({**raw, "seeds": {"base_seed": seed}}))
         code, out, err = self.run_cli("plan", "--scenario", str(path), "--runs", "1",
                                       "--out", str(tmp_path))
         assert code == 2
         error = json.loads(err)["error"]
         assert error["type"] == "invalid_scenario"
         assert [f.split(":")[0] for f in error["fields"]] == ["seeds.base_seed"]
+
+    def test_malformed_scenario_file_exits_2(self, tmp_path):
+        syntax, encoding = tmp_path / "syntax.yaml", tmp_path / "latin1.yaml"
+        syntax.write_text("region: [1\n")
+        encoding.write_bytes("name: Bobo-Dioulasso \xe9t\xe9\n".encode("latin-1"))
+        for path, kind in ((syntax, "invalid_scenario"), (encoding, "invalid_scenario"),
+                           (tmp_path, "missing_file")):
+            code, _, err = self.run_cli("sweep", "--scenario", str(path),
+                                        "--out", str(tmp_path / "out"))
+            assert code == 2, err
+            assert json.loads(err)["error"]["type"] == kind
 
     def test_unknown_technology_error(self, tmp_path):
         code, out, err = self.run_cli("coverage", "--env", "rural",

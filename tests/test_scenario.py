@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import math
@@ -376,7 +377,11 @@ class TestScenarioFiles:
                 ({"mode": "explicit", "list": [
                     {"id": 0, "x_km": 8.0, "y_km": 5.0,
                      "antenna_height_m": float("nan")}]}, "sites.list"),
-                ({"mode": "lattice", "count": 5, "seed": -1}, "sites.seed")):
+                ({"mode": "lattice", "count": 5, "seed": -1}, "sites.seed"),
+                ({"mode": "auto_grow", "pilot_runs": 2.7}, "sites.pilot_runs"),
+                ({"mode": "lattice", "count": True}, "sites.count"),
+                ({"mode": "explicit", "list": [
+                    {"id": 1.7, "x_km": 8.0, "y_km": 5.0}]}, "sites.list")):
             with pytest.raises(ScenarioError) as err:
                 scenario_from_dict({**valid, "sites": sites})
             assert [e.split(":")[0] for e in err.value.errors] == [field]
@@ -385,6 +390,59 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioError) as err:
             scenario_from_dict({**valid, "seeds": {"base_seed": -5}})
         assert [e.split(":")[0] for e in err.value.errors] == ["seeds.base_seed"]
+        # a NaN vertex, and one whose polygon area overflows to NaN, both fail
+        outline = [list(v) for v in valid["region"]["outline_km"]]
+        for vertex, field in (([float("nan"), 5.0], "region.outline_km[3].x"),
+                              ([5.0, 1e308], "region")):
+            outline[3] = vertex
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(ScenarioError) as err:
+                scenario_from_dict({**valid, "region": {**valid["region"],
+                                                        "outline_km": outline}})
+            assert [e.split(":")[0] for e in err.value.errors] == [field]
+
+    @pytest.mark.filterwarnings("ignore::tvwsplan.propagation.ModelValidityWarning",
+                                "ignore::RuntimeWarning")  # overflow on huge vertices
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(["ghent_suburban", "boyeros_rural"]), st.data(),
+           st.one_of(st.booleans(), st.text(max_size=5), st.none(),
+                     st.lists(st.integers(), max_size=2), st.floats(), st.integers()))
+    def test_mutated_leaf_loads_typed_or_names_its_field(self, name, data, value):
+        """One scalar leaf of a bundled scenario replaced: the file either loads
+        with finite, correctly typed numbers or names the leaf's section; a
+        wrong type or a non-finite number names the full `section.field`."""
+        raw = copy.deepcopy(bundled_yaml("scenarios", name))
+
+        def leaves(node, path):
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            for key, child in items:
+                if isinstance(child, (dict, list)):
+                    yield from leaves(child, path + (key,))
+                else:
+                    yield path + (key,)
+
+        path = data.draw(st.sampled_from(sorted(leaves(raw, ()), key=str)))
+        parent = functools.reduce(lambda node, key: node[key], path[:-1], raw)
+        original, parent[path[-1]] = parent[path[-1]], value
+        try:
+            sc = scenario_from_dict(raw)
+        except ScenarioError as e:
+            label = ".".join(path[:2])
+            assert any(err.startswith(path[0]) for err in e.errors), e.errors
+            is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            wrong_type = (not isinstance(value, str) if isinstance(original, str)
+                          else not is_number)
+            if wrong_type or isinstance(value, float) and not math.isfinite(value):
+                assert any(err.startswith(label) for err in e.errors), e.errors
+            return
+        assert all(type(c) is float and math.isfinite(c)
+                   for xy in sc.region.outline for c in xy)
+        for part in (sc, sc.region, sc.population, sc.margins, sc.model, sc.site_policy):
+            for f in dataclasses.fields(part):
+                v = getattr(part, f.name)
+                if f.type in ("int", "float"):
+                    assert type(v) is {"int": int, "float": float}[f.type], (f.name, v)
+                    assert math.isfinite(v), (f.name, v)
 
     def test_model_follows_technology_frequency(self):
         rur = bundled_scenario("boyeros_rural")
