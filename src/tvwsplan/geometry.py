@@ -28,7 +28,8 @@ def polygon_area(vertices) -> float:
     if v.ndim != 2 or v.shape[0] < 3 or v.shape[1] != 2:
         raise ValueError("polygon needs at least 3 planar vertices")
     x, y = v[:, 0], v[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # huge vertices: inf or NaN
+        return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
 def _segments_cross(p1, p2, q1, q2) -> bool:

@@ -12,13 +12,14 @@ users have been evaluated.
 Equal path loss breaks toward the lower site index (position in the
 candidate list).  Every link is planned at one MCS: a user costs its demand
 against that MCS's bitrate at whichever site serves it.
-Each run builds one link table from the in-range (user, site) pairs only,
-ordered by (user, path loss, site index); out-of-range pairs are never sorted
-or converted to Python objects.  The greedy walks a user's stretch of that
-table and never sorts.  Each user's current link (its table position) and
-that link's path loss are kept as decisions are made, so the re-balancing
-pass compares one path-loss column against the current ones.
-Loads are still summed one decision at a time, in decision order.
+Each run takes its path loss from `propagation.link_loss_db` and builds one
+link table from the in-range (user, site) pairs only, ordered by (user, path
+loss, site index); out-of-range pairs are never sorted or converted to
+Python objects.  The greedy walks a user's stretch of that table and never
+sorts.  Each user's current link (its table position) and that link's path
+loss are kept as decisions are made, so the re-balancing pass compares one
+path-loss column against the current ones.  Loads are still summed one
+decision at a time, in decision order.
 
 A run is strictly sequential (the greedy order is semantic).  Runs within a
 campaign are independent, seeded `base_seed + run_index`, share one budget
@@ -33,11 +34,11 @@ Each run keeps the model-validity warnings it raises, also in a worker
 process, and a campaign their sorted distinct set.
 
 Every accept/reject decision lands in an event log.  The independent
-feasibility checker replays a run from scratch (fresh path-loss matrix,
-fresh capacity accounting, its own budget from its own arguments) and
-verifies the log, the assignment invariants and the capacity bounds without
-sharing any planner state; what it shares is the memoised, read-only
-population of each seed, a pure function of the seed.
+feasibility checker replays a run from scratch (fresh path loss from
+`link_loss_db`, fresh capacity accounting, its own budget from its own
+arguments) and verifies the log, the assignment invariants and the capacity
+bounds without sharing any planner state; what it shares is the memoised,
+read-only population of each seed, a pure function of the seed.
 """
 
 from __future__ import annotations
@@ -54,9 +55,8 @@ import numpy as np
 from .link_budget import (EnvironmentMargins, TechnologyProfile,
                           max_allowable_path_loss_db)
 from .power_energy import load_power_params, station_power_w
-from .propagation import ModelValidityWarning, PathLossModel, path_loss_array_db
-from .scenario import (Scenario, ScenarioError, UserPopulation,
-                       generate_population)
+from .propagation import ModelValidityWarning, PathLossModel, link_loss_db
+from .scenario import Scenario, ScenarioError, generate_population
 from .sizing import sweep_mcs
 
 __all__ = [
@@ -150,16 +150,6 @@ class _Budget:
     station_w: float | None = None
 
 
-def _pl_matrix(pop: UserPopulation, sites, model: PathLossModel) -> np.ndarray:
-    sx = np.array([s.x_km for s in sites])
-    sy = np.array([s.y_km for s in sites])
-    dx = pop.xy_km[:, 0][:, None] - sx[None, :]
-    dy = pop.xy_km[:, 1][:, None] - sy[None, :]
-    dist = np.hypot(dx, dy, out=dx)
-    np.maximum(dist, model.min_distance_km, out=dist)
-    return path_loss_array_db(model, dist)
-
-
 def env_workers() -> int:
     """Worker processes from TVWSPLAN_WORKERS: an integer >= 1, default 1."""
     raw = os.environ.get("TVWSPLAN_WORKERS", "1")
@@ -208,7 +198,7 @@ def _greedy_plan(pop, sites, budget, model, seed) -> RunOutcome:
     n_users = len(pop)
     site_ids = [s.id for s in sites]
     user_ids = pop.ids.tolist()
-    pl = _pl_matrix(pop, sites, model)
+    pl = link_loss_db(model, pop.xy_km[:, None], [(s.x_km, s.y_km) for s in sites])
     # the link table: the in-range (user, site) pairs only, ordered by (user,
     # path loss, site index).  numpy orders complex numbers by real, then
     # imaginary part, so the key user + 1j * path loss sorts by (user, path
@@ -469,10 +459,8 @@ def check_deployment(outcome: RunOutcome, scenario: Scenario,
     row = {uid: r for r, uid in enumerate(pop.ids.tolist())}
     linked = [(uid, site_by_id[sid]) for uid, sid in dep.assignments.items()
               if sid in dep.active_sites]
-    xy = pop.xy_km[[row[uid] for uid, _ in linked]].reshape(-1, 2)
-    dist = np.hypot(xy[:, 0] - [s.x_km for _, s in linked],
-                    xy[:, 1] - [s.y_km for _, s in linked])
-    pls = path_loss_array_db(model, np.maximum(dist, model.min_distance_km))
+    pls = link_loss_db(model, pop.xy_km[[row[uid] for uid, _ in linked]],
+                       np.reshape([(s.x_km, s.y_km) for _, s in linked], (-1, 2)))
     link_pl = dict(zip([uid for uid, _ in linked], pls.tolist()))
     for uid, sid in dep.assignments.items():
         if sid not in dep.active_sites:

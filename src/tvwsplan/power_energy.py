@@ -49,7 +49,6 @@ class TvwsPowerParams:
     p_poe_w: float = 4.0
     p_idle_w: float = 6.0
     ru_efficiency: float = 0.182
-    calibration_id: str = "tvws-default"
 
     def __post_init__(self):
         if min(self.p_backhaul_w, self.p_poe_w, self.p_idle_w) <= 0:
@@ -63,7 +62,6 @@ class MacroPowerParams:
     p_fixed_w: float
     amp_efficiency: float
     p_per_tx_overhead_w: float
-    calibration_id: str = ""
 
     def __post_init__(self):
         if self.p_fixed_w <= 0 or self.p_per_tx_overhead_w <= 0:

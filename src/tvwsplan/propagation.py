@@ -9,6 +9,7 @@ mobile-antenna correction and the open-area adjustment; an additive
 
 Both families are affine in log10(d), PL(d) = a + b*log10(d/d0) + offset,
 so one expression evaluates either model and one closed form inverts it.
+`link_loss_db` is the one place where coordinates become path loss.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "one_slope",
     "okumura_hata_rural",
     "path_loss_db",
+    "link_loss_db",
     "invert_range_km",
 ]
 
@@ -106,8 +108,6 @@ def _coefficients(model: PathLossModel) -> tuple:
 
 def path_loss_db(model: PathLossModel, distance_km: float) -> float:
     """Median path loss in dB at `distance_km` (clamped below at the floor)."""
-    if distance_km <= 0:
-        raise ValueError(f"distance must be positive, got {distance_km}")
     return float(path_loss_array_db(model, distance_km))
 
 
@@ -119,7 +119,7 @@ def path_loss_array_db(model: PathLossModel, distances_km) -> np.ndarray:
     """
     d = np.asarray(distances_km, dtype=float)
     if (d <= 0).any():
-        raise ValueError("distances must be positive")
+        raise ValueError(f"distances must be positive, got {float(d.min())}")
     if model.variant == "okumura_hata_rural" and (d > HATA_MAX_DISTANCE_KM).any():
         warnings.warn(
             f"distances up to {float(d.max()):.2f} km beyond Hata validity "
@@ -134,6 +134,17 @@ def path_loss_array_db(model: PathLossModel, distances_km) -> np.ndarray:
     pl += a
     pl += model.offset_db
     return pl
+
+
+def link_loss_db(model: PathLossModel, xy_km, site_xy_km) -> np.ndarray:
+    """Path loss in dB from points to sites, two (..., 2) km arrays that
+    broadcast: (N, 1, 2) against (M, 2) is the N x M matrix, two (K, 2) are K
+    paired links.  Distances below the floor, zero included, are clamped."""
+    xy, site = np.asarray(xy_km, dtype=float), np.asarray(site_xy_km, dtype=float)
+    dist = np.asarray(xy[..., 0] - site[..., 0])  # 0-d for one point and one site
+    np.hypot(dist, xy[..., 1] - site[..., 1], out=dist)
+    np.maximum(dist, model.min_distance_km, out=dist)
+    return path_loss_array_db(model, dist)
 
 
 def invert_range_km(model: PathLossModel, pl_max_db: float) -> float:

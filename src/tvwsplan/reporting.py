@@ -6,6 +6,8 @@ SVG map is a rendering of the CSV content, never a data source.  Every
 aggregate in a report is recomputable from the per-run rows;
 `verify_report` performs that round trip.  `build_report` assembles a
 report from a finished campaign (`planner.plan` runs it) and runs nothing.
+The assignment table and the raster take their path loss from one
+`propagation.link_loss_db` call each.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from . import __version__, geometry
 from .link_budget import EnvironmentMargins, TechnologyProfile, coverage_curve
 from .planner import CampaignResult, RunOutcome
 from .power_energy import LOAD_FACTOR, RADIATED_POWER_W, network_energy_efficiency
-from .propagation import (ModelValidityWarning, PathLossModel,
-                          path_loss_array_db, path_loss_db)
+from .propagation import (ModelValidityWarning, PathLossModel, link_loss_db,
+                          path_loss_array_db)
 from .scenario import Scenario, generate_population
 
 __all__ = [
@@ -226,15 +228,13 @@ def deployment_csv(outcome: RunOutcome, sites, prov: dict) -> str:
 def assignment_csv(outcome: RunOutcome, scenario: Scenario, sites,
                    model: PathLossModel, prov: dict) -> str:
     pop = generate_population(scenario.region, scenario.population, outcome.seed)
-    pos = {int(i): (float(x), float(y)) for i, (x, y) in zip(pop.ids, pop.xy_km)}
-    site_by_id = {s.id: s for s in sites}
-    rows = []
-    for uid in sorted(outcome.deployment.assignments):
-        sid = outcome.deployment.assignments[uid]
-        s = site_by_id[sid]
-        d = max(math.hypot(pos[uid][0] - s.x_km, pos[uid][1] - s.y_km),
-                model.min_distance_km)
-        rows.append([str(uid), str(sid), _fmt(path_loss_db(model, d))])
+    row = {uid: r for r, uid in enumerate(pop.ids.tolist())}
+    site_xy = {s.id: (s.x_km, s.y_km) for s in sites}
+    links = sorted(outcome.deployment.assignments.items())
+    pls = link_loss_db(model, pop.xy_km[[row[uid] for uid, _ in links]],
+                       np.reshape([site_xy[sid] for _, sid in links], (-1, 2)))
+    rows = [[str(uid), str(sid), _fmt(pl)]
+            for (uid, sid), pl in zip(links, pls.tolist())]
     return _csv(prov, "user_id,site_id,pl_db", rows)
 
 
@@ -262,28 +262,23 @@ def raster_csv(outcome: RunOutcome, scenario: Scenario, sites,
 
     xs, ys = centres(xmin, xmax), centres(ymin, ymax)
     grid = np.array([(x, y) for y in ys for x in xs]).reshape(-1, 2)
-    pixels = grid[geometry.points_in_polygon(grid, scenario.region.outline)].tolist()
-    active = [s for s in sites if s.id in outcome.deployment.active_sites]
-    # math.hypot, not np.hypot: the two differ in the last bit
-    dist = np.array([[math.hypot(x - s.x_km, y - s.y_km) for s in active]
-                     for x, y in pixels]).reshape(len(pixels), len(active))
-    best = path_loss_array_db(model, np.maximum(dist, model.min_distance_km))
-    best = best.min(axis=1, initial=math.inf).tolist()
+    pixels = grid[geometry.points_in_polygon(grid, scenario.region.outline)]
+    active = np.reshape([(s.x_km, s.y_km) for s in sites
+                         if s.id in outcome.deployment.active_sites], (-1, 2))
+    best = link_loss_db(model, pixels[:, None], active).min(axis=1, initial=math.inf)
     rows = [[_fmt(x), _fmt(y), _fmt(b) if math.isfinite(b) else "inf",
              "1" if b <= pl_max_db else "0"]
-            for (x, y), b in zip(pixels, best)]
+            for (x, y), b in zip(pixels.tolist(), best.tolist())]
     return _csv(prov, "x,y,best_pl_db,covered_flag", rows)
 
 
 def pathloss_csv(model: PathLossModel, prov: dict, d_min_km: float = 0.1,
                  d_max_km: float = 20.0, step_km: float = 0.1) -> str:
-    rows = []
+    d = d_min_km + np.arange(round((d_max_km - d_min_km) / step_km) + 1) * step_km
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModelValidityWarning)
-        n = int(round((d_max_km - d_min_km) / step_km))
-        for k in range(n + 1):
-            d = d_min_km + k * step_km
-            rows.append([_fmt(d), _fmt(path_loss_db(model, d))])
+        pl = path_loss_array_db(model, d)
+    rows = [[_fmt(x), _fmt(y)] for x, y in zip(d.tolist(), pl.tolist())]
     return _csv(prov, "d_km,pl_db", rows)
 
 

@@ -258,6 +258,11 @@ class SitePolicy:
     pilot_runs: int = 10
     max_sites: int = 200
 
+    def __post_init__(self):
+        if not self.antenna_height_m > 0:  # NaN is not positive either
+            raise ValueError(f"antenna_height_m must be positive, "
+                             f"got {self.antenna_height_m}")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -332,7 +337,7 @@ _TOP = (("schema_version", int, 1, 1, 2), ("technology", str, "802.22b"),
         ("region", dict), ("population", dict), ("environment", dict),
         ("propagation", dict), ("sites", dict), ("seeds", dict, {}))
 _REGION = (("area_km2", float), ("resolution_m", float, 250.0))
-_POPULATION = (("user_count", int), ("data_fraction", float),
+_POPULATION = (("user_count", int, None, 1), ("data_fraction", float),
                ("data_bitrate_mbps", float, 1.0), ("voice_bitrate_mbps", float, 0.064))
 _MARGINS = (("shadow_margin_db", float), ("fade_margin_db", float))
 _MODEL = (("calibration_id", str, ""),)  # rows every variant takes
@@ -455,12 +460,13 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
     policy = mode and _read(errors, top["sites"], "sites", _SITE_MODES[mode], mode=mode)
     if policy and mode == "explicit":
         _site_list(errors, policy, region)
+    policy = policy and _read(errors, {}, "sites", (), SitePolicy, **policy)
     seeds = _read(errors, top["seeds"], "seeds", (("base_seed", int, 1000, 0),))
     if errors:
         raise ScenarioError(errors)
     return Scenario(name=top["name"], environment=environment, region=region,
                     population=population, margins=margins, model=model,
-                    technology=top["technology"], site_policy=SitePolicy(**policy),
+                    technology=top["technology"], site_policy=policy,
                     base_seed=seeds["base_seed"])
 
 

@@ -14,13 +14,14 @@ from tvwsplan.link_budget import (EnvironmentMargins, McsEntry,
                                   TechnologyProfile, load_technology,
                                   max_allowable_path_loss_db)
 from tvwsplan.planner import (Deployment, PlannerConfig, RunOutcome,
-                              _budget, _greedy_plan, _pl_matrix,
+                              _budget, _greedy_plan,
                               check_deployment, grow_site_set, plan_single_run,
                               replay_event_log, run_campaign)
 from tvwsplan.power_energy import (BsPowerInput, TvwsPowerParams,
                                    load_power_params, tvws_bs_power_w)
 from tvwsplan.scenario import ScenarioError
-from tvwsplan.propagation import ModelValidityWarning, one_slope, path_loss_db
+from tvwsplan.propagation import (ModelValidityWarning, link_loss_db, one_slope,
+                                  path_loss_db)
 from tvwsplan.scenario import (CandidateSite, PopulationSpec, Region,
                                Scenario, SitePolicy, UserPopulation,
                                generate_population)
@@ -154,7 +155,7 @@ def greedy_plan_oracle(pop, sites, profile, margins, model, power_params,
     n_users = len(pop)
     n_sites = len(sites)
     site_ids = [s.id for s in sites]
-    pl = _pl_matrix(pop, sites, model)
+    pl = link_loss_db(model, pop.xy_km[:, None], [(s.x_km, s.y_km) for s in sites])
 
     mcs = profile.mcs(mcs_label)
     pl_max = max_allowable_path_loss_db(profile, margins, mcs)

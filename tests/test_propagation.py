@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tvwsplan.propagation import (HATA_MAX_DISTANCE_KM, ModelValidityWarning,
-                                  PathLossModel, invert_range_km,
+                                  PathLossModel, invert_range_km, link_loss_db,
                                   okumura_hata_rural, one_slope,
                                   path_loss_array_db, path_loss_db)
 
@@ -155,3 +155,42 @@ class TestProperties:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ModelValidityWarning)
             assert path_loss_db(hi, d) > path_loss_db(lo, d)
+
+
+class TestLinkLoss:
+    POINTS = np.array([[0.0, 0.0], [3.0, 4.0], [-1.5, 2.0]])
+    SITES = np.array([[0.0, 0.0], [6.0, 8.0]])
+
+    def test_matrix_and_paired_broadcasting(self):
+        m = one_slope(100.0, 1.0, 3.0)
+        matrix = link_loss_db(m, self.POINTS[:, None], self.SITES)
+        assert matrix.shape == (3, 2)
+        assert matrix[1].tolist() == [path_loss_db(m, 5.0), path_loss_db(m, 5.0)]
+        # K paired links are the matching entries of the matrix
+        paired = link_loss_db(m, self.POINTS, self.SITES[[1, 0, 1]])
+        assert paired.shape == (3,)
+        assert paired.tolist() == matrix[[0, 1, 2], [1, 0, 1]].tolist()
+        # one point and one site, one site against every point, no links at all
+        assert link_loss_db(m, [3.0, 4.0], [0.0, 0.0]) == path_loss_db(m, 5.0)
+        assert link_loss_db(m, self.POINTS, self.SITES[1]).tolist() == matrix[:, 1].tolist()
+        assert link_loss_db(m, self.POINTS[:, None], np.empty((0, 2))).shape == (3, 0)
+
+    def test_zero_distance_clamps_to_floor(self):
+        m = okumura_hata_rural(605.0, 30.0, 3.0)
+        got = link_loss_db(m, self.POINTS, self.POINTS)
+        assert got.tolist() == [path_loss_db(m, m.min_distance_km)] * 3
+
+    @settings(max_examples=80, deadline=None)
+    @given(any_model(),
+           st.lists(st.tuples(st.floats(-15, 15), st.floats(-15, 15)),
+                    min_size=1, max_size=6),
+           st.lists(st.tuples(st.floats(-15, 15), st.floats(-15, 15)),
+                    min_size=1, max_size=4))
+    def test_matches_scalar_evaluation(self, model, points, sites):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ModelValidityWarning)
+            got = link_loss_db(model, np.array(points)[:, None], sites)
+            for (x, y), row in zip(points, got.tolist()):
+                for (sx, sy), pl in zip(sites, row):
+                    d = max(math.hypot(x - sx, y - sy), model.min_distance_km)
+                    assert pl == pytest.approx(path_loss_db(model, d), abs=1e-9)

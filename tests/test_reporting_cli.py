@@ -19,7 +19,7 @@ from tvwsplan.reporting import (assignment_csv, build_report, coverage_csv,
                                 deployment_csv, pathloss_csv, power_csv,
                                 raster_csv, report_to_json, runs_csv, svg_map,
                                 sweep_csv, verify_report)
-from tvwsplan.scenario import bundled_scenario
+from tvwsplan.scenario import bundled_scenario, generate_population
 from tvwsplan.sizing import sweep_mcs
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_micro_report.json"
@@ -179,6 +179,41 @@ class TestCsvEmitters:
                 assert {r[-1] for r in expected} == {"0", "1"}
             else:  # no station: every pixel unreachable
                 assert all(r.endswith(",inf,0") for r in expected)
+
+    @staticmethod
+    def scalar_assignment_rows(sc, outcome, sites, model):
+        """The former per-user assignment loop, kept as the oracle."""
+        pop = generate_population(sc.region, sc.population, outcome.seed)
+        pos = {int(i): (float(x), float(y)) for i, (x, y) in zip(pop.ids, pop.xy_km)}
+        site_by_id = {s.id: s for s in sites}
+        rows = []
+        for uid in sorted(outcome.deployment.assignments):
+            sid = outcome.deployment.assignments[uid]
+            s = site_by_id[sid]
+            d = max(math.hypot(pos[uid][0] - s.x_km, pos[uid][1] - s.y_km),
+                    model.min_distance_km)
+            rows.append(f"{uid},{sid},{path_loss_db(model, d):.6f}")
+        return rows
+
+    @pytest.mark.parametrize("env", ["ghent_suburban", "boyeros_rural"])
+    def test_assignments_match_scalar_loop(self, env):
+        sc = bundled_scenario(env)
+        model = sc.model_for(load_technology(sc.technology, sc.environment))
+        sites = sc.lattice_sites(24)
+        pop = generate_population(sc.region, sc.population, 3)
+        # every user on some site, near or far, in a shuffled id order
+        assign = {int(u): sites[(7 * int(u)) % len(sites)].id
+                  for u in pop.ids[::-1]}
+        outcome = RunOutcome(seed=3, coverage_fraction=1.0,
+                             deployment=Deployment(set(assign.values()), assign,
+                                                   {}, {}, set()),
+                             total_power_w=0.0, served_mbps_total=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ModelValidityWarning)
+            text = assignment_csv(outcome, sc, sites, model, {})
+            expected = self.scalar_assignment_rows(sc, outcome, sites, model)
+        assert text.splitlines() == ["user_id,site_id,pl_db"] + expected
+        assert len(expected) == sc.population.user_count
 
     def test_pathloss_csv_values(self):
         model = one_slope(100.0, 1.0, 3.0)
@@ -400,7 +435,10 @@ class TestCli:
         ({"mode": "explicit", "list": [{"id": 0, "x_km": 8.0, "y_km": 5.0,
                                         "antenna_height_m": 0.0}]},
          "sites.list"),
-        ({"mode": "lattice", "count": 9, "seed": -3}, "sites.seed")])
+        ({"mode": "lattice", "count": 9, "seed": -3}, "sites.seed"),
+        # a non-positive policy height, which every lattice site takes
+        ({"mode": "lattice", "count": 9, "antenna_height_m": -5.0}, "sites"),
+        ({"mode": "auto_grow", "antenna_height_m": -5.0}, "sites")])
     def test_bad_site_policy_is_invalid_scenario(self, tmp_path, sites, field):
         path = tmp_path / "sites.yaml"
         raw = bundled_yaml("scenarios", "ghent_suburban")
@@ -424,6 +462,22 @@ class TestCli:
         error = json.loads(err)["error"]
         assert error["type"] == "invalid_scenario"
         assert [f.split(":")[0] for f in error["fields"]] == ["seeds.base_seed"]
+
+    def test_overflowing_outline_stderr_is_one_record(self, tmp_path):
+        # in a subprocess, since pytest would capture numpy's warnings in process
+        raw = bundled_yaml("scenarios", "ghent_suburban")
+        outline = [list(v) for v in raw["region"]["outline_km"]]
+        outline[3] = [5.0, 1e308]
+        path = tmp_path / "huge.yaml"
+        path.write_text(yaml.safe_dump({**raw, "region": {**raw["region"],
+                                                          "outline_km": outline}}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tvwsplan.cli", "sweep", "--scenario", str(path),
+             "--out", str(tmp_path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        [line] = proc.stderr.splitlines()
+        assert json.loads(line)["error"]["type"] == "invalid_scenario"
 
     def test_malformed_scenario_file_exits_2(self, tmp_path):
         syntax, encoding = tmp_path / "syntax.yaml", tmp_path / "latin1.yaml"

@@ -390,19 +390,22 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioError) as err:
             scenario_from_dict({**valid, "seeds": {"base_seed": -5}})
         assert [e.split(":")[0] for e in err.value.errors] == ["seeds.base_seed"]
+        # so is an empty population, which sizing rejects
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict({**valid, "population": {**valid["population"],
+                                                        "user_count": 0}})
+        assert [e.split(":")[0] for e in err.value.errors] == ["population.user_count"]
         # a NaN vertex, and one whose polygon area overflows to NaN, both fail
         outline = [list(v) for v in valid["region"]["outline_km"]]
         for vertex, field in (([float("nan"), 5.0], "region.outline_km[3].x"),
                               ([5.0, 1e308], "region")):
             outline[3] = vertex
-            with np.errstate(over="ignore", invalid="ignore"), \
-                    pytest.raises(ScenarioError) as err:
+            with pytest.raises(ScenarioError) as err:
                 scenario_from_dict({**valid, "region": {**valid["region"],
                                                         "outline_km": outline}})
             assert [e.split(":")[0] for e in err.value.errors] == [field]
 
-    @pytest.mark.filterwarnings("ignore::tvwsplan.propagation.ModelValidityWarning",
-                                "ignore::RuntimeWarning")  # overflow on huge vertices
+    @pytest.mark.filterwarnings("ignore::tvwsplan.propagation.ModelValidityWarning")
     @settings(max_examples=120, deadline=None)
     @given(st.sampled_from(["ghent_suburban", "boyeros_rural"]), st.data(),
            st.one_of(st.booleans(), st.text(max_size=5), st.none(),
