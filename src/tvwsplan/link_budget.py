@@ -40,6 +40,9 @@ __all__ = [
 
 THERMAL_NOISE_DBM_HZ = -174.0
 
+# libyaml's parser where it is installed; both loaders build the same objects
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 @dataclass(frozen=True)
 class McsEntry:
@@ -174,7 +177,8 @@ def bundled_yaml(folder: str, stem: str):
     mapping, so callers must only read it.  A missing file raises
     FileNotFoundError, and a failed read is not memoised.
     """
-    return yaml.safe_load((_data_dir() / folder / f"{stem}.yaml").read_text())
+    text = (_data_dir() / folder / f"{stem}.yaml").read_text()
+    return yaml.load(text, Loader=YAML_LOADER)
 
 
 def available_technologies() -> list:

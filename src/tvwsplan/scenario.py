@@ -15,11 +15,14 @@ read-only, so the planner, site growth, the feasibility checker and the
 artifact writers all share one immutable draw per seed.  The sampler tests
 whole blocks of variates at once; it consumes the generator's stream in
 exactly the order of a per-attempt rejection loop (x, y until inside, then
-the demand draw), so its output is byte-identical to that loop's.
+the demand draw), so its output is byte-identical to that loop's.  Its
+replay of the loop steps once per accepted user: the rejections between
+two acceptances are counted, not walked.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
 import io
@@ -31,7 +34,7 @@ import numpy as np
 import yaml
 
 from . import geometry
-from .link_budget import EnvironmentMargins, bundled_yaml
+from .link_budget import YAML_LOADER, EnvironmentMargins, bundled_yaml
 from .propagation import PathLossModel
 
 __all__ = [
@@ -188,20 +191,33 @@ def generate_population(region: Region, spec: PopulationSpec, seed: int) -> User
         buf = np.concatenate([buf[i:], rng.random(min(want, MAX_SAMPLE_BLOCK))])
         cand = np.column_stack([xmin + (xmax - xmin) * buf[:-1],
                                 ymin + (ymax - ymin) * buf[1:]])
-        inside = geometry.points_in_polygon(cand, region.outline).tolist()
-        # replay the per-user loop: a rejected pair (x, y) advances 2, an
-        # accepted one takes the next variate as its demand draw and advances 3
-        i = 0
-        while k < n and i + 2 < len(buf):
-            if inside[i]:
-                xy[k], u_demand[k] = cand[i], buf[i + 2]
-                k, i, tried = k + 1, i + 3, 0
-                continue
-            i, tried = i + 2, tried + 1
-            if tried == MAX_REJECTION_ATTEMPTS:
+        inside = geometry.points_in_polygon(cand, region.outline)
+        # replay the per-user loop: from position i it rejects the pairs of
+        # i's parity (2 variates each) up to the next accepted one, a, takes
+        # buf[a + 2] as that user's demand draw and resumes at a + 3
+        last = len(buf) - 3  # the last pair whose demand draw is in buf
+        # each parity's accepted pairs, then its first pair past `last`
+        accepted = np.flatnonzero(inside[:last + 1])
+        accepted = [accepted[accepted % 2 == p].tolist()
+                    + [last + 1 + (last + 1 - p) % 2] for p in (0, 1)]
+        taken, i = [], 0
+        while len(taken) < n - k and i <= last:
+            ahead = accepted[i % 2]
+            a = ahead[bisect.bisect_left(ahead, i)]
+            tried += (a - i) // 2
+            if tried >= MAX_REJECTION_ATTEMPTS:
                 raise RuntimeError(
                     f"rejection sampling failed after {MAX_REJECTION_ATTEMPTS} "
                     f"attempts inside region of area {region.area_km2} km^2")
+            if a > last:  # the walk runs off the block
+                i = a
+            else:
+                taken.append(a)
+                i, tried = a + 3, 0
+        taken = np.array(taken, dtype=np.intp)
+        xy[k:k + len(taken)] = cand[taken]
+        u_demand[k:k + len(taken)] = buf[taken + 2]
+        k += len(taken)
     demand = np.where(u_demand < spec.data_fraction,
                       spec.data_bitrate_mbps, spec.voice_bitrate_mbps)
     arrays = (np.arange(n, dtype=np.int64), xy, demand)
@@ -332,19 +348,27 @@ _KINDS = {int: "an integer", float: "a number", str: "a string",
           list: "a list", dict: "a mapping"}
 
 # Table rows are `_field` arguments (name, kind[, default[, lo[, hi]]]); a
-# field whose default is None, or not given, is required.
+# field whose default is None, or not given, is required.  The bounds on
+# bitrates, margins and model coefficients are physical limits far outside
+# any real study; they keep the budget, range and sizing arithmetic finite.
 _TOP = (("schema_version", int, 1, 1, 2), ("technology", str, "802.22b"),
         ("region", dict), ("population", dict), ("environment", dict),
         ("propagation", dict), ("sites", dict), ("seeds", dict, {}))
 _REGION = (("area_km2", float), ("resolution_m", float, 250.0))
 _POPULATION = (("user_count", int, None, 1), ("data_fraction", float),
-               ("data_bitrate_mbps", float, 1.0), ("voice_bitrate_mbps", float, 0.064))
-_MARGINS = (("shadow_margin_db", float), ("fade_margin_db", float))
+               ("data_bitrate_mbps", float, 1.0, 0, 1e4),
+               ("voice_bitrate_mbps", float, 0.064, 0, 1e4))
+_MARGINS = (("shadow_margin_db", float, None, 0, 100),
+            ("fade_margin_db", float, None, 0, 100))
 _MODEL = (("calibration_id", str, ""),)  # rows every variant takes
 _MODELS = {
-    "one_slope": _MODEL + (("pl0_db", float), ("d0_km", float, 1.0), ("exponent", float)),
-    "okumura_hata_rural": _MODEL + (("freq_mhz", float), ("bs_height_m", float),
-                                    ("rx_height_m", float), ("offset_db", float, 0.0)),
+    "one_slope": _MODEL + (("pl0_db", float, None, 0, 300),
+                           ("d0_km", float, 1.0, 0, 100),
+                           ("exponent", float, None, 1, 10)),
+    "okumura_hata_rural": _MODEL + (("freq_mhz", float),
+                                    ("bs_height_m", float, None, 1, 1000),
+                                    ("rx_height_m", float, None, 0, 1000),
+                                    ("offset_db", float, 0.0, -100, 100)),
 }
 _SITES = (("jitter_fraction", float, 0.3, 0), ("seed", int, 1, 0),
           ("antenna_height_m", float, 30.0))
@@ -475,7 +499,7 @@ def load_scenario(path) -> Scenario:
     `OSError`; bad YAML or bytes that are not UTF-8 raise `ScenarioError`."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=YAML_LOADER)
     except (yaml.YAMLError, UnicodeDecodeError) as e:  # str(e) names line and column
         raise ScenarioError([f"file: {' '.join(str(e).split())}"]) from None
     return scenario_from_dict(raw, name_hint=str(path))

@@ -5,6 +5,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from tvwsplan import link_budget
@@ -197,6 +198,16 @@ class TestTechnologyOrdering:
 
 
 class TestCatalogue:
+    def test_bundled_files_parse_equal_under_both_loaders(self):
+        # the libyaml loader, where installed, builds the pure-Python one's objects
+        files = sorted((Path(link_budget.__file__).parent / "data").rglob("*.yaml"))
+        assert len(files) == 8
+        for path in files:
+            text = path.read_text()
+            fast = yaml.load(text, Loader=link_budget.YAML_LOADER)
+            slow = yaml.load(text, Loader=yaml.SafeLoader)
+            assert fast == slow and repr(fast) == repr(slow), path.name
+
     def test_all_four_technologies_bundled(self):
         techs = available_technologies()
         assert {"802_22", "802_22b", "802_11af", "lte"} <= set(techs)

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import subprocess
@@ -462,6 +463,33 @@ class TestCli:
         error = json.loads(err)["error"]
         assert error["type"] == "invalid_scenario"
         assert [f.split(":")[0] for f in error["fields"]] == ["seeds.base_seed"]
+
+    @pytest.mark.parametrize("name, field, value", [
+        ("ghent_suburban", "environment.shadow_margin_db", 1e308),
+        ("ghent_suburban", "environment.fade_margin_db", 1e308),
+        ("ghent_suburban", "propagation.pl0_db", 1e308),
+        ("ghent_suburban", "propagation.d0_km", 1e308),
+        ("ghent_suburban", "propagation.exponent", 1e-9),
+        ("ghent_suburban", "population.data_bitrate_mbps", 1e308),
+        ("ghent_suburban", "population.voice_bitrate_mbps", 1e308),
+        ("boyeros_rural", "propagation.offset_db", 1e308),
+        ("boyeros_rural", "propagation.offset_db", -1e308),
+        ("boyeros_rural", "propagation.rx_height_m", 1e308),
+        ("boyeros_rural", "propagation.bs_height_m", 1e-300)])
+    def test_extreme_in_range_value_is_invalid_scenario(self, tmp_path, name, field,
+                                                        value):
+        # finite values that once passed the reader and crashed the sizing
+        raw = copy.deepcopy(bundled_yaml("scenarios", name))
+        section, key = field.split(".")
+        raw[section][key] = value
+        path = tmp_path / "extreme.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        code, _, err = self.run_cli("sweep", "--scenario", str(path),
+                                    "--out", str(tmp_path / "out"))
+        assert code == 2, err
+        error = json.loads(err)["error"]
+        assert error["type"] == "invalid_scenario"
+        assert [f.split(":")[0] for f in error["fields"]] == [field]
 
     def test_overflowing_outline_stderr_is_one_record(self, tmp_path):
         # in a subprocess, since pytest would capture numpy's warnings in process

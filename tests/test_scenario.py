@@ -142,6 +142,25 @@ def scalar_point_in_polygon(x, y, vertices):
     return inside
 
 
+def broadcast_points_in_polygon(points, vertices):
+    """The former all-edges vectorised ray cast of `geometry`, kept as the oracle."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    v = np.asarray(vertices, dtype=float)
+    x, y = pts[:, 0][:, None], pts[:, 1][:, None]
+    x1, y1 = v[:, 0][None, :], v[:, 1][None, :]
+    x2, y2 = np.roll(v[:, 0], -1)[None, :], np.roll(v[:, 1], -1)[None, :]
+
+    crosses = (y1 > y) != (y2 > y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xs = x1 + (y - y1) * (x2 - x1) / np.where(y2 == y1, np.inf, y2 - y1)
+    inside = (np.sum(crosses & (x < xs), axis=1) % 2).astype(bool)
+
+    on_edge = ((np.minimum(x1, x2) - 1e-12 <= x) & (x <= np.maximum(x1, x2) + 1e-12)
+               & (np.minimum(y1, y2) - 1e-12 <= y) & (y <= np.maximum(y1, y2) + 1e-12)
+               & (np.abs((x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)) < 1e-9))
+    return inside | on_edge.any(axis=1)
+
+
 def scalar_population(region, spec, seed):
     """The former per-attempt rejection loop, kept as the oracle."""
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -177,6 +196,16 @@ def region_of(outline):
 def thin_triangle(width):
     """A sliver along the diagonal of a 10 x 10 km box: area 5 * width."""
     return region_of(((0.0, 0.0), (10.0, 10.0), (10.0, 10.0 - width)))
+
+
+@st.composite
+def rectilinear_outlines(draw):
+    """L-shaped outlines: horizontal and vertical edges only, and vertices
+    that share their y with a neighbour."""
+    x0, y0 = draw(st.floats(-50, 50)), draw(st.floats(-50, 50))
+    xm, x1 = sorted(x0 + draw(st.floats(0.1, 10)) * k for k in (1, 2))
+    y1, y2 = sorted(y0 + draw(st.floats(0.1, 10)) * k for k in (1, 2))
+    return ((x0, y0), (x1, y0), (x1, y1), (xm, y1), (xm, y2), (x0, y2))
 
 
 @st.composite
@@ -262,6 +291,28 @@ class TestSamplerMatchesScalarLoop:
         assert peak < 16 * 2**20
 
 
+class TestSamplerAttemptLimit:
+    """The block sampler gives up exactly where the per-attempt loop does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 64), star_regions(), st.integers(1, 40),
+           seeds)
+    def test_attempt_limit_trips_where_the_loop_does(self, limit, block, region,
+                                                      users, seed):
+        # a small limit trips often; small blocks split runs of rejections
+        spec = PopulationSpec(users, 0.5)
+        with mock.patch.object(scenario, "MAX_REJECTION_ATTEMPTS", limit), \
+                mock.patch.object(scenario, "MAX_SAMPLE_BLOCK", block):
+            try:
+                scalar_population(region, spec, seed)
+            except RuntimeError as old:
+                with pytest.raises(RuntimeError) as new:
+                    generate_population.__wrapped__(region, spec, seed)
+                assert str(new.value) == str(old)
+                return
+            assert_same_draw(region, spec, seed)
+
+
 class TestPopulationMemo:
     def test_same_key_same_object(self):
         sc = bundled_scenario("ghent_suburban")
@@ -299,6 +350,56 @@ class TestContainment:
             assert got == expected
             assert all(expected[:2 * len(v)])  # boundary counts as inside
             assert geometry.points_in_polygon(pts, outline).tolist() == expected
+
+
+class TestContainmentMatchesBroadcast:
+    """The y-sliced ray cast returns the former all-edges mask exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(star_regions().map(lambda r: r.outline), rectilinear_outlines()),
+           st.integers(0, 2**32 - 1), st.integers(0, 400))
+    def test_matches_broadcast_oracle(self, outline, seed, keep):
+        rng = np.random.default_rng(seed)
+        v = np.asarray(outline)
+        edge = np.roll(v, -1, axis=0) - v
+        normal = edge[:, ::-1] * [1.0, -1.0] / np.hypot(*edge.T)[:, None]
+        on_edge = v + rng.uniform(0, 1, (len(v), 1)) * edge
+        near = [on_edge + d * offset for d in (1e-12, -1e-12, 1e-10, -1e-10)
+                for offset in (normal, np.array([1.0, 0.0]), np.array([0.0, 1.0]))]
+        xmin, ymin, xmax, ymax = geometry.polygon_bbox(outline)
+        spread = np.column_stack([rng.uniform(xmin - 1, xmax + 1, 200),
+                                  rng.uniform(ymin - 1, ymax + 1, 200)])
+        same_y = np.column_stack([np.linspace(xmin - 1, xmax + 1, 60),
+                                  np.full(60, rng.choice(v[:, 1]))])
+        x, y = on_edge[0]
+        odd = [(a, b) for a in (x, np.nan, np.inf, -np.inf)
+               for b in (y, np.nan, np.inf, -np.inf)]
+        pts = np.vstack([v, v + 0.5 * edge, *near, spread, same_y, odd])
+        pts = pts[rng.permutation(len(pts))[:keep]]  # keep 0: empty input
+        with np.errstate(invalid="ignore", over="ignore"):  # inf coordinates
+            expected = broadcast_points_in_polygon(pts, outline).tolist()
+            assert geometry.points_in_polygon(pts, outline).tolist() == expected
+
+    def test_empty_input(self):
+        outline = bundled_scenario("ghent_suburban").region.outline
+        for pts in ([], np.empty((0, 2))):
+            mask = geometry.points_in_polygon(pts, outline)
+            assert mask.dtype == bool and mask.tolist() == []
+
+    def test_peak_memory_is_bounded(self):
+        # the all-edges cast held about 15 (points x edges) arrays: 78 MB peak
+        outline = bundled_scenario("ghent_suburban").region.outline
+        rng = np.random.default_rng(20261019)
+        xmin, ymin, xmax, ymax = geometry.polygon_bbox(outline)
+        pts = np.column_stack([rng.uniform(xmin, xmax, 100_000),
+                               rng.uniform(ymin, ymax, 100_000)])
+        tracemalloc.start()
+        try:
+            geometry.points_in_polygon(pts, outline)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestExpectedDemand:
@@ -490,7 +591,7 @@ BUNDLED_FILES = [("scenarios", "ghent_suburban"), ("scenarios", "boyeros_rural")
 class TestBundledData:
     def test_battery_cells_parse_each_file_once(self):
         bundled_yaml.cache_clear()
-        with mock.patch.object(yaml, "safe_load", wraps=yaml.safe_load) as parse:
+        with mock.patch.object(yaml, "load", wraps=yaml.load) as parse:
             for env, name, tech, mimo in BATTERY_CELLS:
                 bundled_scenario(name)
                 load_power_params(load_technology(tech, env, mimo=mimo).power_model)
