@@ -3,7 +3,23 @@ TV-white-space and LTE access networks.
 
 The package is organised as a numpy-based library; `tvwsplan.cli` exposes
 the batch front end (`tvwsplan pathloss|coverage|sweep|plan`).
+
+When this package is the first to import numpy, it loads OpenBLAS with one
+thread: tvwsplan calls no threaded BLAS routine (its only BLAS calls are dot
+products of outline vertices and 2-vectors), and an idle pool thread costs
+CPU time in every process.  A caller's own `OPENBLAS_NUM_THREADS` wins, and
+the environment is left as it was found.
 """
+
+import os as _os
+import sys as _sys
+
+if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401  (OpenBLAS reads it as it loads)
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
 
 __version__ = "0.1.0"
 

@@ -7,6 +7,7 @@ are small enough (< 20 km extent) that geodesy is ignored.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -107,6 +108,96 @@ def polygon_bbox(vertices):
     return v[:, 0].min(), v[:, 1].min(), v[:, 0].max(), v[:, 1].max()
 
 
+def _banded(spans):
+    """Band starts, and for each band the items whose half-open span
+    [lo, hi) holds it, from (lo, hi, item) triples.  A value v lies in the
+    band starting at starts[bisect_right(starts, v) - 1]."""
+    starts = sorted({b for lo, hi, _ in spans for b in (lo, hi)})
+    return starts, [[item for lo, hi, item in spans if lo <= s < hi]
+                    for s in starts]
+
+
+def _in_band(banded, y: float):
+    starts, bands = banded
+    k = bisect_right(starts, y)
+    return bands[k - 1] if k else ()
+
+
+def _covered(runs) -> int:
+    """Indices covered by a union of half-open index runs."""
+    covered = end = 0
+    for a, b in sorted(runs):
+        if b > end:
+            covered += b - max(a, end)
+            end = b
+    return covered
+
+
+def _grid_counter(vertices):
+    """`count(rows, xs, enough)`: how many points of a grid lie inside the
+    outline by `points_in_polygon`'s rule, stopping once `enough` do.  Row r
+    is at height rows[r] and holds the sorted values xs[r % 2]; all values
+    are Python floats.
+
+    Each row's count comes from the edges its height crosses, with the same
+    IEEE operations as `points_in_polygon`: an x is inside by parity when an
+    odd number of crossings exceed it, so the inside xs of a row are index
+    runs found by `bisect`.  Points within 1e-9 of an edge can only add to
+    that count, so they are looked for only once every row's parity count is
+    in and still short of `enough`.  That on-edge distance is monotone in x
+    along a row, so its points are one run per edge, also found by `bisect`.
+    """
+    v = np.asarray(vertices, dtype=float).tolist()
+    edges = [(x1, y1, x2, y2) for (x1, y1), (x2, y2) in zip(v, v[1:] + v[:1])]
+    # a row at y crosses an edge when (y1 > y) != (y2 > y): min <= y < max
+    crossing = _banded([(min(y1, y2), max(y1, y2), (x1, y1, x2 - x1, y2 - y1))
+                        for x1, y1, x2, y2 in edges])
+    # and can touch it when min - 1e-12 <= y <= max + 1e-12
+    touching = _banded([(min(y1, y2) - 1e-12,
+                         math.nextafter(max(y1, y2) + 1e-12, math.inf),
+                         (x1, y1, x2 - x1, y2 - y1,
+                          min(x1, x2) - 1e-12, max(x1, x2) + 1e-12))
+                        for x1, y1, x2, y2 in edges])
+
+    def parity_cuts(y, xs):
+        # a row crosses an even number of edges; the xs inside by parity
+        # run from cut 0 to cut 1, from cut 2 to cut 3, ...
+        return sorted(bisect_left(xs, x1 + (y - y1) * dx / dy)
+                      for x1, y1, dx, dy in _in_band(crossing, y))
+
+    def edge_runs(y, xs):
+        for x1, y1, dx, dy, xlo, xhi in _in_band(touching, y):
+            t = (y - y1) * dx
+            sign = 1.0 if dy >= 0.0 else -1.0  # makes the distance non-increasing
+
+            def dist(x):
+                return sign * (t - dy * (x - x1))
+
+            lo, hi = bisect_left(xs, xlo), bisect_right(xs, xhi)
+            a = bisect_left(xs, True, lo, hi, key=lambda x: dist(x) < 1e-9)
+            b = bisect_left(xs, True, a, hi, key=lambda x: dist(x) <= -1e-9)
+            if a < b:
+                yield a, b
+
+    def count(rows, xs, enough) -> int:
+        found, cuts = 0, []
+        for r, y in enumerate(rows):
+            cuts.append(parity_cuts(y, xs[r % 2]))
+            found += sum(cuts[r][1::2]) - sum(cuts[r][::2])
+            if found >= enough:
+                return found
+        for r, y in enumerate(rows):
+            on_edge = list(edge_runs(y, xs[r % 2]))
+            if on_edge:
+                parity = list(zip(cuts[r][::2], cuts[r][1::2]))
+                found += _covered(parity + on_edge) - _covered(parity)
+                if found >= enough:
+                    return found
+        return found
+
+    return count
+
+
 def hex_lattice_sites(vertices, count: int, jitter_fraction: float, seed: int) -> np.ndarray:
     """Jittered hexagonal lattice of `count` points inside a polygon.
 
@@ -117,30 +208,38 @@ def hex_lattice_sites(vertices, count: int, jitter_fraction: float, seed: int) -
     is a pure function of (vertices, count, jitter_fraction, seed).
 
     The search only asks whether a pitch leaves at least `count` points
-    inside, so it builds and tests each grid in blocks of whole rows, in grid
-    order (about 4 * `count` points, then twice as many each time, up to
-    `MAX_GRID_BLOCK` or one row), and stops once `count` are inside.  The answer equals
-    that of testing the whole grid, because containment is decided point by
-    point, and memory stays bounded however many points a grid has.  The
-    final pitch's interior points are collected from all of its blocks.
+    inside, and answers it row by row from the edges each grid row crosses
+    (`_grid_counter`), without building the grid: the count equals
+    `points_in_polygon` over the whole grid.  The bisection stops once its
+    midpoint can no longer move.  The final pitch's interior points are
+    collected through `points_in_polygon`, in blocks of whole rows of up to
+    `MAX_GRID_BLOCK` points, so memory stays bounded on thin outlines.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     area = polygon_area(vertices)
     xmin, ymin, xmax, ymax = polygon_bbox(vertices)
     rng = np.random.Generator(np.random.PCG64(seed))
+    inside_count = _grid_counter(vertices)
+
+    def grid(pitch: float):
+        # row heights, and the x values of even and of odd rows
+        dy = pitch * math.sqrt(3.0) / 2.0
+        return (np.arange(ymin + 0.5 * dy, ymax, dy),
+                (np.arange(xmin + 0.25 * pitch, xmax, pitch),
+                 np.arange(xmin + 0.75 * pitch, xmax, pitch)))
+
+    def fits(pitch: float) -> bool:
+        rows, xs = grid(pitch)
+        return inside_count(rows.tolist(), [x.tolist() for x in xs], count) >= count
 
     def inside_blocks(pitch: float):
-        # the grid's interior points, block by block in row-major order; a
-        # row's x values depend only on its parity
-        dy = pitch * math.sqrt(3.0) / 2.0
-        rows = np.arange(ymin + 0.5 * dy, ymax, dy)
-        xs = (np.arange(xmin + 0.25 * pitch, xmax, pitch),
-              np.arange(xmin + 0.75 * pitch, xmax, pitch))
+        # the grid's interior points, block by block in row-major order
+        rows, xs = grid(pitch)
         per_row = max(1, len(xs[0]))  # even rows are the longer ones
-        start, chunk = 0, min(4 * count, MAX_GRID_BLOCK)
-        while start < len(rows):
-            stop = min(len(rows), start + max(1, chunk // per_row))
+        step = max(1, MAX_GRID_BLOCK // per_row)
+        for start in range(0, len(rows), step):
+            stop = min(len(rows), start + step)
             first, second = xs[start % 2], xs[1 - start % 2]
             ys = np.repeat(rows[start:stop],
                            np.resize([len(first), len(second)], stop - start))
@@ -148,15 +247,6 @@ def hex_lattice_sites(vertices, count: int, jitter_fraction: float, seed: int) -
             pts = np.column_stack(
                 [np.tile(row_x, (stop - start + 1) // 2)[:len(ys)], ys])
             yield pts[points_in_polygon(pts, vertices)]
-            start, chunk = stop, min(2 * chunk, MAX_GRID_BLOCK)
-
-    def fits(pitch: float) -> bool:
-        missing = count
-        for pts in inside_blocks(pitch):
-            missing -= len(pts)
-            if missing <= 0:
-                return True
-        return False
 
     # bracket a pitch giving at least `count` interior points
     hi = math.sqrt(2.0 * area / (math.sqrt(3.0) * count)) * 2.0
@@ -165,12 +255,15 @@ def hex_lattice_sites(vertices, count: int, jitter_fraction: float, seed: int) -
         lo /= 2.0
         if lo < 1e-4:
             raise ValueError("cannot fit requested site count inside region")
+    hi_failed = False
     for _ in range(60):
         mid = 0.5 * (lo + hi)
+        if mid == lo or (mid == hi and hi_failed):
+            break  # every later step would test this same midpoint again
         if fits(mid):
             lo = mid
         else:
-            hi = mid
+            hi, hi_failed = mid, True
     pts = np.concatenate(list(inside_blocks(lo)))
     # drop surplus points farthest from the region centroid: keeps the core
     v = np.asarray(vertices, dtype=float)

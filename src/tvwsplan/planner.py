@@ -47,7 +47,6 @@ import collections
 import functools
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -348,6 +347,8 @@ def _campaign(scenario, sites, budget, model, config) -> CampaignResult:
     # with fork, a pool starts all max_workers processes at the first submit
     workers = min(env_workers(), config.runs)
     if workers > 1:
+        # imported here: it loads multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run, seeds))
     else:

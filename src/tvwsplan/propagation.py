@@ -126,9 +126,11 @@ def path_loss_array_db(model: PathLossModel, distances_km) -> np.ndarray:
             f"({HATA_MAX_DISTANCE_KM} km); values extrapolated",
             ModelValidityWarning, stacklevel=2)
     a, b, d0 = _coefficients(model)
-    # a + b*log10(max(d, floor)/d0) + offset_db, evaluated in one fresh array
+    # a + b*log10(max(d, floor)/d0) + offset_db, evaluated in one fresh array;
+    # a denormal d0 overflows the ratio to inf, a loss no budget reaches
     pl = np.maximum(d, model.min_distance_km, out=np.empty_like(d))
-    pl /= d0
+    with np.errstate(over="ignore"):
+        pl /= d0
     np.log10(pl, out=pl)
     pl *= b
     pl += a

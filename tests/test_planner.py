@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import itertools
 import math
@@ -555,7 +556,7 @@ class TestDeterminism:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(planner, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setenv("TVWSPLAN_WORKERS", "16")
         for runs in (4, 1, 20):
             run_campaign(micro_scenario, micro_profile, micro_margins,

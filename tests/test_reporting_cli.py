@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -496,16 +497,22 @@ class TestCli:
         raw = bundled_yaml("scenarios", "ghent_suburban")
         outline = [list(v) for v in raw["region"]["outline_km"]]
         outline[3] = [5.0, 1e308]
-        path = tmp_path / "huge.yaml"
-        path.write_text(yaml.safe_dump({**raw, "region": {**raw["region"],
-                                                          "outline_km": outline}}))
-        proc = subprocess.run(
-            [sys.executable, "-m", "tvwsplan.cli", "sweep", "--scenario", str(path),
-             "--out", str(tmp_path)],
-            capture_output=True, text=True)
-        assert proc.returncode == 2
-        [line] = proc.stderr.splitlines()
-        assert json.loads(line)["error"]["type"] == "invalid_scenario"
+        huge_outline = {**raw, "region": {**raw["region"], "outline_km": outline}}
+        # a denormal d0 overflows distance / d0; the budget is then below the
+        # model floor, which still exits 3
+        tiny_d0 = {**raw, "propagation": {**raw["propagation"], "d0_km": 5e-324}}
+        for name, edited, code, kind in (
+                ("huge", huge_outline, 2, "invalid_scenario"),
+                ("tiny_d0", tiny_d0, 3, "internal")):
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(yaml.safe_dump(edited))
+            proc = subprocess.run(
+                [sys.executable, "-m", "tvwsplan.cli", "sweep", "--scenario",
+                 str(path), "--out", str(tmp_path / name)],
+                capture_output=True, text=True)
+            assert proc.returncode == code, (name, proc.stderr)
+            [line] = proc.stderr.splitlines()
+            assert json.loads(line)["error"]["type"] == kind
 
     def test_malformed_scenario_file_exits_2(self, tmp_path):
         syntax, encoding = tmp_path / "syntax.yaml", tmp_path / "latin1.yaml"
@@ -580,3 +587,27 @@ class TestCli:
         for name in PLAN_ARTIFACTS:
             assert (tmp_path / "1" / name).read_bytes() == \
                 (tmp_path / "2" / name).read_bytes(), name
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts threads through /proc/self/task")
+class TestBlasThreads:
+    """`import tvwsplan` loads numpy's OpenBLAS with one thread unless the
+    caller chose a number, and leaves the environment as it found it."""
+
+    PROBE = ("import os, tvwsplan; print(len(os.listdir('/proc/self/task')), "
+             "os.environ.get('OPENBLAS_NUM_THREADS'))")
+
+    def probe(self, **env):
+        base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        proc = subprocess.run([sys.executable, "-c", self.PROBE], capture_output=True,
+                              text=True, env={**base, **env})
+        assert proc.returncode == 0, proc.stderr
+        threads, value = proc.stdout.split()
+        return int(threads), value
+
+    def test_unset_loads_one_thread_and_stays_unset(self):
+        assert self.probe() == (1, "None")
+
+    def test_caller_value_wins(self):
+        assert self.probe(OPENBLAS_NUM_THREADS="2")[1] == "2"

@@ -837,3 +837,44 @@ class TestLatticeMatchesFullGridSearch:
             geometry.hex_lattice_sites(sliver, 50, 0.3, 1)
         assert str(new.value) == str(old.value) == (
             "cannot fit requested site count inside region")
+
+
+class TestGridCountMatchesContainment:
+    """The pitch search's row count equals `points_in_polygon` over the grid."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(histogram_outlines(), star_regions().map(lambda r: r.outline),
+                     st.sampled_from([bundled_scenario(name).region.outline for name
+                                      in ("ghent_suburban", "boyeros_rural")])),
+           st.sampled_from([1.0, 2.0**20]), st.integers(0, 2**32 - 1))
+    def test_matches_containment(self, outline, scale, seed):
+        # at 2**20 km the products' rounding passes 1e-9, so a point at an
+        # edge crossing need not count as on the edge
+        outline = tuple((x * scale, y * scale) for x, y in outline)
+        rng = np.random.default_rng(seed)
+        v = np.asarray(outline, dtype=float)
+        x1, y1 = v[:, 0], v[:, 1]
+        x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+        # rows on and just off the vertex ordinates
+        rows = (y1[:, None] + [0.0, 1e-12, -1e-12, 1e-10, -1e-10]).ravel()
+        rows = rows[rng.random(len(rows)) < 0.6].tolist()
+        # xs on and just off each row's edge crossings, plus vertices and spread
+        near = []
+        for y in rows:
+            cross = (y1 > y) != (y2 > y)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xc = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+            near.append(xc[cross])
+        near = np.concatenate([np.empty(0), *near])
+        offsets = [0.0, 1e-12, -1e-12, 3e-10, -3e-10, 2e-9, -2e-9]
+        xmin, _, xmax, _ = geometry.polygon_bbox(outline)
+        pool = np.concatenate([(near[:, None] + offsets).ravel(), x1,
+                               rng.uniform(xmin - 1, xmax + 1, 40)])
+        xs = [np.sort(rng.choice(pool, rng.integers(0, 300))).tolist()
+              for _ in range(2)]
+        grid = np.array([(x, y) for r, y in enumerate(rows) for x in xs[r % 2]])
+        inside = int(geometry.points_in_polygon(grid, outline).sum())
+        count = geometry._grid_counter(outline)
+        assert count(rows, xs, math.inf) == inside
+        enough = int(rng.integers(1, inside + 2))
+        assert (count(rows, xs, enough) >= enough) == (inside >= enough)
