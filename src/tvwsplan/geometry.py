@@ -17,10 +17,11 @@ __all__ = [
     "point_in_polygon",
     "points_in_polygon",
     "polygon_bbox",
+    "distance_to_outline",
     "hex_lattice_sites",
 ]
 
-MAX_GRID_BLOCK = 1 << 16  # grid points built and tested at once
+MAX_EDGE_PAIRS = 1 << 16  # edge pairs tested at once for self-intersection
 
 
 def polygon_area(vertices) -> float:
@@ -33,28 +34,30 @@ def polygon_area(vertices) -> float:
         return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-def _segments_cross(p1, p2, q1, q2) -> bool:
-    def orient(a, b, c):
-        val = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if abs(val) < 1e-12:
-            return 0
-        return 1 if val > 0 else -1
-
-    o1, o2 = orient(p1, p2, q1), orient(p1, p2, q2)
-    o3, o4 = orient(q1, q2, p1), orient(q1, q2, p2)
-    return o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4)
+def _turn(ax, ay, bx, by, cx, cy):
+    # a -> b -> c turns left 1, right or NaN -1, straight within 1e-12: 0
+    val = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return np.where(np.abs(val) < 1e-12, 0, np.where(val > 0, 1, -1))
 
 
 def polygon_is_simple(vertices) -> bool:
-    """True when no two non-adjacent edges intersect."""
-    v = np.asarray(vertices, dtype=float)
+    """True when no two non-adjacent edges cross: each one's end points
+    lie strictly on opposite sides of the other's line, where a turn within
+    1e-12 of straight is on neither side.  The pairs are tested with numpy,
+    in blocks of whole edge rows of at most `MAX_EDGE_PAIRS` pairs."""
+    v = np.asarray(vertices, dtype=float).reshape(-1, 2)
     n = len(v)
-    edges = [(v[i], v[(i + 1) % n]) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            if _segments_cross(*edges[i], *edges[j]):
+    q = (*v.T, *np.roll(v, -1, axis=0).T)  # each edge's x1, y1, x2, y2
+    j = np.arange(n)
+    step = max(1, MAX_EDGE_PAIRS // max(n, 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # huge vertices: inf or NaN
+        for start in range(0, n, step):
+            i = np.arange(start, min(n, start + step))[:, None]
+            pair = (j > i) & ((j + 1) % n != i) & ((i + 1) % n != j)
+            p = tuple(c[i] for c in q)
+            crosses = ((_turn(*p, *q[:2]) * _turn(*p, *q[2:]) < 0)
+                       & (_turn(*q, *p[:2]) * _turn(*q, *p[2:]) < 0))
+            if (crosses & pair).any():
                 return False
     return True
 
@@ -108,6 +111,19 @@ def polygon_bbox(vertices):
     return v[:, 0].min(), v[:, 1].min(), v[:, 0].max(), v[:, 1].max()
 
 
+def distance_to_outline(points, vertices) -> np.ndarray:
+    """Distance from each point of an (N, 2) array to the outline's nearest
+    edge, edge by edge across all points; an edge giving NaN is passed over."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    v = np.asarray(vertices, dtype=float)
+    best = np.full(len(pts), np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, ab in zip(v, np.roll(v, -1, axis=0) - v):
+            t = np.clip((pts - a) @ ab / max(ab @ ab, 1e-12), 0.0, 1.0)
+            best = np.fmin(best, np.hypot(*(a + t[:, None] * ab - pts).T))
+    return best
+
+
 def _banded(spans):
     """Band starts, and for each band the items whose half-open span
     [lo, hi) holds it, from (lo, hi, item) triples.  A value v lies in the
@@ -123,29 +139,31 @@ def _in_band(banded, y: float):
     return bands[k - 1] if k else ()
 
 
-def _covered(runs) -> int:
-    """Indices covered by a union of half-open index runs."""
-    covered = end = 0
+def _union(runs) -> list:
+    """A union of half-open index runs as sorted, disjoint, non-empty runs."""
+    merged = []
     for a, b in sorted(runs):
-        if b > end:
-            covered += b - max(a, end)
-            end = b
-    return covered
+        if merged and a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        elif a < b:
+            merged.append([a, b])
+    return merged
 
 
 def _grid_counter(vertices):
-    """`count(rows, xs, enough)`: how many points of a grid lie inside the
-    outline by `points_in_polygon`'s rule, stopping once `enough` do.  Row r
-    is at height rows[r] and holds the sorted values xs[r % 2]; all values
-    are Python floats.
+    """`(count, collect)` for a grid's points inside the outline by
+    `points_in_polygon`'s rule: `count(rows, xs, enough)` counts them,
+    stopping once `enough` do, and `collect(rows, xs)` is their (N, 2) array
+    in row-major order.  Row r is at height rows[r] and holds the sorted
+    values xs[r % 2]; all values are Python floats.
 
-    Each row's count comes from the edges its height crosses, with the same
+    Each row's points come from the edges its height crosses, with the same
     IEEE operations as `points_in_polygon`: an x is inside by parity when an
     odd number of crossings exceed it, so the inside xs of a row are index
-    runs found by `bisect`.  Points within 1e-9 of an edge can only add to
-    that count, so they are looked for only once every row's parity count is
-    in and still short of `enough`.  That on-edge distance is monotone in x
-    along a row, so its points are one run per edge, also found by `bisect`.
+    runs found by `bisect`.  Points within 1e-9 of an edge are inside too;
+    that distance is monotone in x along a row, so they form one run per
+    edge, also found by `bisect`.  They can only add to the parity count, so
+    `count` looks for them only once that count is in and still short.
     """
     v = np.asarray(vertices, dtype=float).tolist()
     edges = [(x1, y1, x2, y2) for (x1, y1), (x2, y2) in zip(v, v[1:] + v[:1])]
@@ -159,11 +177,12 @@ def _grid_counter(vertices):
                           min(x1, x2) - 1e-12, max(x1, x2) + 1e-12))
                         for x1, y1, x2, y2 in edges])
 
-    def parity_cuts(y, xs):
+    def parity_runs(y, xs):
         # a row crosses an even number of edges; the xs inside by parity
         # run from cut 0 to cut 1, from cut 2 to cut 3, ...
-        return sorted(bisect_left(xs, x1 + (y - y1) * dx / dy)
+        cuts = sorted(bisect_left(xs, x1 + (y - y1) * dx / dy)
                       for x1, y1, dx, dy in _in_band(crossing, y))
+        return list(zip(cuts[::2], cuts[1::2]))
 
     def edge_runs(y, xs):
         for x1, y1, dx, dy, xlo, xhi in _in_band(touching, y):
@@ -180,22 +199,29 @@ def _grid_counter(vertices):
                 yield a, b
 
     def count(rows, xs, enough) -> int:
-        found, cuts = 0, []
+        found, parity = 0, []
         for r, y in enumerate(rows):
-            cuts.append(parity_cuts(y, xs[r % 2]))
-            found += sum(cuts[r][1::2]) - sum(cuts[r][::2])
+            parity.append(parity_runs(y, xs[r % 2]))
+            found += sum(b - a for a, b in parity[r])
             if found >= enough:
                 return found
         for r, y in enumerate(rows):
             on_edge = list(edge_runs(y, xs[r % 2]))
             if on_edge:
-                parity = list(zip(cuts[r][::2], cuts[r][1::2]))
-                found += _covered(parity + on_edge) - _covered(parity)
+                found += (sum(b - a for a, b in _union(parity[r] + on_edge))
+                          - sum(b - a for a, b in parity[r]))
                 if found >= enough:
                     return found
         return found
 
-    return count
+    def collect(rows, xs) -> np.ndarray:
+        pts = [(x, y) for r, y in enumerate(rows)
+               for row in [xs[r % 2]]
+               for a, b in _union([*parity_runs(y, row), *edge_runs(y, row)])
+               for x in row[a:b]]
+        return np.array(pts, dtype=float).reshape(-1, 2)
+
+    return count, collect
 
 
 def hex_lattice_sites(vertices, count: int, jitter_fraction: float, seed: int) -> np.ndarray:
@@ -211,42 +237,25 @@ def hex_lattice_sites(vertices, count: int, jitter_fraction: float, seed: int) -
     inside, and answers it row by row from the edges each grid row crosses
     (`_grid_counter`), without building the grid: the count equals
     `points_in_polygon` over the whole grid.  The bisection stops once its
-    midpoint can no longer move.  The final pitch's interior points are
-    collected through `points_in_polygon`, in blocks of whole rows of up to
-    `MAX_GRID_BLOCK` points, so memory stays bounded on thin outlines.
+    midpoint can no longer move.  The final pitch's interior points come
+    from the same row runs, so no grid is built at any pitch.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     area = polygon_area(vertices)
     xmin, ymin, xmax, ymax = polygon_bbox(vertices)
     rng = np.random.Generator(np.random.PCG64(seed))
-    inside_count = _grid_counter(vertices)
+    inside_count, inside_points = _grid_counter(vertices)
 
     def grid(pitch: float):
         # row heights, and the x values of even and of odd rows
         dy = pitch * math.sqrt(3.0) / 2.0
-        return (np.arange(ymin + 0.5 * dy, ymax, dy),
-                (np.arange(xmin + 0.25 * pitch, xmax, pitch),
-                 np.arange(xmin + 0.75 * pitch, xmax, pitch)))
+        return (np.arange(ymin + 0.5 * dy, ymax, dy).tolist(),
+                [np.arange(xmin + 0.25 * pitch, xmax, pitch).tolist(),
+                 np.arange(xmin + 0.75 * pitch, xmax, pitch).tolist()])
 
     def fits(pitch: float) -> bool:
-        rows, xs = grid(pitch)
-        return inside_count(rows.tolist(), [x.tolist() for x in xs], count) >= count
-
-    def inside_blocks(pitch: float):
-        # the grid's interior points, block by block in row-major order
-        rows, xs = grid(pitch)
-        per_row = max(1, len(xs[0]))  # even rows are the longer ones
-        step = max(1, MAX_GRID_BLOCK // per_row)
-        for start in range(0, len(rows), step):
-            stop = min(len(rows), start + step)
-            first, second = xs[start % 2], xs[1 - start % 2]
-            ys = np.repeat(rows[start:stop],
-                           np.resize([len(first), len(second)], stop - start))
-            row_x = np.concatenate([first, second])
-            pts = np.column_stack(
-                [np.tile(row_x, (stop - start + 1) // 2)[:len(ys)], ys])
-            yield pts[points_in_polygon(pts, vertices)]
+        return inside_count(*grid(pitch), count) >= count
 
     # bracket a pitch giving at least `count` interior points
     hi = math.sqrt(2.0 * area / (math.sqrt(3.0) * count)) * 2.0
@@ -264,7 +273,7 @@ def hex_lattice_sites(vertices, count: int, jitter_fraction: float, seed: int) -
             lo = mid
         else:
             hi, hi_failed = mid, True
-    pts = np.concatenate(list(inside_blocks(lo)))
+    pts = inside_points(*grid(lo))
     # drop surplus points farthest from the region centroid: keeps the core
     v = np.asarray(vertices, dtype=float)
     centroid = v.mean(axis=0)

@@ -382,8 +382,8 @@ def grow_site_set(scenario: Scenario, profile: TechnologyProfile,
     one site), replanning a pilot campaign (`site_policy.pilot_runs` runs)
     against one budget at each step.  Returns (sites, history) where history
     rows are (count, mean_coverage).  Raises ScenarioError before any pilot
-    when `max_sites` is below the start, and RuntimeError once the growth
-    cap is hit, reporting the best coverage achieved.
+    when `max_sites` is below the start, and again once the growth cap is
+    hit, reporting the best coverage achieved and the history.
     """
     pilot, history = _grow(scenario, profile, margins, model, power_params,
                            config)
@@ -413,9 +413,11 @@ def _grow(scenario, profile, margins, model, power_params, config):
         if result.mean_coverage > policy.target_coverage:
             return result, history
         count += step
-    raise RuntimeError(
-        f"site growth cap {policy.max_sites} reached; best mean coverage "
-        f"{max(c for _, c in history):.4f} < target {policy.target_coverage}")
+    raise ScenarioError([
+        f"sites.target_coverage: site growth cap {policy.max_sites} reached; "
+        f"best mean coverage {max(c for _, c in history):.4f} < target "
+        f"{policy.target_coverage}; growth history (count: coverage) "
+        + ", ".join(f"{n}: {c:.4f}" for n, c in history)])
 
 
 def plan(scenario: Scenario, profile: TechnologyProfile,

@@ -90,9 +90,6 @@ class Region:
         if not geometry.polygon_is_simple(self.outline):
             raise ValueError("region outline is self-intersecting")
 
-    def contains(self, x: float, y: float) -> bool:
-        return geometry.point_in_polygon(x, y, self.outline)
-
     def bbox(self):
         return geometry.polygon_bbox(self.outline)
 
@@ -103,30 +100,6 @@ class CandidateSite:
     x_km: float
     y_km: float
     antenna_height_m: float
-
-    def validate_against(self, region: Region):
-        if not self.antenna_height_m > 0:  # NaN is not positive either
-            raise ValueError(f"site {self.id}: antenna height must be positive")
-        if region.contains(self.x_km, self.y_km):
-            return
-        verts = np.asarray(region.outline, float)
-        d = _distance_to_outline(self.x_km, self.y_km, verts)
-        if d > SITE_MARGIN_KM:
-            raise ValueError(
-                f"site {self.id} lies {d:.2f} km outside the region "
-                f"(limit {SITE_MARGIN_KM} km)")
-
-
-def _distance_to_outline(x, y, verts) -> float:
-    best = np.inf
-    n = len(verts)
-    p = np.array([x, y])
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        ab = b - a
-        t = np.clip(np.dot(p - a, ab) / max(np.dot(ab, ab), 1e-12), 0.0, 1.0)
-        best = min(best, float(np.hypot(*(a + t * ab - p))))
-    return best
 
 
 @dataclass(frozen=True)
@@ -174,8 +147,6 @@ def generate_population(region: Region, spec: PopulationSpec, seed: int) -> User
     position first, demand second, so output is a pure function of
     (region, spec, seed).  Results are memoised and read-only.
     """
-    if geometry.polygon_area(region.outline) <= 0:
-        raise ValueError("cannot sample users: region polygon has zero area")
     rng = np.random.Generator(np.random.PCG64(seed))
     xmin, ymin, xmax, ymax = region.bbox()
     n = spec.user_count
@@ -440,24 +411,34 @@ def _outline(errors: list, cfg: dict) -> tuple | None:
 
 
 def _site_list(errors: list, policy: dict, region: Region | None):
-    """Read `policy["list"]` into `policy["sites"]`, listing faults under `sites.list`."""
+    """Read `policy["list"]` into `policy["sites"]`, listing faults under
+    `sites.list`: field errors and repeated ids in list order, then per site
+    a non-positive antenna height, else a position more than `SITE_MARGIN_KM`
+    outside the region, all positions checked in one pass."""
     entries = policy.pop("list")
     if not entries:
         errors.append("sites.list: explicit mode needs at least one site")
     rows = _SITE_ENTRY + (("antenna_height_m", float, policy["antenna_height_m"]),)
-    sites = []
+    sites, seen = [], set()
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             errors.append(f"sites.list: [{i}]: must be a mapping, got {entry!r}")
         elif site := _read(errors, entry, f"sites.list: [{i}]", rows, CandidateSite):
-            if site.id in {s.id for s in sites}:
+            if site.id in seen:
                 errors.append(f"sites.list: site id {site.id} repeats")
+            seen.add(site.id)
             sites.append(site)
-    for site in sites if region is not None else ():  # else its error is listed
-        try:
-            site.validate_against(region)
-        except ValueError as e:
-            errors.append(f"sites.list: {e}")
+    if region is not None:  # else its error is listed
+        xy = [(s.x_km, s.y_km) for s in sites]
+        inside = geometry.points_in_polygon(xy, region.outline)
+        outside_km = geometry.distance_to_outline(xy, region.outline)
+        for site, within, d in zip(sites, inside.tolist(), outside_km.tolist()):
+            if not site.antenna_height_m > 0:  # NaN is not positive either
+                errors.append(f"sites.list: site {site.id}: antenna height "
+                              "must be positive")
+            elif not within and d > SITE_MARGIN_KM:
+                errors.append(f"sites.list: site {site.id} lies {d:.2f} km outside "
+                              f"the region (limit {SITE_MARGIN_KM} km)")
     policy["sites"] = tuple(sites)
 
 

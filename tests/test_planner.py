@@ -735,10 +735,20 @@ class TestGrowth:
         cfg = PlannerConfig(runs=5, base_seed=500)
         with mock.patch.object(planner, "_campaign",
                                wraps=planner._campaign) as pilots:
-            with pytest.raises(RuntimeError, match="best mean coverage"):
+            with pytest.raises(ScenarioError, match="best mean coverage") as err:
                 grow_site_set(sc, micro_profile, sc.margins, sc.model,
                               tvws_power, cfg)
         assert pilots.call_count == 2
+        # an input error under the target's field, carrying the history
+        pilot = PlannerConfig(runs=sc.site_policy.pilot_runs, base_seed=500)
+        history = [(n, run_campaign(sc, micro_profile, sc.margins, sc.model,
+                                    tvws_power, pilot,
+                                    sites=sc.lattice_sites(n)).mean_coverage)
+                   for n in (13, 17)]
+        assert err.value.errors == [
+            "sites.target_coverage: site growth cap 20 reached; best mean coverage "
+            f"{max(c for _, c in history):.4f} < target 0.999; growth history "
+            f"(count: coverage) 13: {history[0][1]:.4f}, 17: {history[1][1]:.4f}"]
 
     def test_cap_below_sizing_start_is_scenario_error(self, micro_profile,
                                                       tvws_power):

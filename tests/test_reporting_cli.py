@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
+from tvwsplan import geometry
 from tvwsplan.cli import main as cli_main
 from tvwsplan.link_budget import (bundled_yaml, load_technology,
                                   max_allowable_path_loss_db)
@@ -145,7 +146,7 @@ class TestCsvEmitters:
         while y < ymax:
             x = xmin + step / 2
             while x < xmax:
-                if sc.region.contains(x, y):
+                if geometry.point_in_polygon(x, y, sc.region.outline):
                     if live:
                         best = min(path_loss_db(model,
                                                 max(math.hypot(x - s.x_km, y - s.y_km),
@@ -440,7 +441,11 @@ class TestCli:
         ({"mode": "lattice", "count": 9, "seed": -3}, "sites.seed"),
         # a non-positive policy height, which every lattice site takes
         ({"mode": "lattice", "count": 9, "antenna_height_m": -5.0}, "sites"),
-        ({"mode": "auto_grow", "antenna_height_m": -5.0}, "sites")])
+        ({"mode": "auto_grow", "antenna_height_m": -5.0}, "sites"),
+        # a target the pilots at 13 and 17 sites cannot meet under the cap
+        ({"mode": "auto_grow", "target_coverage": 0.9999, "max_sites": 20,
+          "pilot_runs": 40, "jitter_fraction": 0.05, "seed": 7,
+          "antenna_height_m": 50.0}, "sites.target_coverage")])
     def test_bad_site_policy_is_invalid_scenario(self, tmp_path, sites, field):
         path = tmp_path / "sites.yaml"
         raw = bundled_yaml("scenarios", "ghent_suburban")
@@ -501,8 +506,12 @@ class TestCli:
         # a denormal d0 overflows distance / d0; the budget is then below the
         # model floor, which still exits 3
         tiny_d0 = {**raw, "propagation": {**raw["propagation"], "d0_km": 5e-324}}
+        # a site's distance to the outline overflows
+        huge_site = {**raw, "sites": {"mode": "explicit", "list": [
+            {"id": 0, "x_km": 1.7e308, "y_km": -1.7e308}]}}
         for name, edited, code, kind in (
                 ("huge", huge_outline, 2, "invalid_scenario"),
+                ("huge_site", huge_site, 2, "invalid_scenario"),
                 ("tiny_d0", tiny_d0, 3, "internal")):
             path = tmp_path / f"{name}.yaml"
             path.write_text(yaml.safe_dump(edited))

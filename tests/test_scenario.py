@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -27,6 +28,15 @@ SUBURBAN_SPEC = PopulationSpec(user_count=224, data_fraction=0.91,
                                data_bitrate_mbps=1.0, voice_bitrate_mbps=0.064)
 
 
+def explicit_scenario(sites):
+    """The bundled suburban file over the 4 x 3 km micro rectangle, with an
+    explicit site list."""
+    raw = bundled_yaml("scenarios", "ghent_suburban")
+    return {**raw,
+            "region": {"outline_km": [[0, 0], [4, 0], [4, 3], [0, 3]], "area_km2": 12.0},
+            "sites": {"mode": "explicit", "list": sites}}
+
+
 class TestRegion:
     def test_area_recomputed_against_declared(self):
         with pytest.raises(ValueError, match="differs from polygon area"):
@@ -43,10 +53,40 @@ class TestRegion:
             actual = geometry.polygon_area(sc.region.outline)
             assert abs(actual - area) <= 0.005 * area
 
-    def test_site_near_region_accepted_far_rejected(self, micro_region):
-        CandidateSite(0, 4.5, 1.5, 30.0).validate_against(micro_region)  # 0.5 km out
-        with pytest.raises(ValueError, match="outside the region"):
-            CandidateSite(1, 9.0, 1.5, 30.0).validate_against(micro_region)
+    def test_site_near_region_accepted_far_rejected(self):
+        sc = scenario_from_dict(explicit_scenario([{"id": 0, "x_km": 4.5, "y_km": 1.5}]))
+        assert [(s.id, s.x_km, s.y_km) for s in sc.site_policy.sites] == [(0, 4.5, 1.5)]
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(explicit_scenario([{"id": 1, "x_km": 9.0, "y_km": 1.5}]))
+        assert err.value.errors == [
+            "sites.list: site 1 lies 5.00 km outside the region (limit 2.0 km)"]
+
+    def test_faults_listed_in_order(self):
+        # field errors and repeats in list order, then per site the antenna
+        # height before the distance
+        sites = [{"id": 5, "x_km": 1.0, "y_km": 1.0},
+                 {"id": 5, "x_km": 9.0, "y_km": 1.5},
+                 {"id": 7, "x_km": 9.0, "y_km": 1.5, "antenna_height_m": -1.0},
+                 {"id": 8, "x_km": "far", "y_km": 1.5},
+                 {"id": 9, "x_km": 2.0, "y_km": -3.25}]
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(explicit_scenario(sites))
+        assert err.value.errors == [
+            "sites.list: site id 5 repeats",
+            "sites.list: [3].x_km: must be a number, got 'far'",
+            "sites.list: site 5 lies 5.00 km outside the region (limit 2.0 km)",
+            "sites.list: site 7: antenna height must be positive",
+            "sites.list: site 9 lies 3.25 km outside the region (limit 2.0 km)"]
+
+    def test_list_checked_in_one_containment_call(self):
+        sites = [{"id": i, "x_km": 0.1 + 0.08 * (i % 50), "y_km": 0.1 + 0.07 * (i // 50)}
+                 for i in range(2000)]
+        with mock.patch.object(geometry, "points_in_polygon",
+                               wraps=geometry.points_in_polygon) as test:
+            sc = scenario_from_dict(explicit_scenario(sites))
+        assert len(sc.site_policy.sites) == 2000
+        assert test.call_count == 1
+        assert len(test.call_args.args[0]) == 2000
 
 
 class TestGeneratePopulation:
@@ -106,12 +146,9 @@ class TestGeneratePopulation:
             assert geometry.points_in_polygon(pop.xy_km, sc.region.outline).all()
 
     def test_zero_area_region_rejected(self):
-        degenerate = Region.__new__(Region)  # bypass validation deliberately
-        object.__setattr__(degenerate, "outline", ((0, 0), (1, 0), (2, 0)))
-        object.__setattr__(degenerate, "area_km2", 1.0)
-        object.__setattr__(degenerate, "resolution_m", 100.0)
+        # the sampler relies on it: a region of zero area cannot be built
         with pytest.raises(ValueError, match="zero area"):
-            generate_population(degenerate, PopulationSpec(5, 0.5), 1)
+            Region(outline=((0, 0), (1, 0), (2, 0)), area_km2=1.0, resolution_m=100.0)
 
     def test_csv_export_schema(self, micro_region):
         pop = generate_population(micro_region, PopulationSpec(3, 1.0), 9)
@@ -330,6 +367,74 @@ class TestPopulationMemo:
             arr[0] = 0
         with pytest.raises(ValueError):
             arr += 1
+
+
+def pairwise_polygon_is_simple(vertices):
+    """The former pair-by-pair self-intersection test of `geometry`, kept as
+    the oracle."""
+    def _segments_cross(p1, p2, q1, q2) -> bool:
+        def orient(a, b, c):
+            val = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+            if abs(val) < 1e-12:
+                return 0
+            return 1 if val > 0 else -1
+
+        o1, o2 = orient(p1, p2, q1), orient(p1, p2, q2)
+        o3, o4 = orient(q1, q2, p1), orient(q1, q2, p2)
+        return o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4)
+
+    v = np.asarray(vertices, dtype=float)
+    n = len(v)
+    edges = [(v[i], v[(i + 1) % n]) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j == i or (j + 1) % n == i or (i + 1) % n == j:
+                continue
+            if _segments_cross(*edges[i], *edges[j]):
+                return False
+    return True
+
+
+@st.composite
+def lattice_outlines(draw):
+    """Outlines on a small integer lattice, so collinear edges, T-junctions
+    and repeated vertices are common, at a scale from 1e-7 to 1e300."""
+    corners = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                            min_size=3, max_size=10))
+    scale = draw(st.sampled_from([1.0, 1e-7, 1e154, 1e300]))
+    return [(x * scale, y * scale) for x, y in corners]
+
+
+class TestSimplicityMatchesPairwise:
+    """The vectorised self-intersection test gives the former verdicts."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(lattice_outlines(),
+                     st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10)),
+                              min_size=3, max_size=10)),
+           st.integers(1, 40))
+    def test_matches_pairwise_oracle(self, outline, block):
+        # small blocks split the edge rows at every possible point
+        with np.errstate(all="ignore"):  # the oracle's scalars warn on overflow
+            expected = pairwise_polygon_is_simple(outline)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # huge coordinates print nothing
+            assert geometry.polygon_is_simple(outline) == expected
+            with mock.patch.object(geometry, "MAX_EDGE_PAIRS", block):
+                assert geometry.polygon_is_simple(outline) == expected
+
+    def test_large_outline_in_bounded_memory(self):
+        # all pairs at once would hold 4 M-element arrays, 32 MiB each
+        a = np.linspace(0.0, 2.0 * math.pi, 2000, endpoint=False)
+        circle = np.column_stack([np.cos(a), np.sin(a)])
+        tracemalloc.start()
+        try:
+            assert geometry.polygon_is_simple(circle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert not geometry.polygon_is_simple(circle[[0, 1000, 500, 1500]])
 
 
 class TestContainment:
@@ -840,7 +945,8 @@ class TestLatticeMatchesFullGridSearch:
 
 
 class TestGridCountMatchesContainment:
-    """The pitch search's row count equals `points_in_polygon` over the grid."""
+    """The row count, and the points collected from the same rows, equal
+    `points_in_polygon` over the grid."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(histogram_outlines(), star_regions().map(lambda r: r.outline),
@@ -872,9 +978,13 @@ class TestGridCountMatchesContainment:
                                rng.uniform(xmin - 1, xmax + 1, 40)])
         xs = [np.sort(rng.choice(pool, rng.integers(0, 300))).tolist()
               for _ in range(2)]
-        grid = np.array([(x, y) for r, y in enumerate(rows) for x in xs[r % 2]])
-        inside = int(geometry.points_in_polygon(grid, outline).sum())
-        count = geometry._grid_counter(outline)
+        grid = np.array([(x, y) for r, y in enumerate(rows)
+                         for x in xs[r % 2]]).reshape(-1, 2)
+        mask = geometry.points_in_polygon(grid, outline)
+        inside = int(mask.sum())
+        count, collect = geometry._grid_counter(outline)
         assert count(rows, xs, math.inf) == inside
         enough = int(rng.integers(1, inside + 2))
         assert (count(rows, xs, enough) >= enough) == (inside >= enough)
+        # the collected points, in row-major order
+        assert collect(rows, xs).tobytes() == grid[mask].tobytes()
