@@ -10,8 +10,8 @@ Scenario selection: `--env suburban|rural` picks the bundled study areas;
 `--scenario PATH` loads a scenario file instead.  `--tech` overrides the
 scenario's technology and `--mimo` picks its SISO or 4x4 profile, which sets
 the provenance `mimo` line.  `plan` runs `planner.plan` and reads its MCS
-and raster PL_max from the campaign's budget.  Worker processes come from
-TVWSPLAN_WORKERS (an integer >= 1, default 1) and change no output.
+and raster PL_max from the campaign's budget; its runs execute one after
+another in this process.
 
 On failure a machine-readable JSON error record goes to stderr and the exit
 status is non-zero; stderr holds nothing else.  Model-validity warnings are
@@ -31,7 +31,7 @@ import warnings
 from pathlib import Path
 
 from .link_budget import load_technology
-from .planner import PlannerConfig, env_workers, plan
+from .planner import PlannerConfig, plan
 from .propagation import ModelValidityWarning
 from .reporting import (assignment_csv, build_report, coverage_csv,
                         deployment_csv, pathloss_csv, power_csv, raster_csv,
@@ -157,10 +157,6 @@ def cmd_sweep(args) -> list:
 def cmd_plan(args) -> list:
     _check_flag(args.runs >= 1, "--runs", "at least 1", args.runs)
     _check_flag(args.seed is None or args.seed >= 0, "--seed", "at least 0", args.seed)
-    try:
-        env_workers()
-    except ValueError as e:
-        raise CliError("usage", str(e), variable="TVWSPLAN_WORKERS") from e
     scenario, profile, model, _ = _study(args)
     deployable = [m.label for m in profile.deployable_mcs()]
     if args.mcs and args.mcs not in deployable:

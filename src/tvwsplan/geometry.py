@@ -43,22 +43,25 @@ def _turn(ax, ay, bx, by, cx, cy):
 def polygon_is_simple(vertices) -> bool:
     """True when no two non-adjacent edges cross: each one's end points
     lie strictly on opposite sides of the other's line, where a turn within
-    1e-12 of straight is on neither side.  The pairs are tested with numpy,
-    in blocks of whole edge rows of at most `MAX_EDGE_PAIRS` pairs."""
+    1e-12 of straight is on neither side.  Edge rows a <= i < b are tested
+    with numpy against the edges j >= a + 2 only, at most `MAX_EDGE_PAIRS`
+    pairs a block."""
     v = np.asarray(vertices, dtype=float).reshape(-1, 2)
     n = len(v)
     q = (*v.T, *np.roll(v, -1, axis=0).T)  # each edge's x1, y1, x2, y2
-    j = np.arange(n)
-    step = max(1, MAX_EDGE_PAIRS // max(n, 1))
+    a = 0
     with np.errstate(over="ignore", invalid="ignore"):  # huge vertices: inf or NaN
-        for start in range(0, n, step):
-            i = np.arange(start, min(n, start + step))[:, None]
-            pair = (j > i) & ((j + 1) % n != i) & ((i + 1) % n != j)
-            p = tuple(c[i] for c in q)
-            crosses = ((_turn(*p, *q[:2]) * _turn(*p, *q[2:]) < 0)
-                       & (_turn(*q, *p[:2]) * _turn(*q, *p[2:]) < 0))
+        while a < n - 2:
+            b = min(n - 2, a + max(1, MAX_EDGE_PAIRS // (n - a - 2)))
+            i, j = np.arange(a, b)[:, None], np.arange(a + 2, n)
+            pair = (j >= i + 2) & ((j + 1) % n != i)
+            p = tuple(c[a:b, None] for c in q)
+            r = tuple(c[a + 2:] for c in q)
+            crosses = ((_turn(*p, *r[:2]) * _turn(*p, *r[2:]) < 0)
+                       & (_turn(*r, *p[:2]) * _turn(*r, *p[2:]) < 0))
             if (crosses & pair).any():
                 return False
+            a = b
     return True
 
 

@@ -23,15 +23,15 @@ decision at a time, in decision order.
 
 A run is strictly sequential (the greedy order is semantic).  Runs within a
 campaign are independent, seeded `base_seed + run_index`, share one budget
-(`_budget`) and may execute in parallel, in as many processes as
-TVWSPLAN_WORKERS names but never more than there are runs; aggregation is
-order-insensitive.  Every active site draws one station's power,
-`power_energy.station_power_w` of the profile.
+(`_budget`) and execute one after another in the calling process.  Every
+active site draws one station's power, `power_energy.station_power_w` of the
+profile.
 Candidate site ids must be unique: campaigns, single runs and the checker
 raise ValueError on a repeated id.
 
-Each run keeps the model-validity warnings it raises, also in a worker
-process, and a campaign their sorted distinct set.
+A campaign keeps the sorted distinct model-validity warnings of its runs and
+passes every other warning on; a single run lets its validity warnings reach
+the caller.
 
 Every accept/reject decision lands in an event log.  The independent
 feasibility checker replays a run from scratch (fresh path loss from
@@ -44,8 +44,6 @@ read-only population of each seed, a pure function of the seed.
 from __future__ import annotations
 
 import collections
-import functools
-import os
 import warnings
 from dataclasses import dataclass, replace
 
@@ -69,7 +67,6 @@ __all__ = [
     "grow_site_set",
     "check_deployment",
     "replay_event_log",
-    "env_workers",
 ]
 
 
@@ -109,7 +106,6 @@ class RunOutcome:
     total_power_w: float
     served_mbps_total: float
     event_log: tuple = ()
-    model_warnings: tuple = ()   # distinct ModelValidityWarning messages
 
     # duck-typed RunEnergy interface for network_energy_efficiency
     @property
@@ -147,14 +143,6 @@ class _Budget:
     pl_max: float
     capacity: float
     station_w: float | None = None
-
-
-def env_workers() -> int:
-    """Worker processes from TVWSPLAN_WORKERS: an integer >= 1, default 1."""
-    raw = os.environ.get("TVWSPLAN_WORKERS", "1")
-    if not (raw.strip().isdecimal() and int(raw) >= 1):
-        raise ValueError(f"TVWSPLAN_WORKERS must be an integer >= 1, got {raw!r}")
-    return int(raw)
 
 
 def _budget(scenario, profile, margins, model, config, power_params=None,
@@ -316,17 +304,7 @@ def _site_index(sites) -> dict:
 
 def _run_one(scenario, sites, budget, model, seed):
     pop = generate_population(scenario.region, scenario.population, seed)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ModelValidityWarning)
-        outcome = _greedy_plan(pop, sites, budget, model, seed)
-    kept = set()
-    for w in caught:  # record=True takes every warning; pass the others on
-        if issubclass(w.category, ModelValidityWarning):
-            kept.add(str(w.message))
-        else:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    outcome.model_warnings = tuple(sorted(kept))
-    return outcome
+    return _greedy_plan(pop, sites, budget, model, seed)
 
 
 def run_campaign(scenario: Scenario, profile: TechnologyProfile,
@@ -342,17 +320,16 @@ def run_campaign(scenario: Scenario, profile: TechnologyProfile,
 
 
 def _campaign(scenario, sites, budget, model, config) -> CampaignResult:
-    seeds = range(config.base_seed, config.base_seed + config.runs)
-    run = functools.partial(_run_one, scenario, sites, budget, model)
-    # with fork, a pool starts all max_workers processes at the first submit
-    workers = min(env_workers(), config.runs)
-    if workers > 1:
-        # imported here: it loads multiprocessing, which a serial run never needs
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, seeds))
-    else:
-        outcomes = list(map(run, seeds))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ModelValidityWarning)
+        outcomes = [_run_one(scenario, sites, budget, model, seed) for seed in
+                    range(config.base_seed, config.base_seed + config.runs)]
+    kept = set()
+    for w in caught:  # record=True takes every warning; pass the others on
+        if issubclass(w.category, ModelValidityWarning):
+            kept.add(str(w.message))
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
 
     cov = np.array([o.coverage_fraction for o in outcomes])
     pow_ = np.array([o.total_power_w for o in outcomes])
@@ -368,8 +345,7 @@ def _campaign(scenario, sites, budget, model, config) -> CampaignResult:
         progressive_coverage=[float(x) for x in progressive],
         sites=sites,
         budget=budget,
-        model_warnings=tuple(sorted({m for o in outcomes
-                                     for m in o.model_warnings})))
+        model_warnings=tuple(sorted(kept)))
 
 
 def grow_site_set(scenario: Scenario, profile: TechnologyProfile,

@@ -390,17 +390,6 @@ class TestCli:
         assert flag in error["message"]
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("value", ["two", "0", ""])
-    def test_bad_worker_variable_is_usage_error(self, tmp_path, monkeypatch,
-                                                value):
-        monkeypatch.setenv("TVWSPLAN_WORKERS", value)
-        code, out, err = self.run_cli("plan", "--env", "suburban",
-                                      "--runs", "1", "--out", str(tmp_path))
-        assert code == 2
-        error = json.loads(err)["error"]
-        assert error["type"] == "usage"
-        assert "TVWSPLAN_WORKERS" in error["message"]
-
     def test_missing_scenario_is_machine_readable(self, tmp_path):
         code, out, err = self.run_cli("plan", "--scenario",
                                       str(tmp_path / "ghost.yaml"))
@@ -583,19 +572,6 @@ class TestCli:
         assert proc.stderr == ""
         prov = json.loads((tmp_path / "report.json").read_text())["provenance"]
         assert "beyond Hata validity" in prov["model_warnings"]
-
-    def test_plan_artifacts_independent_of_worker_count(self, tmp_path,
-                                                        monkeypatch):
-        # rural runs raise Hata warnings, also in worker processes, and the
-        # provenance line `model_warnings` must carry them either way
-        for workers in ("1", "2"):
-            monkeypatch.setenv("TVWSPLAN_WORKERS", workers)
-            code, _, err = self.run_cli("plan", "--env", "rural", "--runs", "2",
-                                        "--out", str(tmp_path / workers))
-            assert code == 0, err
-        for name in PLAN_ARTIFACTS:
-            assert (tmp_path / "1" / name).read_bytes() == \
-                (tmp_path / "2" / name).read_bytes(), name
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),

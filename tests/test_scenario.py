@@ -423,6 +423,17 @@ class TestSimplicityMatchesPairwise:
             with mock.patch.object(geometry, "MAX_EDGE_PAIRS", block):
                 assert geometry.polygon_is_simple(outline) == expected
 
+    def test_single_crossing_found_in_every_position(self):
+        # a hexagon with two vertices swapped has one crossing edge pair; its
+        # rotations move that pair through every row, the last ones included
+        hexagon = [(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3))
+                   for k in (0, 1, 3, 2, 4, 5)]
+        for shift in range(6):
+            outline = hexagon[shift:] + hexagon[:shift]
+            for block in (1, 2, 3, 40):
+                with mock.patch.object(geometry, "MAX_EDGE_PAIRS", block):
+                    assert not geometry.polygon_is_simple(outline)
+
     def test_large_outline_in_bounded_memory(self):
         # all pairs at once would hold 4 M-element arrays, 32 MiB each
         a = np.linspace(0.0, 2.0 * math.pi, 2000, endpoint=False)
