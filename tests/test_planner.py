@@ -518,6 +518,29 @@ class TestDeterminism:
         assert a.deployment.assignments == b.deployment.assignments
         assert a.total_power_w == b.total_power_w
 
+    def test_repeated_campaigns_bitwise(self, micro_scenario, micro_profile,
+                                        micro_margins, micro_model, micro_sites,
+                                        tvws_power):
+        args = (micro_scenario, micro_profile, micro_margins, micro_model,
+                tvws_power, PlannerConfig(runs=6, base_seed=11))
+        a, b = (run_campaign(*args, sites=micro_sites) for _ in range(2))
+        assert [o.event_log for o in a.outcomes] == \
+            [o.event_log for o in b.outcomes]
+        assert (a.mean_coverage, a.progressive_coverage) == \
+            (b.mean_coverage, b.progressive_coverage)
+
+    def test_shorter_campaign_repeats_the_first_runs(
+            self, micro_scenario, micro_profile, micro_margins, micro_model,
+            micro_sites, tvws_power):
+        # run i depends only on its seed, not on the runs before it
+        args = (micro_scenario, micro_profile, micro_margins, micro_model,
+                tvws_power)
+        long, short = (run_campaign(*args, PlannerConfig(runs=n, base_seed=11),
+                                    sites=micro_sites) for n in (6, 3))
+        assert [o.event_log for o in short.outcomes] == \
+            [o.event_log for o in long.outcomes[:3]]
+        assert short.progressive_coverage == long.progressive_coverage[:3]
+
 
 class TestCampaign:
     def test_single_run_campaign_equals_plan(self, micro_scenario, micro_profile,
@@ -591,6 +614,35 @@ class TestCampaign:
                                 micro_model, tvws_power, CFG, 42,
                                 sites=micro_sites)
         assert camp.model_warnings == ("stretched",)
+
+    def test_validity_warnings_distinct_and_sorted(
+            self, micro_scenario, micro_profile, micro_margins, micro_model,
+            micro_sites, tvws_power):
+        real = planner._greedy_plan
+
+        def greedy(pop, sites, budget, model, seed):
+            warnings.warn(f"seed parity {seed % 2}", ModelValidityWarning)
+            warnings.warn("always", ModelValidityWarning)
+            return real(pop, sites, budget, model, seed)
+        with mock.patch.object(planner, "_greedy_plan", greedy):
+            camp = run_campaign(micro_scenario, micro_profile, micro_margins,
+                                micro_model, tvws_power,
+                                PlannerConfig(runs=5, base_seed=43),
+                                sites=micro_sites)
+        assert camp.model_warnings == ("always", "seed parity 0",
+                                       "seed parity 1")
+
+    def test_campaign_leaves_warning_filters_as_found(
+            self, micro_scenario, micro_profile, micro_margins, micro_model,
+            micro_sites, tvws_power):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ModelValidityWarning)
+            before = list(warnings.filters)
+            run_campaign(micro_scenario, micro_profile, micro_margins,
+                         micro_model, tvws_power, CFG, sites=micro_sites)
+            assert warnings.filters == before
+            with pytest.raises(ModelValidityWarning):
+                warnings.warn("after the campaign", ModelValidityWarning)
 
     def test_monotone_coverage_in_candidate_set(self, micro_scenario,
                                                 micro_profile, micro_margins,

@@ -573,6 +573,19 @@ class TestCli:
         prov = json.loads((tmp_path / "report.json").read_text())["provenance"]
         assert "beyond Hata validity" in prov["model_warnings"]
 
+    def test_rural_plan_repeats_in_one_process(self, tmp_path):
+        # the second plan must still see the Hata warnings that the first one
+        # raised, so the provenance and every artifact match byte for byte
+        for name in ("a", "b"):
+            code, _, err = self.run_cli("plan", "--env", "rural", "--runs", "2",
+                                        "--out", str(tmp_path / name))
+            assert code == 0, err
+        for name in PLAN_ARTIFACTS:
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes(), name
+        prov = json.loads((tmp_path / "b" / "report.json").read_text())
+        assert "beyond Hata validity" in prov["provenance"]["model_warnings"]
+
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="counts threads through /proc/self/task")
