@@ -17,8 +17,9 @@ On failure a machine-readable JSON error record goes to stderr and the exit
 status is non-zero; stderr holds nothing else.  Model-validity warnings are
 not printed (`plan` records those of its campaign's runs in the provenance
 line `model_warnings`).  Numeric flags out of range (`--runs` < 1, `--seed`
-< 0, `--dmin` or `--step` not positive, `--dmax` below `--dmin`, or any
-distance not finite) are `usage` errors, exit 2, naming the flag.
+< 0, `--dmin` or `--step` not positive, `--dmax` below `--dmin`, any
+distance not finite, or a `--step` so fine that `pathloss` would write more
+than `MAX_PATHLOSS_ROWS` rows) are `usage` errors, exit 2, naming the flag.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .scenario import (ScenarioError, bundled_scenario, generate_population,
 from .sizing import sweep_mcs
 
 ENV_SCENARIOS = {"suburban": "ghent_suburban", "rural": "boyeros_rural"}
+MAX_PATHLOSS_ROWS = 10**6
 
 
 class CliError(Exception):
@@ -131,6 +133,8 @@ def cmd_pathloss(args) -> list:
     _check_flag(args.dmin <= args.dmax < math.inf, "--dmax",
                 "finite and at least --dmin", args.dmax)
     _check_flag(0 < args.step < math.inf, "--step", "positive and finite", args.step)
+    _check_flag((args.dmax - args.dmin) / args.step < MAX_PATHLOSS_ROWS - 1, "--step",
+                f"coarse enough for at most {MAX_PATHLOSS_ROWS} rows", args.step)
     _, _, model, prov = _study(args)
     path = _outdir(args) / "pathloss.csv"
     path.write_text(pathloss_csv(model, prov, args.dmin, args.dmax, args.step))
@@ -168,6 +172,11 @@ def cmd_plan(args) -> list:
         base_seed=args.seed if args.seed is not None else scenario.base_seed,
         mimo=profile.mimo)
     result, _ = plan(scenario, profile, config)
+    idle = [o.seed for o in result.outcomes if not o.deployment.active_sites]
+    if idle:  # a run's energy efficiency divides by its power
+        raise ScenarioError([
+            f"sites: the run with seed {idle[0]} activates no site ({len(idle)} of "
+            f"{len(result.outcomes)} runs), so its energy efficiency is undefined"])
     report = build_report(scenario, profile, result)
     bad = verify_report(report)
     if bad:  # internal consistency guard; never expected to trip

@@ -60,9 +60,8 @@ class McsEntry:
     deployable: bool = True
 
     def bitrate_at(self, bandwidth_mhz: float) -> float:
-        key = bandwidth_mhz if bandwidth_mhz in self.bitrate_mbps else int(bandwidth_mhz)
         try:
-            return float(self.bitrate_mbps[key])
+            return float(self.bitrate_mbps[bandwidth_mhz])
         except KeyError:
             raise KeyError(
                 f"MCS {self.label!r} has no bitrate for {bandwidth_mhz} MHz") from None

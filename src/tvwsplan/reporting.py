@@ -274,7 +274,8 @@ def raster_csv(outcome: RunOutcome, scenario: Scenario, sites,
 
 def pathloss_csv(model: PathLossModel, prov: dict, d_min_km: float = 0.1,
                  d_max_km: float = 20.0, step_km: float = 0.1) -> str:
-    d = d_min_km + np.arange(round((d_max_km - d_min_km) / step_km) + 1) * step_km
+    # the whole steps that stay within d_max_km, forgiving 1e-9 of a step
+    d = d_min_km + np.arange(math.floor((d_max_km - d_min_km) / step_km + 1e-9) + 1) * step_km
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModelValidityWarning)
         pl = path_loss_array_db(model, d)

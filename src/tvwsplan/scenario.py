@@ -15,14 +15,12 @@ read-only, so the planner, site growth, the feasibility checker and the
 artifact writers all share one immutable draw per seed.  The sampler tests
 whole blocks of variates at once; it consumes the generator's stream in
 exactly the order of a per-attempt rejection loop (x, y until inside, then
-the demand draw), so its output is byte-identical to that loop's.  Its
-replay of the loop steps once per accepted user: the rejections between
-two acceptances are counted, not walked.
+the demand draw), so its output is byte-identical to that loop's: each
+block gets one containment mask, which is replayed attempt by attempt.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import hashlib
 import io
@@ -145,7 +143,8 @@ def generate_population(region: Region, spec: PopulationSpec, seed: int) -> User
     user's demand is the data bitrate when a uniform variate falls below
     `data_fraction`, else the voice bitrate.  Per user the draw order is
     position first, demand second, so output is a pure function of
-    (region, spec, seed).  Results are memoised and read-only.
+    (region, spec, seed).  Results are memoised and read-only.  Each block of
+    variates gets one containment mask, replayed attempt by attempt.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     xmin, ymin, xmax, ymax = region.bbox()
@@ -162,29 +161,20 @@ def generate_population(region: Region, spec: PopulationSpec, seed: int) -> User
         buf = np.concatenate([buf[i:], rng.random(min(want, MAX_SAMPLE_BLOCK))])
         cand = np.column_stack([xmin + (xmax - xmin) * buf[:-1],
                                 ymin + (ymax - ymin) * buf[1:]])
-        inside = geometry.points_in_polygon(cand, region.outline)
-        # replay the per-user loop: from position i it rejects the pairs of
-        # i's parity (2 variates each) up to the next accepted one, a, takes
-        # buf[a + 2] as that user's demand draw and resumes at a + 3
-        last = len(buf) - 3  # the last pair whose demand draw is in buf
-        # each parity's accepted pairs, then its first pair past `last`
-        accepted = np.flatnonzero(inside[:last + 1])
-        accepted = [accepted[accepted % 2 == p].tolist()
-                    + [last + 1 + (last + 1 - p) % 2] for p in (0, 1)]
+        inside = geometry.points_in_polygon(cand, region.outline).tolist()
+        # replay the per-user loop: a rejected pair (x, y) advances 2, an
+        # accepted one takes the next variate as its demand draw and advances 3
         taken, i = [], 0
-        while len(taken) < n - k and i <= last:
-            ahead = accepted[i % 2]
-            a = ahead[bisect.bisect_left(ahead, i)]
-            tried += (a - i) // 2
-            if tried >= MAX_REJECTION_ATTEMPTS:
+        while len(taken) < n - k and i + 2 < len(buf):
+            if inside[i]:
+                taken.append(i)
+                i, tried = i + 3, 0
+                continue
+            i, tried = i + 2, tried + 1
+            if tried == MAX_REJECTION_ATTEMPTS:
                 raise RuntimeError(
                     f"rejection sampling failed after {MAX_REJECTION_ATTEMPTS} "
                     f"attempts inside region of area {region.area_km2} km^2")
-            if a > last:  # the walk runs off the block
-                i = a
-            else:
-                taken.append(a)
-                i, tried = a + 3, 0
         taken = np.array(taken, dtype=np.intp)
         xy[k:k + len(taken)] = cand[taken]
         u_demand[k:k + len(taken)] = buf[taken + 2]

@@ -259,3 +259,12 @@ class TestCatalogue:
         flat = (McsEntry("a", 4.0, {1: 2.0}), McsEntry("b", 5.0, {1: 2.0}))
         with pytest.raises(ValueError):
             synthetic_profile(mcs_table=flat)
+
+
+class TestBitrateLookup:
+    def test_bandwidth_looked_up_as_given(self):
+        mcs = McsEntry("x", 1.0, {1: 5.0, 6: 20.0})
+        assert mcs.bitrate_at(6.0) == 20.0   # 6.0 == 6 finds the whole-MHz key
+        for missing in (1.4, 6.9):           # no truncation to a nearby key
+            with pytest.raises(KeyError, match=f"MCS 'x' has no bitrate for {missing} MHz"):
+                mcs.bitrate_at(missing)

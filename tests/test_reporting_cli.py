@@ -281,6 +281,19 @@ class TestCli:
         text = (tmp_path / "pathloss.csv").read_text()
         assert "d_km,pl_db" in text
 
+    def test_pathloss_rows_stop_at_dmax(self, tmp_path):
+        def rows(*flags):
+            code, _, err = self.run_cli("pathloss", "--env", "suburban", *flags,
+                                        "--out", str(tmp_path))
+            assert code == 0, err
+            text = (tmp_path / "pathloss.csv").read_text()
+            return [l.split(",")[0] for l in text.splitlines()
+                    if not l.startswith(("#", "d_km"))]
+        # half a step short of another row: none past --dmax
+        assert rows("--dmin", "1.0", "--dmax", "1.05", "--step", "0.1") == ["1.000000"]
+        default = rows()
+        assert len(default) == 200 and default[-1] == "20.000000"
+
     def test_coverage_rural_22b_anchor_row(self, tmp_path):
         code, out, err = self.run_cli("coverage", "--tech", "802.22b",
                                       "--env", "rural", "--out", str(tmp_path))
@@ -380,7 +393,11 @@ class TestCli:
         (("pathloss", "--step", "0"), "--step"),
         (("pathloss", "--step", "-0.1"), "--step"),
         (("pathloss", "--dmin", "0"), "--dmin"),
-        (("pathloss", "--dmin", "5", "--dmax", "1"), "--dmax")])
+        (("pathloss", "--dmin", "5", "--dmax", "1"), "--dmax"),
+        # steps too fine for their range: the row count overflows a float,
+        # or its distances would not fit in memory
+        (("pathloss", "--dmax", "1e300", "--step", "1e-300"), "--step"),
+        (("pathloss", "--dmax", "1000", "--step", "1e-9"), "--step")])
     def test_bad_numeric_flag_is_usage_error(self, tmp_path, args, flag):
         code, out, err = self.run_cli(*args, "--env", "suburban",
                                       "--out", str(tmp_path))
@@ -445,6 +462,25 @@ class TestCli:
         error = json.loads(err)["error"]
         assert error["type"] == "invalid_scenario"
         assert [f.split(":")[0] for f in error["fields"]] == [field]
+
+    def test_run_without_active_site_is_invalid_scenario(self, tmp_path):
+        # a lone site that the 30 dB shadow margin leaves reaching no user
+        raw = copy.deepcopy(bundled_yaml("scenarios", "ghent_suburban"))
+        raw["environment"]["shadow_margin_db"] = 30.0
+        raw["sites"] = {"mode": "explicit", "antenna_height_m": 30.0,
+                        "list": [{"id": 1, "x_km": 13.5, "y_km": 5.677}]}
+        path = tmp_path / "idle.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        code, _, err = self.run_cli("plan", "--scenario", str(path), "--runs", "2",
+                                    "--out", str(tmp_path / "out"))
+        assert code == 2
+        [line] = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "invalid_scenario"
+        assert error["fields"] == [
+            "sites: the run with seed 1000 activates no site (2 of 2 runs), "
+            "so its energy efficiency is undefined"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seed", [-5, "abc", [1], 1.5, True],
                              ids=["-5", "abc", "list", "1.5", "True"])

@@ -349,6 +349,19 @@ class TestSamplerAttemptLimit:
                 return
             assert_same_draw(region, spec, seed)
 
+    @pytest.mark.parametrize("block", [1, 2, 3, 64])
+    def test_limit_trips_on_its_last_attempt(self, block):
+        # seed 7's only user is accepted on its 4th attempt: a limit of 3
+        # attempts trips, a limit of 4 does not; small blocks split the run
+        region, spec, seed = region_of(((0, 0), (1, 0), (0, 1))), PopulationSpec(1, 0.5), 7
+        with mock.patch.object(scenario, "MAX_SAMPLE_BLOCK", block):
+            with mock.patch.object(scenario, "MAX_REJECTION_ATTEMPTS", 3):
+                for sampler in (scalar_population, generate_population.__wrapped__):
+                    with pytest.raises(RuntimeError, match="failed after 3 attempts"):
+                        sampler(region, spec, seed)
+            with mock.patch.object(scenario, "MAX_REJECTION_ATTEMPTS", 4):
+                assert_same_draw(region, spec, seed)
+
 
 class TestPopulationMemo:
     def test_same_key_same_object(self):
