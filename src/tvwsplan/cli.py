@@ -172,11 +172,6 @@ def cmd_plan(args) -> list:
         base_seed=args.seed if args.seed is not None else scenario.base_seed,
         mimo=profile.mimo)
     result, _ = plan(scenario, profile, config)
-    idle = [o.seed for o in result.outcomes if not o.deployment.active_sites]
-    if idle:  # a run's energy efficiency divides by its power
-        raise ScenarioError([
-            f"sites: the run with seed {idle[0]} activates no site ({len(idle)} of "
-            f"{len(result.outcomes)} runs), so its energy efficiency is undefined"])
     report = build_report(scenario, profile, result)
     bad = verify_report(report)
     if bad:  # internal consistency guard; never expected to trip
@@ -227,7 +222,7 @@ def main(argv=None) -> int:
             warnings.simplefilter("ignore", ModelValidityWarning)
             paths = COMMANDS[args.command](args)
     except (CliError, ScenarioError) as e:
-        if isinstance(e, ScenarioError):  # from a scenario file or site growth
+        if isinstance(e, ScenarioError):  # from a scenario file or `plan`
             e = CliError("invalid_scenario", "scenario failed validation",
                          fields=e.errors)
         print(json.dumps(e.record, sort_keys=True), file=sys.stderr)

@@ -214,7 +214,7 @@ def load_technology(name: str, environment: str, mimo: bool = False) -> Technolo
 
     mcs_table = tuple(
         McsEntry(label=m["label"], required_snr_db=float(m["required_snr_db"]),
-                 bitrate_mbps={int(k): float(v) for k, v in m["bitrate_mbps"].items()},
+                 bitrate_mbps={float(k): float(v) for k, v in m["bitrate_mbps"].items()},
                  deployable=bool(m.get("deployable", True)))
         for m in raw["mcs"])
 

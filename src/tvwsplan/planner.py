@@ -12,14 +12,13 @@ users have been evaluated.
 Equal path loss breaks toward the lower site index (position in the
 candidate list).  Every link is planned at one MCS: a user costs its demand
 against that MCS's bitrate at whichever site serves it.
-Each run takes its path loss from `propagation.link_loss_db` and builds one
-link table from the in-range (user, site) pairs only, ordered by (user, path
-loss, site index); out-of-range pairs are never sorted or converted to
-Python objects.  The greedy walks a user's stretch of that table and never
-sorts.  Each user's current link (its table position) and that link's path
-loss are kept as decisions are made, so the re-balancing pass compares one
-path-loss column against the current ones.  Loads are still summed one
-decision at a time, in decision order.
+Each run builds one link table of the in-budget (user, site) pairs, ordered
+by (user, path loss, site index).  `propagation.link_loss_db` runs only on
+the pairs that squared distances place within the budget's reach, and on
+the farthest pairs, so that a distance validity warning reads as over all
+pairs.  The greedy walks a user's stretch of the table, re-balancing walks
+the new site's links through a per-site index, and neither sorts.  Loads
+are still summed one decision at a time, in decision order.
 
 A run is strictly sequential (the greedy order is semantic).  Runs within a
 campaign are independent, seeded `base_seed + run_index`, share one budget
@@ -52,7 +51,8 @@ import numpy as np
 from .link_budget import (EnvironmentMargins, TechnologyProfile,
                           max_allowable_path_loss_db)
 from .power_energy import load_power_params, station_power_w
-from .propagation import ModelValidityWarning, PathLossModel, link_loss_db
+from .propagation import (ModelValidityWarning, PathLossModel, link_loss_db,
+                          reach_km)
 from .scenario import Scenario, ScenarioError, generate_population
 from .sizing import sweep_mcs
 
@@ -181,50 +181,61 @@ def plan_single_run(scenario: Scenario, profile: TechnologyProfile,
     return _run_one(scenario, sites, budget, model, seed)
 
 
+def _in_budget(model, xy, site_xy, pl_max):
+    """(user, site, path loss) of the pairs within `pl_max`, row by row; the
+    1e-6 margins on reach and on the farthest distance outweigh rounding."""
+    d = xy.T.copy()[:, :, None] - site_xy.T[:, None]  # x, y offsets: 2 x N x M
+    d *= d
+    d2 = np.add(d[0], d[1], out=d[0])
+    reach = reach_km(model, pl_max) * (1 + 1e-6)
+    user, site = np.nonzero((d2 <= reach * reach)
+                            | (d2 >= d2.max(initial=0.0) * (1 - 1e-6)))
+    pl = link_loss_db(model, xy[user], site_xy[site])
+    link = pl <= pl_max
+    return user[link], site[link], pl[link]
+
+
 def _greedy_plan(pop, sites, budget, model, seed) -> RunOutcome:
-    n_users = len(pop)
+    n_users, n_sites = len(pop), len(sites)
     site_ids = [s.id for s in sites]
     user_ids = pop.ids.tolist()
-    pl = link_loss_db(model, pop.xy_km[:, None], [(s.x_km, s.y_km) for s in sites])
-    # the link table: the in-range (user, site) pairs only, ordered by (user,
-    # path loss, site index).  numpy orders complex numbers by real, then
-    # imaginary part, so the key user + 1j * path loss sorts by (user, path
-    # loss); flatnonzero lists the pairs row by row, so the stable sort keeps
-    # equal path loss in ascending site index.
-    flat = np.flatnonzero(pl <= budget.pl_max)
-    user, site = np.divmod(flat, len(sites))
-    link_pl = pl.ravel()[flat]
-    by_user = np.argsort(user + 1j * link_pl, kind="stable")
-    link_pl = link_pl[by_user]
-    # user u's links sit at table positions first[u] .. first[u + 1] - 1
+    user, site, pl = _in_budget(model, pop.xy_km, np.reshape(
+        [(s.x_km, s.y_km) for s in sites], (-1, 2)), budget.pl_max)
+    # the link table: numpy sorts complex numbers by real, then imaginary
+    # part, and the pairs come row by row, so this stable sort keeps equal
+    # path loss in ascending site index (and `user` ascending)
+    by_user = np.argsort(user + 1j * pl, kind="stable")
+    link_pl, link_site = np.append(pl[by_user], -np.inf), site[by_user]
+    # user u's links sit at table positions first[u] .. first[u + 1] - 1;
+    # site j's, in ascending user, at by_site[at[j]] .. by_site[at[j + 1] - 1]
     first = np.searchsorted(user, np.arange(n_users + 1)).tolist()
-    link_site = site[by_user].tolist()
+    by_site = np.argsort(link_site, kind="stable")
+    at = np.searchsorted(link_site[by_site], np.arange(n_sites + 1)).tolist()
+    link_site = link_site.tolist()
     # a user consumes its demand of the capacity at whichever site serves it
     demand = pop.demand_mbps.tolist()
     limit = budget.capacity + 1e-9
 
     active = []                        # site indices, activation order
-    is_active = [False] * len(sites)
-    load = [0.0] * len(sites)          # consumed capacity, summed in order
-    link_of = [-1] * n_users           # user index -> table position, -1 unserved
-    pl_cur = np.full(n_users, -np.inf) # path loss of that link, -inf unserved
+    is_active = [False] * n_sites
+    load = [0.0] * n_sites             # consumed capacity, summed in order
+    link_of = np.full(n_users, -1)     # user -> table position; -1 (-inf) unserved
     uncovered = []
     log = []
 
     def serve(u, k):
         link_of[u] = k
-        pl_cur[u] = link_pl[k]
         load[link_site[k]] += demand[u]
 
     def rebalance(new_j):
-        # one pass over connected users in ascending index; only users with
-        # a strictly lower path loss to the new site can move, and that link
-        # precedes their current one in the table
-        for u in np.flatnonzero(pl[:, new_j] < pl_cur).tolist():
+        # one pass over the new site's links, ascending user: strictly lower loss moves
+        ks = by_site[at[new_j]:at[new_j + 1]]
+        ks = ks[link_pl[ks] < link_pl[link_of[user[ks]]]]
+        for u, k in zip(user[ks].tolist(), ks.tolist()):
             if load[new_j] + demand[u] <= limit:
                 cur = link_of[u]
                 load[link_site[cur]] -= demand[u]
-                serve(u, link_site.index(new_j, first[u], cur))
+                serve(u, k)
                 log.append(("switch", user_ids[u], site_ids[link_site[cur]],
                             site_ids[new_j]))
             else:
@@ -258,7 +269,7 @@ def _greedy_plan(pop, sites, budget, model, seed) -> RunOutcome:
             rebalance(j)
 
     # users enter the assignment in service order, ascending index
-    assign = {u: link_site[link_of[u]] for u in range(n_users) if link_of[u] >= 0}
+    assign = {u: link_site[k] for u, k in enumerate(link_of.tolist()) if k >= 0}
     served = {site_ids[j]: 0.0 for j in active}
     for u, j in assign.items():
         served[site_ids[j]] += demand[u]
@@ -403,18 +414,25 @@ def plan(scenario: Scenario, profile: TechnologyProfile,
     Model, margins and power parameters come from the scenario and profile.
     `auto_grow` sites grow as in `grow_site_set`, else the history is empty.
     The last pilot has the campaign's sites, budget and seeds, so it is the
-    campaign when `config.runs` equals `pilot_runs`.
+    campaign when `config.runs` equals `pilot_runs`.  A run that activates
+    no site is a ScenarioError: its energy efficiency is undefined.
     """
     model = scenario.model_for(profile)
     power_params = load_power_params(profile.power_model)
     if scenario.site_policy.mode != "auto_grow":
-        return run_campaign(scenario, profile, scenario.margins, model,
-                            power_params, config), []
-    pilot, history = _grow(scenario, profile, scenario.margins, model,
-                           power_params, config)
-    if config.runs == scenario.site_policy.pilot_runs:
-        return pilot, history
-    return _campaign(scenario, pilot.sites, pilot.budget, model, config), history
+        result, history = run_campaign(scenario, profile, scenario.margins,
+                                       model, power_params, config), []
+    else:
+        result, history = _grow(scenario, profile, scenario.margins, model,
+                                power_params, config)
+        if config.runs != scenario.site_policy.pilot_runs:
+            result = _campaign(scenario, result.sites, result.budget, model, config)
+    idle = [o.seed for o in result.outcomes if not o.deployment.active_sites]
+    if idle:
+        raise ScenarioError([
+            f"sites: the run with seed {idle[0]} activates no site ({len(idle)} of "
+            f"{len(result.outcomes)} runs), so its energy efficiency is undefined"])
+    return result, history
 
 
 # ---------------------------------------------------------------------------

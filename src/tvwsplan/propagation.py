@@ -27,6 +27,7 @@ __all__ = [
     "okumura_hata_rural",
     "path_loss_db",
     "link_loss_db",
+    "reach_km",
     "invert_range_km",
 ]
 
@@ -149,18 +150,23 @@ def link_loss_db(model: PathLossModel, xy_km, site_xy_km) -> np.ndarray:
     return path_loss_array_db(model, dist)
 
 
-def invert_range_km(model: PathLossModel, pl_max_db: float) -> float:
-    """Distance at which the model reaches `pl_max_db`.
+def reach_km(model: PathLossModel, pl_max_db: float) -> float:
+    """Distance at which the model reaches `pl_max_db`, at least the floor,
+    inf past every finite distance.  Both families are affine in log10(d)
+    with b > 0, so the inverse is closed form and exact."""
+    a, b, d0 = _coefficients(model)
+    try:
+        return max(d0 * 10.0 ** ((pl_max_db - model.offset_db - a) / b),
+                   model.min_distance_km)
+    except OverflowError:
+        return math.inf
 
-    Both families are affine in log10(d), so the inverse is closed form and
-    exact.  Raises when `pl_max_db` sits below the loss at the minimum
-    evaluable distance.
-    """
+
+def invert_range_km(model: PathLossModel, pl_max_db: float) -> float:
+    """`reach_km`, raising for `pl_max_db` below the loss at the floor."""
     floor = path_loss_db(model, model.min_distance_km)
     if pl_max_db < floor:
         raise ValueError(
             f"range below model floor: {pl_max_db:.2f} dB < {floor:.2f} dB "
             f"at {model.min_distance_km} km")
-    a, b, d0 = _coefficients(model)
-    return max(d0 * 10.0 ** ((pl_max_db - model.offset_db - a) / b),
-               model.min_distance_km)
+    return reach_km(model, pl_max_db)

@@ -262,6 +262,21 @@ class TestCatalogue:
 
 
 class TestBitrateLookup:
+    def test_technology_file_keys_kept_as_floats(self):
+        # a 1.4 MHz channel keyed 1.4 in the file keeps its key, and the
+        # whole-MHz keys still answer 6 and 6.0 alike
+        raw = link_budget.bundled_yaml("technologies", "802_11af")
+        envs = {**raw["environments"],
+                "suburban": {**raw["environments"]["suburban"], "bandwidth_mhz": 1.4}}
+        mcs = [{**m, "bitrate_mbps": {**m["bitrate_mbps"], 1.4: m["bitrate_mbps"][8] / 4}}
+               for m in raw["mcs"]]
+        with mock.patch.object(link_budget, "bundled_yaml",
+                               return_value={**raw, "environments": envs, "mcs": mcs}):
+            prof = load_technology("802.11af", "suburban")
+        for entry, m in zip(prof.mcs_table, raw["mcs"]):
+            assert entry.bitrate_at(prof.bandwidth_mhz) == m["bitrate_mbps"][8] / 4
+            assert entry.bitrate_at(6) == entry.bitrate_at(6.0) == m["bitrate_mbps"][6]
+
     def test_bandwidth_looked_up_as_given(self):
         mcs = McsEntry("x", 1.0, {1: 5.0, 6: 20.0})
         assert mcs.bitrate_at(6.0) == 20.0   # 6.0 == 6 finds the whole-MHz key

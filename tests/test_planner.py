@@ -20,7 +20,8 @@ from tvwsplan.planner import (Deployment, PlannerConfig, RunOutcome,
 from tvwsplan.power_energy import (BsPowerInput, TvwsPowerParams,
                                    load_power_params, tvws_bs_power_w)
 from tvwsplan.scenario import ScenarioError
-from tvwsplan.propagation import (ModelValidityWarning, link_loss_db, one_slope,
+from tvwsplan.propagation import (ModelValidityWarning, invert_range_km,
+                                  link_loss_db, okumura_hata_rural, one_slope,
                                   path_loss_db)
 from tvwsplan.scenario import (CandidateSite, PopulationSpec, Region,
                                Scenario, SitePolicy, UserPopulation,
@@ -378,6 +379,98 @@ class TestGreedyKernelOracle:
                 "switch_reject", "uncovered"}
 
 
+@st.composite
+def link_cases(draw):
+    """A model of either variant, 1-8 sites on a 0.5 km grid (repeated
+    coordinates tie), 0-30 users on a site, midway between two sites (equal
+    distances), more than 20 km out (beyond Hata validity) or anywhere
+    nearby, and a budget: below the floor, past every pair, exactly the path
+    loss of one pair, or anywhere between."""
+    model = draw(st.sampled_from([one_slope(108.0, 1.0, 3.5),
+                                  okumura_hata_rural(600.0, 30.0, 3.0)]))
+    grid = st.tuples(st.integers(0, 8), st.integers(0, 6)).map(
+        lambda p: (0.5 * p[0], 0.5 * p[1]))
+    sites = draw(st.lists(grid, min_size=1, max_size=8))
+    sites += draw(st.lists(st.sampled_from(sites), max_size=3))
+    midway = st.tuples(st.sampled_from(sites), st.sampled_from(sites)).map(
+        lambda p: ((p[0][0] + p[1][0]) / 2, (p[0][1] + p[1][1]) / 2))
+    user = st.one_of(st.sampled_from(sites), midway,
+                     st.tuples(st.floats(25.0, 40.0), st.floats(-40.0, 40.0)),
+                     st.tuples(st.floats(-0.5, 4.5), st.floats(-0.5, 3.5)))
+    users = draw(st.lists(user, max_size=30))
+    budget = draw(st.one_of(st.sampled_from(["below", "past", "pair"]),
+                            st.floats(60.0, 160.0)))
+    pick = draw(st.floats(0.0, 1.0, exclude_max=True))
+    return (model, np.reshape(users, (-1, 2)).astype(float),
+            np.reshape(sites, (-1, 2)).astype(float), budget, pick)
+
+
+def full_table(model, xy, site_xy, pl_max):
+    """(user, site, path loss) of the in-budget pairs of the full matrix."""
+    pl = link_loss_db(model, xy[:, None], site_xy)
+    flat = np.flatnonzero(pl <= pl_max)
+    return (*np.divmod(flat, len(site_xy)), pl.ravel()[flat])
+
+
+def with_warnings(f, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = f(*args)
+    return out, [str(w.message) for w in caught]
+
+
+class TestPrunedLinkTable:
+    @settings(max_examples=300, deadline=None)
+    @given(case=link_cases())
+    def test_pruned_table_equals_full_matrix(self, case):
+        model, xy, site_xy, budget, pick = case
+        pl = with_warnings(link_loss_db, model, xy[:, None], site_xy)[0].ravel()
+        if budget == "below":
+            pl_max = path_loss_db(model, model.min_distance_km) - 1.0
+        elif budget == "past":
+            pl_max = pl.max(initial=0.0) + 1.0
+        elif budget == "pair":  # on the budget's edge: the margin decides
+            pl_max = pl[int(pick * pl.size)] if pl.size else 100.0
+        else:
+            pl_max = budget
+        got, got_warnings = with_warnings(planner._in_budget, model, xy,
+                                          site_xy, pl_max)
+        want, want_warnings = with_warnings(full_table, model, xy, site_xy,
+                                            pl_max)
+        assert [(a.dtype, a.tobytes()) for a in got] == \
+            [(a.dtype, a.tobytes()) for a in want]
+        assert got_warnings == want_warnings
+
+    def test_path_loss_only_where_a_link_can_exist(self, micro_scenario,
+                                                   micro_margins, tvws_power):
+        # 64 sites 2.5 km apart and 600 users: under the lowest tier's 2.2 km
+        # reach each user has a few sites in range
+        rng = np.random.default_rng(5)
+        sites = [CandidateSite(i, 2.5 * (i % 8), 2.5 * (i // 8), 30.0)
+                 for i in range(64)]
+        pop = manual_population(rng.uniform(-1.0, 18.5, (600, 2)),
+                                rng.choice(DEMANDS, 600))
+        model = one_slope(108.0, 1.0, 3.5)
+        cells = []
+
+        def counted(*args):
+            pl = link_loss_db(*args)
+            cells.append(pl.size)
+            return pl
+
+        with mock.patch.object(planner, "link_loss_db", counted):
+            greedy(micro_scenario, pop, sites, TIERED, micro_margins, model,
+                   tvws_power, CFG, "low", 0)
+        dist = np.linalg.norm(pop.xy_km[:, None] -
+                              [(s.x_km, s.y_km) for s in sites], axis=-1)
+        reach = invert_range_km(model, max_allowable_path_loss_db(
+            TIERED, micro_margins, TIERED.mcs("low")))
+        bound = (np.count_nonzero(dist <= reach)
+                 + np.count_nonzero(np.isclose(dist, dist.max(), rtol=1e-6)))
+        assert bound < dist.size / 10
+        assert sum(cells) <= bound
+
+
 class TestBruteForceOracle:
     """Exhaustive subset + assignment search on the 3-site/12-user fixture."""
 
@@ -643,6 +736,18 @@ class TestCampaign:
             assert warnings.filters == before
             with pytest.raises(ModelValidityWarning):
                 warnings.warn("after the campaign", ModelValidityWarning)
+
+    def test_run_without_active_site_is_scenario_error(self, micro_scenario,
+                                                      micro_profile):
+        # the lone site reaches no user, so a run's energy efficiency would
+        # divide by zero power
+        sc = replace(micro_scenario, site_policy=SitePolicy(
+            mode="explicit", sites=(CandidateSite(7, 40.0, 40.0, 30.0),)))
+        with pytest.raises(ScenarioError) as err:
+            planner.plan(sc, micro_profile, PlannerConfig(runs=2, base_seed=42))
+        assert err.value.errors == [
+            "sites: the run with seed 42 activates no site (2 of 2 runs), so "
+            "its energy efficiency is undefined"]
 
     def test_monotone_coverage_in_candidate_set(self, micro_scenario,
                                                 micro_profile, micro_margins,

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from tvwsplan.propagation import (HATA_MAX_DISTANCE_KM, ModelValidityWarning,
                                   PathLossModel, invert_range_km, link_loss_db,
                                   okumura_hata_rural, one_slope,
-                                  path_loss_array_db, path_loss_db)
+                                  path_loss_array_db, path_loss_db, reach_km)
 
 # independent oracle: mpmath evaluation of the closed form at 30 significant
 # digits, run separately (scripts shipped with the repo); (f, hb, hm, d, loss)
@@ -55,6 +55,12 @@ class TestOneSlope:
         m = one_slope(100.0, 1.0, 3.0)
         with pytest.raises(ValueError, match="below model floor"):
             invert_range_km(m, 10.0)
+
+    def test_reach_never_raises(self):
+        m = one_slope(100.0, 1.0, 3.0)
+        assert reach_km(m, 130.0) == invert_range_km(m, 130.0)
+        assert reach_km(m, 10.0) == m.min_distance_km  # below the floor
+        assert reach_km(m, 1e300) == math.inf          # past every distance
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
