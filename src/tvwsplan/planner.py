@@ -182,14 +182,14 @@ def plan_single_run(scenario: Scenario, profile: TechnologyProfile,
 
 
 def _in_budget(model, xy, site_xy, pl_max):
-    """(user, site, path loss) of the pairs within `pl_max`, row by row; the
-    1e-6 margins on reach and on the farthest distance outweigh rounding."""
+    """(user, site, path loss) of the pairs within `pl_max`, row by row."""
     d = xy.T.copy()[:, :, None] - site_xy.T[:, None]  # x, y offsets: 2 x N x M
     d *= d
     d2 = np.add(d[0], d[1], out=d[0])
-    reach = reach_km(model, pl_max) * (1 + 1e-6)
-    user, site = np.nonzero((d2 <= reach * reach)
-                            | (d2 >= d2.max(initial=0.0) * (1 - 1e-6)))
+    reach = reach_km(model, pl_max) * (1 + 1e-6)  # 1e-6 margins outweigh rounding
+    pair = np.flatnonzero((d2 <= reach * reach)
+                          | (d2 >= d2.max(initial=0.0) * (1 - 1e-6)))
+    user, site = np.divmod(pair, len(site_xy))
     pl = link_loss_db(model, xy[user], site_xy[site])
     link = pl <= pl_max
     return user[link], site[link], pl[link]
@@ -201,16 +201,16 @@ def _greedy_plan(pop, sites, budget, model, seed) -> RunOutcome:
     user_ids = pop.ids.tolist()
     user, site, pl = _in_budget(model, pop.xy_km, np.reshape(
         [(s.x_km, s.y_km) for s in sites], (-1, 2)), budget.pl_max)
-    # the link table: numpy sorts complex numbers by real, then imaginary
-    # part, and the pairs come row by row, so this stable sort keeps equal
-    # path loss in ascending site index (and `user` ascending)
+    # the link table: complex numbers sort by real, then imaginary part, and
+    # the pairs come row by row, so equal path loss keeps ascending site index
     by_user = np.argsort(user + 1j * pl, kind="stable")
     link_pl, link_site = np.append(pl[by_user], -np.inf), site[by_user]
     # user u's links sit at table positions first[u] .. first[u + 1] - 1;
     # site j's, in ascending user, at by_site[at[j]] .. by_site[at[j + 1] - 1]
     first = np.searchsorted(user, np.arange(n_users + 1)).tolist()
-    by_site = np.argsort(link_site, kind="stable")
+    by_site = np.argsort(link_site * n_users + user)  # unique keys: a stable order
     at = np.searchsorted(link_site[by_site], np.arange(n_sites + 1)).tolist()
+    site_user, site_pl = user[by_site], link_pl[by_site]
     link_site = link_site.tolist()
     # a user consumes its demand of the capacity at whichever site serves it
     demand = pop.demand_mbps.tolist()
@@ -229,9 +229,9 @@ def _greedy_plan(pop, sites, budget, model, seed) -> RunOutcome:
 
     def rebalance(new_j):
         # one pass over the new site's links, ascending user: strictly lower loss moves
-        ks = by_site[at[new_j]:at[new_j + 1]]
-        ks = ks[link_pl[ks] < link_pl[link_of[user[ks]]]]
-        for u, k in zip(user[ks].tolist(), ks.tolist()):
+        sl = slice(at[new_j], at[new_j + 1])
+        move = site_pl[sl] < link_pl[link_of[site_user[sl]]]
+        for u, k in zip(site_user[sl][move].tolist(), by_site[sl][move].tolist()):
             if load[new_j] + demand[u] <= limit:
                 cur = link_of[u]
                 load[link_site[cur]] -= demand[u]
