@@ -16,9 +16,10 @@ Each run builds one link table of the in-budget (user, site) pairs, ordered
 by (user, path loss, site index).  `propagation.link_loss_db` runs only on
 the pairs that squared distances place within the budget's reach, and on
 the farthest pairs, so that a distance validity warning reads as over all
-pairs.  The greedy walks a user's stretch of the table, re-balancing walks
-the new site's links through a per-site index, and neither sorts.  Loads
-are still summed one decision at a time, in decision order.
+pairs.  Numpy builds the table with one sort; the greedy then walks it as
+plain lists: a user's stretch of the table, and for re-balancing the new
+site's table positions, collected per site in one pass.  Loads are still
+summed one decision at a time, in decision order.
 
 A run is strictly sequential (the greedy order is semantic).  Runs within a
 campaign are independent, seeded `base_seed + run_index`, share one budget
@@ -199,47 +200,29 @@ def _greedy_plan(pop, sites, budget, model, seed) -> RunOutcome:
     n_users, n_sites = len(pop), len(sites)
     site_ids = [s.id for s in sites]
     user_ids = pop.ids.tolist()
-    user, site, pl = _in_budget(model, pop.xy_km, np.reshape(
-        [(s.x_km, s.y_km) for s in sites], (-1, 2)), budget.pl_max)
-    # the link table: complex numbers sort by real, then imaginary part, and
-    # the pairs come row by row, so equal path loss keeps ascending site index
-    by_user = np.argsort(user + 1j * pl, kind="stable")
-    link_pl, link_site = np.append(pl[by_user], -np.inf), site[by_user]
-    # user u's links sit at table positions first[u] .. first[u + 1] - 1;
-    # site j's, in ascending user, at by_site[at[j]] .. by_site[at[j + 1] - 1]
-    first = np.searchsorted(user, np.arange(n_users + 1)).tolist()
-    by_site = np.argsort(link_site * n_users + user)  # unique keys: a stable order
-    at = np.searchsorted(link_site[by_site], np.arange(n_sites + 1)).tolist()
-    site_user, site_pl = user[by_site], link_pl[by_site]
-    link_site = link_site.tolist()
     # a user consumes its demand of the capacity at whichever site serves it
     demand = pop.demand_mbps.tolist()
     limit = budget.capacity + 1e-9
+    user, site, pl = _in_budget(model, pop.xy_km, np.reshape(
+        [(s.x_km, s.y_km) for s in sites], (-1, 2)), budget.pl_max)
+    # the link table: complex numbers sort by real, then imaginary part, and
+    # the pairs come row by row, so equal path loss keeps ascending site index;
+    # user u's links sit at table positions first[u] .. first[u + 1] - 1
+    by_user = np.argsort(user + 1j * pl, kind="stable")
+    first = np.searchsorted(user, np.arange(n_users + 1)).tolist()
+    link_pl = np.append(pl[by_user], -np.inf).tolist()  # position -1: unserved
+    link_user, link_site = user.tolist(), site[by_user].tolist()
+    # site j's table positions, in ascending user
+    site_links = [[] for _ in range(n_sites)]
+    for k, j in enumerate(link_site):
+        site_links[j].append(k)
 
     active = []                        # site indices, activation order
     is_active = [False] * n_sites
     load = [0.0] * n_sites             # consumed capacity, summed in order
-    link_of = np.full(n_users, -1)     # user -> table position; -1 (-inf) unserved
+    link_of = [-1] * n_users           # user -> table position; -1 unserved
     uncovered = []
     log = []
-
-    def serve(u, k):
-        link_of[u] = k
-        load[link_site[k]] += demand[u]
-
-    def rebalance(new_j):
-        # one pass over the new site's links, ascending user: strictly lower loss moves
-        sl = slice(at[new_j], at[new_j + 1])
-        move = site_pl[sl] < link_pl[link_of[site_user[sl]]]
-        for u, k in zip(site_user[sl][move].tolist(), by_site[sl][move].tolist()):
-            if load[new_j] + demand[u] <= limit:
-                cur = link_of[u]
-                load[link_site[cur]] -= demand[u]
-                serve(u, k)
-                log.append(("switch", user_ids[u], site_ids[link_site[cur]],
-                            site_ids[new_j]))
-            else:
-                log.append(("switch_reject", user_ids[u], site_ids[new_j]))
 
     for u in range(n_users):
         links = link_site[first[u]:first[u + 1]]
@@ -248,7 +231,8 @@ def _greedy_plan(pop, sites, budget, model, seed) -> RunOutcome:
             if not is_active[j]:
                 continue
             if load[j] + demand[u] <= limit:
-                serve(u, k)
+                link_of[u] = k
+                load[j] += demand[u]
                 log.append(("connect", user_ids[u], site_ids[j]))
                 break
             log.append(("reject_capacity", user_ids[u], site_ids[j]))
@@ -264,12 +248,27 @@ def _greedy_plan(pop, sites, budget, model, seed) -> RunOutcome:
             active.append(j)
             is_active[j] = True
             log.append(("activate", site_ids[j]))
-            serve(u, k)
+            link_of[u] = k
+            load[j] += demand[u]
             log.append(("connect", user_ids[u], site_ids[j]))
-            rebalance(j)
+            # re-balance: one pass over the new site's links of the users
+            # before u, ascending; one moves when its loss there is strictly lower
+            for k in site_links[j][:site_links[j].index(k)]:
+                v = link_user[k]
+                cur = link_of[v]
+                if link_pl[k] >= link_pl[cur]:
+                    continue
+                if load[j] + demand[v] <= limit:
+                    load[link_site[cur]] -= demand[v]
+                    link_of[v] = k
+                    load[j] += demand[v]
+                    log.append(("switch", user_ids[v], site_ids[link_site[cur]],
+                                site_ids[j]))
+                else:
+                    log.append(("switch_reject", user_ids[v], site_ids[j]))
 
     # users enter the assignment in service order, ascending index
-    assign = {u: link_site[k] for u, k in enumerate(link_of.tolist()) if k >= 0}
+    assign = {u: link_site[k] for u, k in enumerate(link_of) if k >= 0}
     served = {site_ids[j]: 0.0 for j in active}
     for u, j in assign.items():
         served[site_ids[j]] += demand[u]

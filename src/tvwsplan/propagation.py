@@ -72,6 +72,11 @@ class PathLossModel:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if is_one_slope:
             return
+        b = _coefficients(self)[1]
+        if b <= 0:
+            raise ValueError(
+                f"bs_height_m {self.bs_height_m} gives the Hata distance slope "
+                f"{b:.3g} dB/decade, so loss would not grow with distance")
         for what, value, unit, (lo, hi) in (
                 ("frequency", self.freq_mhz, "MHz", HATA_FREQ_MHZ),
                 ("BS height", self.bs_height_m, "m", HATA_BS_HEIGHT_M),

@@ -163,11 +163,14 @@ def generate_population(region: Region, spec: PopulationSpec, seed: int) -> User
                                 ymin + (ymax - ymin) * buf[1:]])
         inside = geometry.points_in_polygon(cand, region.outline).tolist()
         # replay the per-user loop: a rejected pair (x, y) advances 2, an
-        # accepted one takes the next variate as its demand draw and advances 3
-        taken, i = [], 0
-        while len(taken) < n - k and i + 2 < len(buf):
+        # accepted one takes the next variate as its demand draw and advances 3,
+        # until the users still wanted are taken or the block's attempts run out
+        taken, i, wanted, end = [], 0, n - k, len(buf) - 2
+        while i < end:
             if inside[i]:
                 taken.append(i)
+                if len(taken) == wanted:
+                    break
                 i, tried = i + 3, 0
                 continue
             i, tried = i + 2, tried + 1

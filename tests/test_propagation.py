@@ -126,6 +126,15 @@ class TestOkumuraHata:
         with pytest.raises(ValueError):
             PathLossModel(variant="not_a_model")
 
+    def test_nonpositive_distance_slope_fails(self):
+        # b = 44.9 - 6.55 log10(h) reaches 0 at h = 10^(44.9/6.55), about 7.16e6 m
+        with pytest.raises(ValueError, match="bs_height_m 10000000.0 "):
+            okumura_hata_rural(600.0, 1e7, 3.0)
+        with pytest.warns(ModelValidityWarning):  # b about 0.065: still valid
+            m = okumura_hata_rural(600.0, 7.0e6, 3.0)
+        assert path_loss_db(m, 5.0) > path_loss_db(m, 0.05)
+        assert reach_km(m, path_loss_db(m, 5.0)) == pytest.approx(5.0)
+
 
 @st.composite
 def any_model(draw):
