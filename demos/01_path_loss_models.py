@@ -33,12 +33,9 @@ try:
 
     d = np.linspace(0.1, 20.0, 300)
     fig, ax = plt.subplots(figsize=(7, 4.5))
-    import warnings
-    from tvwsplan.propagation import ModelValidityWarning, path_loss_array_db
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ModelValidityWarning)
-        ax.plot(d, path_loss_array_db(suburban, d), label="suburban one-slope")
-        ax.plot(d, path_loss_array_db(rural, d), label="rural Okumura-Hata (open area)")
+    from tvwsplan.propagation import path_loss_array_db
+    ax.plot(d, path_loss_array_db(suburban, d), label="suburban one-slope")
+    ax.plot(d, path_loss_array_db(rural, d), label="rural Okumura-Hata (open area)")
     ax.set_xlabel("distance [km]")
     ax.set_ylabel("path loss [dB]")
     ax.grid(alpha=0.3)

@@ -20,7 +20,6 @@ import statistics
 import sys
 import tempfile
 import time
-import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -30,7 +29,6 @@ from battery import run_battery  # noqa: E402
 from dense_lattice import dense_lattice_yaml  # noqa: E402
 from workloads import DENSE_RUNS, SUBURBAN_FILE  # noqa: E402
 from tvwsplan import cli, planner  # noqa: E402
-from tvwsplan.propagation import ModelValidityWarning  # noqa: E402
 
 ROUNDS = 12
 
@@ -77,14 +75,12 @@ def main(argv=None) -> int:
         calls = {name: record(w) for name, w in workloads.items()}
 
     times = {name: [] for name in calls}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ModelValidityWarning)
-        for _ in range(ROUNDS):
-            for name, recorded in calls.items():
-                start = time.perf_counter()
-                for call in recorded:
-                    planner._greedy_plan(*call)
-                times[name].append(time.perf_counter() - start)
+    for _ in range(ROUNDS):
+        for name, recorded in calls.items():
+            start = time.perf_counter()
+            for call in recorded:
+                planner._greedy_plan(*call)
+            times[name].append(time.perf_counter() - start)
     for name, recorded in calls.items():
         print(f"{name}: {len(recorded)} calls, median "
               f"{1e3 * statistics.median(times[name]):.1f} ms "

@@ -14,12 +14,13 @@ and raster PL_max from the campaign's budget; its runs execute one after
 another in this process.
 
 On failure a machine-readable JSON error record goes to stderr and the exit
-status is non-zero; stderr holds nothing else.  Model-validity warnings are
-not printed (`plan` records those of its campaign's runs in the provenance
-line `model_warnings`).  Numeric flags out of range (`--runs` < 1, `--seed`
-< 0, `--dmin` or `--step` not positive, `--dmax` below `--dmin`, any
-distance not finite, or a `--step` so fine that `pathloss` would write more
-than `MAX_PATHLOSS_ROWS` rows) are `usage` errors, exit 2, naming the flag.
+status is non-zero; stderr holds nothing else.  `plan` states the model's
+stretched assumptions over its campaign's reach in the provenance line
+`model_warnings` (`propagation.validity_notes`).  Numeric flags out of
+range (`--runs` < 1, `--seed` < 0, `--dmin` or `--step` not positive,
+`--dmax` below `--dmin`, any distance not finite, or a `--step` so fine
+that `pathloss` would write more than `MAX_PATHLOSS_ROWS` rows) are `usage`
+errors, exit 2, naming the flag.
 """
 
 from __future__ import annotations
@@ -28,12 +29,10 @@ import argparse
 import json
 import math
 import sys
-import warnings
 from pathlib import Path
 
 from .link_budget import load_technology
 from .planner import PlannerConfig, plan
-from .propagation import ModelValidityWarning
 from .reporting import (assignment_csv, build_report, coverage_csv,
                         deployment_csv, pathloss_csv, power_csv, raster_csv,
                         report_to_json, runs_csv, svg_map, sweep_csv,
@@ -216,11 +215,7 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with warnings.catch_warnings():
-            # stderr holds error records only; a campaign keeps its runs'
-            # validity warnings for the provenance line `model_warnings`
-            warnings.simplefilter("ignore", ModelValidityWarning)
-            paths = COMMANDS[args.command](args)
+        paths = COMMANDS[args.command](args)
     except (CliError, ScenarioError) as e:
         if isinstance(e, ScenarioError):  # from a scenario file or `plan`
             e = CliError("invalid_scenario", "scenario failed validation",

@@ -14,9 +14,8 @@ candidate list).  Every link is planned at one MCS: a user costs its demand
 against that MCS's bitrate at whichever site serves it.
 Each run builds one link table of the in-budget (user, site) pairs, ordered
 by (user, path loss, site index).  `propagation.link_loss_db` runs only on
-the pairs that squared distances place within the budget's reach, and on
-the farthest pairs, so that a distance validity warning reads as over all
-pairs.  Numpy builds the table with one sort; the greedy then walks it as
+the pairs that squared distances place within the budget's reach.  Numpy
+builds the table with one sort; the greedy then walks it as
 plain lists: a user's stretch of the table, and for re-balancing the new
 site's table positions, collected per site in one pass.  Loads are still
 summed one decision at a time, in decision order.
@@ -29,9 +28,8 @@ profile.
 Candidate site ids must be unique: campaigns, single runs and the checker
 raise ValueError on a repeated id.
 
-A campaign keeps the sorted distinct model-validity warnings of its runs and
-passes every other warning on; a single run lets its validity warnings reach
-the caller.
+A campaign records the model's validity notes over the reach of its budget,
+the longest link any of its runs can plan (`propagation.validity_notes`).
 
 Every accept/reject decision lands in an event log.  The independent
 feasibility checker replays a run from scratch (fresh path loss from
@@ -44,7 +42,6 @@ read-only population of each seed, a pure function of the seed.
 from __future__ import annotations
 
 import collections
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,8 +49,7 @@ import numpy as np
 from .link_budget import (EnvironmentMargins, TechnologyProfile,
                           max_allowable_path_loss_db)
 from .power_energy import load_power_params, station_power_w
-from .propagation import (ModelValidityWarning, PathLossModel, link_loss_db,
-                          reach_km)
+from .propagation import PathLossModel, link_loss_db, reach_km, validity_notes
 from .scenario import Scenario, ScenarioError, generate_population
 from .sizing import sweep_mcs
 
@@ -131,7 +127,7 @@ class CampaignResult:
     progressive_coverage: list  # running mean after each run
     sites: list
     budget: "_Budget"           # what every run planned against
-    model_warnings: tuple       # sorted distinct messages of all runs
+    model_warnings: tuple       # validity notes over the budget's reach
 
 
 @dataclass(frozen=True)
@@ -187,9 +183,8 @@ def _in_budget(model, xy, site_xy, pl_max):
     d = xy.T.copy()[:, :, None] - site_xy.T[:, None]  # x, y offsets: 2 x N x M
     d *= d
     d2 = np.add(d[0], d[1], out=d[0])
-    reach = reach_km(model, pl_max) * (1 + 1e-6)  # 1e-6 margins outweigh rounding
-    pair = np.flatnonzero((d2 <= reach * reach)
-                          | (d2 >= d2.max(initial=0.0) * (1 - 1e-6)))
+    reach = reach_km(model, pl_max) * (1 + 1e-6)  # a margin outweighing rounding
+    pair = np.flatnonzero(d2 <= reach * reach)
     user, site = np.divmod(pair, len(site_xy))
     pl = link_loss_db(model, xy[user], site_xy[site])
     link = pl <= pl_max
@@ -330,17 +325,8 @@ def run_campaign(scenario: Scenario, profile: TechnologyProfile,
 
 
 def _campaign(scenario, sites, budget, model, config) -> CampaignResult:
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ModelValidityWarning)
-        outcomes = [_run_one(scenario, sites, budget, model, seed) for seed in
-                    range(config.base_seed, config.base_seed + config.runs)]
-    kept = set()
-    for w in caught:  # record=True takes every warning; pass the others on
-        if issubclass(w.category, ModelValidityWarning):
-            kept.add(str(w.message))
-        else:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-
+    outcomes = [_run_one(scenario, sites, budget, model, seed) for seed in
+                range(config.base_seed, config.base_seed + config.runs)]
     cov = np.array([o.coverage_fraction for o in outcomes])
     pow_ = np.array([o.total_power_w for o in outcomes])
     act = np.array([len(o.deployment.active_sites) for o in outcomes])
@@ -355,7 +341,7 @@ def _campaign(scenario, sites, budget, model, config) -> CampaignResult:
         progressive_coverage=[float(x) for x in progressive],
         sites=sites,
         budget=budget,
-        model_warnings=tuple(sorted(kept)))
+        model_warnings=validity_notes(model, reach_km(model, budget.pl_max)))
 
 
 def grow_site_set(scenario: Scenario, profile: TechnologyProfile,

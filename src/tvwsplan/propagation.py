@@ -10,12 +10,14 @@ mobile-antenna correction and the open-area adjustment; an additive
 Both families are affine in log10(d), PL(d) = a + b*log10(d/d0) + offset,
 so one expression evaluates either model and one closed form inverts it.
 `link_loss_db` is the one place where coordinates become path loss.
+Outside the Okumura-Hata validity window a model still evaluates; the
+stretched assumptions are stated by `validity_notes`, which `plan` records
+in its provenance.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,7 @@ __all__ = [
     "link_loss_db",
     "reach_km",
     "invert_range_km",
+    "validity_notes",
 ]
 
 #: evaluation floor: distances below this are clamped (km)
@@ -42,7 +45,8 @@ HATA_MAX_DISTANCE_KM = 20.0
 
 
 class ModelValidityWarning(UserWarning):
-    """A parameter or distance fell outside the model's validity window."""
+    """A parameter or distance outside the model's validity window.  Nothing
+    raises it: `validity_notes` states such a stretch instead."""
 
 
 @dataclass(frozen=True)
@@ -77,13 +81,6 @@ class PathLossModel:
             raise ValueError(
                 f"bs_height_m {self.bs_height_m} gives the Hata distance slope "
                 f"{b:.3g} dB/decade, so loss would not grow with distance")
-        for what, value, unit, (lo, hi) in (
-                ("frequency", self.freq_mhz, "MHz", HATA_FREQ_MHZ),
-                ("BS height", self.bs_height_m, "m", HATA_BS_HEIGHT_M),
-                ("RX height", self.rx_height_m, "m", HATA_RX_HEIGHT_M)):
-            if not lo <= value <= hi:
-                warnings.warn(f"{what} {value} {unit} outside Hata window {(lo, hi)}",
-                              ModelValidityWarning, stacklevel=3)
 
 
 def one_slope(pl0_db: float, d0_km: float = 1.0, exponent: float = 2.0,
@@ -120,17 +117,11 @@ def path_loss_db(model: PathLossModel, distance_km: float) -> float:
 def path_loss_array_db(model: PathLossModel, distances_km) -> np.ndarray:
     """Path loss in dB over an array of distances.
 
-    Distances are clamped below at the model floor; a single validity
-    warning covers all out-of-window entries.
+    Distances are clamped below at the model floor.
     """
     d = np.asarray(distances_km, dtype=float)
     if (d <= 0).any():
         raise ValueError(f"distances must be positive, got {float(d.min())}")
-    if model.variant == "okumura_hata_rural" and (d > HATA_MAX_DISTANCE_KM).any():
-        warnings.warn(
-            f"distances up to {float(d.max()):.2f} km beyond Hata validity "
-            f"({HATA_MAX_DISTANCE_KM} km); values extrapolated",
-            ModelValidityWarning, stacklevel=2)
     a, b, d0 = _coefficients(model)
     # a + b*log10(max(d, floor)/d0) + offset_db, evaluated in one fresh array;
     # a denormal d0 overflows the ratio to inf, a loss no budget reaches
@@ -175,3 +166,21 @@ def invert_range_km(model: PathLossModel, pl_max_db: float) -> float:
             f"range below model floor: {pl_max_db:.2f} dB < {floor:.2f} dB "
             f"at {model.min_distance_km} km")
     return reach_km(model, pl_max_db)
+
+
+def validity_notes(model: PathLossModel, max_distance_km: float) -> tuple[str, ...]:
+    """The model's stretched assumptions over distances up to
+    `max_distance_km`: one note per Okumura-Hata parameter outside its
+    window, then one for distances beyond it; () for a one-slope model."""
+    if model.variant == "one_slope":
+        return ()
+    notes = [f"{what} {value} {unit} outside Hata window {(lo, hi)}"
+             for what, value, unit, (lo, hi) in (
+                 ("frequency", model.freq_mhz, "MHz", HATA_FREQ_MHZ),
+                 ("BS height", model.bs_height_m, "m", HATA_BS_HEIGHT_M),
+                 ("RX height", model.rx_height_m, "m", HATA_RX_HEIGHT_M))
+             if not lo <= value <= hi]
+    if max_distance_km > HATA_MAX_DISTANCE_KM:
+        notes.append(f"distances up to {max_distance_km:.2f} km beyond Hata "
+                     f"validity ({HATA_MAX_DISTANCE_KM} km); values extrapolated")
+    return tuple(notes)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +23,7 @@ from . import __version__, geometry
 from .link_budget import EnvironmentMargins, TechnologyProfile, coverage_curve
 from .planner import CampaignResult, RunOutcome
 from .power_energy import LOAD_FACTOR, RADIATED_POWER_W, network_energy_efficiency
-from .propagation import (ModelValidityWarning, PathLossModel, link_loss_db,
-                          path_loss_array_db)
+from .propagation import PathLossModel, link_loss_db, path_loss_array_db
 from .scenario import Scenario, generate_population
 
 __all__ = [
@@ -111,8 +109,8 @@ def _base_provenance(scenario: Scenario, profile: TechnologyProfile,
 
 def build_report(scenario: Scenario, profile: TechnologyProfile,
                  result: CampaignResult) -> SimulationReport:
-    """The report of a finished campaign; its provenance keeps the validity
-    warnings of the campaign's runs as `model_warnings`."""
+    """The report of a finished campaign; its provenance joins the
+    campaign's validity notes as `model_warnings`, when there are any."""
     runs = len(result.outcomes)
     base_seed = result.outcomes[0].seed
     ee_runs = [network_energy_efficiency([o], scenario.region.area_km2)
@@ -276,9 +274,7 @@ def pathloss_csv(model: PathLossModel, prov: dict, d_min_km: float = 0.1,
                  d_max_km: float = 20.0, step_km: float = 0.1) -> str:
     # the whole steps that stay within d_max_km, forgiving 1e-9 of a step
     d = d_min_km + np.arange(math.floor((d_max_km - d_min_km) / step_km + 1e-9) + 1) * step_km
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ModelValidityWarning)
-        pl = path_loss_array_db(model, d)
+    pl = path_loss_array_db(model, d)
     rows = [[_fmt(x), _fmt(y)] for x, y in zip(d.tolist(), pl.tolist())]
     return _csv(prov, "d_km,pl_db", rows)
 
@@ -352,7 +348,9 @@ def svg_map(outcome: RunOutcome, scenario: Scenario, sites,
         else:
             parts.append(f'<circle cx="{px(s.x_km):.2f}" cy="{py(s.y_km):.2f}" '
                          f'r="5" fill="none" stroke="#7f8c8d" stroke-width="1.5"/>')
-    if title:
+    if title:  # escaped as by xml.sax.saxutils.escape, whose imports (ssl,
+        # http, email) would add about 2 MB to every process
+        title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(f'<text x="12" y="22" font-family="sans-serif" '
                      f'font-size="16" fill="#2c3e50">{title}</text>')
     parts.append("</svg>")

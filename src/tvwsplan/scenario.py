@@ -349,7 +349,8 @@ def _field(errors: list, cfg: dict, where: str, name: str, kind, default=None,
            lo=-math.inf, hi=math.inf):
     """`cfg[name]` as `kind` (a type or a tuple of allowed strings), or None
     after listing one error "where.name: ...".  Nothing is coerced: a number
-    is finite, not a bool, in [`lo`, `hi`) and whole in an integer field."""
+    is finite, not a bool, in [`lo`, `hi`) and whole in an integer field; a
+    string is printable, so no line break or tab."""
     label = f"{where}.{name}" if where else name
     if name not in cfg and default is None:
         errors.append(f"{label}: required field missing")
@@ -357,6 +358,8 @@ def _field(errors: list, cfg: dict, where: str, name: str, kind, default=None,
     value = cfg.get(name, default)
     if isinstance(kind, tuple):
         problem = value not in kind and "must be one of " + "/".join(kind)
+    elif kind is str and isinstance(value, str):  # provenance lines hold it
+        problem = not value.isprintable() and "must be printable, on one line"
     elif kind not in (int, float):
         problem = not isinstance(value, kind) and f"must be {_KINDS[kind]}"
     elif (isinstance(value, bool) or not isinstance(value, (int, float))

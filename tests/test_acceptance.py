@@ -9,7 +9,6 @@ technologies, plus the 4x4 variants used by the diversity criterion.
 import hashlib
 import json
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +20,8 @@ from tvwsplan.planner import PlannerConfig, check_deployment, replay_event_log
 from tvwsplan.power_energy import (BsPowerInput, RunEnergy, TvwsPowerParams,
                                    load_power_params,
                                    network_energy_efficiency, tvws_bs_power_w)
-from tvwsplan.propagation import (ModelValidityWarning, invert_range_km,
-                                  okumura_hata_rural, one_slope, path_loss_db)
-
-warnings.filterwarnings("ignore", category=ModelValidityWarning)
+from tvwsplan.propagation import (invert_range_km, okumura_hata_rural,
+                                  one_slope, path_loss_db)
 
 TECHS = ("802.22", "802.22b", "802.11af", "lte")
 SCENARIOS = {"suburban": "ghent_suburban", "rural": "boyeros_rural"}

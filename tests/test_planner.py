@@ -1,7 +1,6 @@
 import copy
 import itertools
 import math
-import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -20,9 +19,8 @@ from tvwsplan.planner import (Deployment, PlannerConfig, RunOutcome,
 from tvwsplan.power_energy import (BsPowerInput, TvwsPowerParams,
                                    load_power_params, tvws_bs_power_w)
 from tvwsplan.scenario import ScenarioError
-from tvwsplan.propagation import (ModelValidityWarning, invert_range_km,
-                                  link_loss_db, okumura_hata_rural, one_slope,
-                                  path_loss_db)
+from tvwsplan.propagation import (invert_range_km, link_loss_db,
+                                  okumura_hata_rural, one_slope, path_loss_db)
 from tvwsplan.scenario import (CandidateSite, PopulationSpec, Region,
                                Scenario, SitePolicy, UserPopulation,
                                generate_population)
@@ -412,19 +410,12 @@ def full_table(model, xy, site_xy, pl_max):
     return (*np.divmod(flat, len(site_xy)), pl.ravel()[flat])
 
 
-def with_warnings(f, *args):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = f(*args)
-    return out, [str(w.message) for w in caught]
-
-
 class TestPrunedLinkTable:
     @settings(max_examples=300, deadline=None)
     @given(case=link_cases())
     def test_pruned_table_equals_full_matrix(self, case):
         model, xy, site_xy, budget, pick = case
-        pl = with_warnings(link_loss_db, model, xy[:, None], site_xy)[0].ravel()
+        pl = link_loss_db(model, xy[:, None], site_xy).ravel()
         if budget == "below":
             pl_max = path_loss_db(model, model.min_distance_km) - 1.0
         elif budget == "past":
@@ -433,13 +424,10 @@ class TestPrunedLinkTable:
             pl_max = pl[int(pick * pl.size)] if pl.size else 100.0
         else:
             pl_max = budget
-        got, got_warnings = with_warnings(planner._in_budget, model, xy,
-                                          site_xy, pl_max)
-        want, want_warnings = with_warnings(full_table, model, xy, site_xy,
-                                            pl_max)
+        got = planner._in_budget(model, xy, site_xy, pl_max)
+        want = full_table(model, xy, site_xy, pl_max)
         assert [(a.dtype, a.tobytes()) for a in got] == \
             [(a.dtype, a.tobytes()) for a in want]
-        assert got_warnings == want_warnings
 
     def test_path_loss_only_where_a_link_can_exist(self, micro_scenario,
                                                    micro_margins, tvws_power):
@@ -465,10 +453,9 @@ class TestPrunedLinkTable:
                               [(s.x_km, s.y_km) for s in sites], axis=-1)
         reach = invert_range_km(model, max_allowable_path_loss_db(
             TIERED, micro_margins, TIERED.mcs("low")))
-        bound = (np.count_nonzero(dist <= reach)
-                 + np.count_nonzero(np.isclose(dist, dist.max(), rtol=1e-6)))
-        assert bound < dist.size / 10
-        assert sum(cells) <= bound
+        in_reach = np.count_nonzero(dist <= reach)
+        assert in_reach < dist.size / 10
+        assert sum(cells) <= in_reach
 
 
 class TestBruteForceOracle:
@@ -685,57 +672,37 @@ class TestCampaign:
                                      sites=micro_sites)
             assert single.event_log == o.event_log
 
-    def test_runs_keep_validity_warnings_and_pass_others_on(
+    def test_campaign_notes_parameters_outside_the_window(
             self, micro_scenario, micro_profile, micro_margins, micro_model,
             micro_sites, tvws_power):
-        real = planner._greedy_plan
+        hata = okumura_hata_rural(100.0, 30.0, 3.0)
+        camp = run_campaign(micro_scenario, micro_profile, micro_margins, hata,
+                            tvws_power, PlannerConfig(runs=2, base_seed=42),
+                            sites=micro_sites)
+        assert camp.model_warnings == (
+            "frequency 100.0 MHz outside Hata window (150.0, 1500.0)",)
+        one_slope_camp = run_campaign(micro_scenario, micro_profile, micro_margins,
+                                      micro_model, tvws_power, CFG,
+                                      sites=micro_sites)
+        assert one_slope_camp.model_warnings == ()
 
-        def greedy(*args):
-            warnings.warn("stretched", ModelValidityWarning)
-            warnings.warn("unrelated", RuntimeWarning)
-            return real(*args)
-        with mock.patch.object(planner, "_greedy_plan", greedy):
-            with pytest.warns(RuntimeWarning, match="unrelated"):
-                camp = run_campaign(micro_scenario, micro_profile,
-                                    micro_margins, micro_model, tvws_power,
-                                    PlannerConfig(runs=2, base_seed=42),
-                                    sites=micro_sites)
-            # a single run keeps nothing: its validity warnings reach the caller
-            with pytest.warns(RuntimeWarning, match="unrelated"), \
-                    pytest.warns(ModelValidityWarning, match="stretched"):
-                plan_single_run(micro_scenario, micro_profile, micro_margins,
-                                micro_model, tvws_power, CFG, 42,
-                                sites=micro_sites)
-        assert camp.model_warnings == ("stretched",)
-
-    def test_validity_warnings_distinct_and_sorted(
-            self, micro_scenario, micro_profile, micro_margins, micro_model,
-            micro_sites, tvws_power):
-        real = planner._greedy_plan
-
-        def greedy(pop, sites, budget, model, seed):
-            warnings.warn(f"seed parity {seed % 2}", ModelValidityWarning)
-            warnings.warn("always", ModelValidityWarning)
-            return real(pop, sites, budget, model, seed)
-        with mock.patch.object(planner, "_greedy_plan", greedy):
+    @pytest.mark.parametrize("offset_db, notes", [
+        (0.0, ()),
+        (-20.0, ("distances up to 24.02 km beyond Hata validity (20.0 km); "
+                 "values extrapolated",))])
+    def test_validity_notes_follow_the_budget_not_the_runs(
+            self, micro_scenario, micro_profile, micro_margins, micro_sites,
+            tvws_power, offset_db, notes):
+        # under the 120 dB budget these models reach 6.50 and 24.02 km; the
+        # users and sites all lie within 5 km of each other
+        hata = okumura_hata_rural(600.0, 30.0, 3.0, offset_db=offset_db)
+        for runs in (1, 5):
             camp = run_campaign(micro_scenario, micro_profile, micro_margins,
-                                micro_model, tvws_power,
-                                PlannerConfig(runs=5, base_seed=43),
+                                hata, tvws_power,
+                                PlannerConfig(runs=runs, base_seed=43),
                                 sites=micro_sites)
-        assert camp.model_warnings == ("always", "seed parity 0",
-                                       "seed parity 1")
-
-    def test_campaign_leaves_warning_filters_as_found(
-            self, micro_scenario, micro_profile, micro_margins, micro_model,
-            micro_sites, tvws_power):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ModelValidityWarning)
-            before = list(warnings.filters)
-            run_campaign(micro_scenario, micro_profile, micro_margins,
-                         micro_model, tvws_power, CFG, sites=micro_sites)
-            assert warnings.filters == before
-            with pytest.raises(ModelValidityWarning):
-                warnings.warn("after the campaign", ModelValidityWarning)
+            assert camp.budget.pl_max == pytest.approx(120.0)
+            assert camp.model_warnings == notes
 
     def test_run_without_active_site_is_scenario_error(self, micro_scenario,
                                                       micro_profile):

@@ -1,14 +1,14 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tvwsplan.propagation import (HATA_MAX_DISTANCE_KM, ModelValidityWarning,
-                                  PathLossModel, invert_range_km, link_loss_db,
+from tvwsplan.propagation import (HATA_MAX_DISTANCE_KM, PathLossModel,
+                                  invert_range_km, link_loss_db,
                                   okumura_hata_rural, one_slope,
-                                  path_loss_array_db, path_loss_db, reach_km)
+                                  path_loss_array_db, path_loss_db, reach_km,
+                                  validity_notes)
 
 # independent oracle: mpmath evaluation of the closed form at 30 significant
 # digits, run separately (scripts shipped with the repo); (f, hb, hm, d, loss)
@@ -106,19 +106,43 @@ class TestOkumuraHata:
             path_loss_db(base, 5.0) + 1.5, abs=1e-9)
         assert invert_range_km(off, 120.0) < invert_range_km(base, 120.0)
 
-    def test_beyond_validity_warns_but_evaluates(self):
+    def test_beyond_validity_noted_but_evaluates(self):
         m = okumura_hata_rural(605.0, 30.0, 3.0)
-        with pytest.warns(ModelValidityWarning):
-            v = path_loss_db(m, HATA_MAX_DISTANCE_KM + 2.0)
+        v = path_loss_db(m, HATA_MAX_DISTANCE_KM + 2.0)
         assert v > path_loss_db(m, HATA_MAX_DISTANCE_KM)
+        assert validity_notes(m, HATA_MAX_DISTANCE_KM) == ()
+        assert validity_notes(m, HATA_MAX_DISTANCE_KM + 2.004) == (
+            "distances up to 22.00 km beyond Hata validity (20.0 km); "
+            "values extrapolated",)
+        assert validity_notes(m, math.inf) == (
+            "distances up to inf km beyond Hata validity (20.0 km); "
+            "values extrapolated",)
+        # a one-slope fit has no validity window
+        assert validity_notes(one_slope(108.0, 1.0, 3.5), 1e6) == ()
 
-    def test_out_of_window_parameters_warn_not_fail(self):
-        with pytest.warns(ModelValidityWarning):
-            okumura_hata_rural(100.0, 30.0, 3.0)   # below frequency window
-        with pytest.warns(ModelValidityWarning):
-            okumura_hata_rural(605.0, 25.0, 3.0)   # below BS height window
-        with pytest.warns(ModelValidityWarning):
-            okumura_hata_rural(605.0, 30.0, 0.5)   # below RX height window
+    @pytest.mark.parametrize("args, notes", [
+        ((605.0, 30.0, 3.0), ()),
+        ((150.0, 200.0, 10.0), ()),  # the window is closed
+        ((100.0, 30.0, 3.0),
+         ("frequency 100.0 MHz outside Hata window (150.0, 1500.0)",)),
+        ((1600.0, 30.0, 3.0),
+         ("frequency 1600.0 MHz outside Hata window (150.0, 1500.0)",)),
+        ((605.0, 25.0, 3.0),
+         ("BS height 25.0 m outside Hata window (30.0, 200.0)",)),
+        ((605.0, 30.0, 0.5),
+         ("RX height 0.5 m outside Hata window (1.0, 10.0)",)),
+        ((100.0, 250.0, 12.0),
+         ("frequency 100.0 MHz outside Hata window (150.0, 1500.0)",
+          "BS height 250.0 m outside Hata window (30.0, 200.0)",
+          "RX height 12.0 m outside Hata window (1.0, 10.0)"))])
+    def test_out_of_window_parameters_noted_not_fail(self, args, notes):
+        m = okumura_hata_rural(*args)
+        assert path_loss_db(m, 5.0) > path_loss_db(m, 1.0)
+        assert validity_notes(m, 5.0) == notes
+        # window notes come first, then the distance note
+        assert validity_notes(m, 30.0) == notes + (
+            "distances up to 30.00 km beyond Hata validity (20.0 km); "
+            "values extrapolated",)
 
     def test_nonsensical_parameters_fail(self):
         with pytest.raises(ValueError):
@@ -130,8 +154,9 @@ class TestOkumuraHata:
         # b = 44.9 - 6.55 log10(h) reaches 0 at h = 10^(44.9/6.55), about 7.16e6 m
         with pytest.raises(ValueError, match="bs_height_m 10000000.0 "):
             okumura_hata_rural(600.0, 1e7, 3.0)
-        with pytest.warns(ModelValidityWarning):  # b about 0.065: still valid
-            m = okumura_hata_rural(600.0, 7.0e6, 3.0)
+        m = okumura_hata_rural(600.0, 7.0e6, 3.0)  # b about 0.065: still valid
+        assert validity_notes(m, 5.0) == (
+            "BS height 7000000.0 m outside Hata window (30.0, 200.0)",)
         assert path_loss_db(m, 5.0) > path_loss_db(m, 0.05)
         assert reach_km(m, path_loss_db(m, 5.0)) == pytest.approx(5.0)
 
@@ -150,26 +175,20 @@ class TestProperties:
     @given(any_model(), st.floats(0.06, 19.0), st.floats(1.02, 2.0))
     def test_strict_monotonicity(self, model, d1, factor):
         d2 = d1 * factor
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ModelValidityWarning)
-            assert path_loss_db(model, d1) < path_loss_db(model, d2)
+        assert path_loss_db(model, d1) < path_loss_db(model, d2)
 
     @settings(max_examples=80, deadline=None)
     @given(any_model(), st.floats(0.1, 20.0))
     def test_round_trip_identity_within_1m(self, model, d):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ModelValidityWarning)
-            pl = path_loss_db(model, d)
-            assert invert_range_km(model, pl) == pytest.approx(d, rel=1e-9)
+        pl = path_loss_db(model, d)
+        assert invert_range_km(model, pl) == pytest.approx(d, rel=1e-9)
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(150, 1400), st.floats(1.01, 1.07), st.floats(0.1, 20.0))
     def test_hata_frequency_monotonicity(self, f, factor, d):
         lo = okumura_hata_rural(f, 30.0, 3.0)
         hi = okumura_hata_rural(min(f * factor, 1500.0), 30.0, 3.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ModelValidityWarning)
-            assert path_loss_db(hi, d) > path_loss_db(lo, d)
+        assert path_loss_db(hi, d) > path_loss_db(lo, d)
 
 
 class TestLinkLoss:
@@ -202,10 +221,8 @@ class TestLinkLoss:
            st.lists(st.tuples(st.floats(-15, 15), st.floats(-15, 15)),
                     min_size=1, max_size=4))
     def test_matches_scalar_evaluation(self, model, points, sites):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ModelValidityWarning)
-            got = link_loss_db(model, np.array(points)[:, None], sites)
-            for (x, y), row in zip(points, got.tolist()):
-                for (sx, sy), pl in zip(sites, row):
-                    d = max(math.hypot(x - sx, y - sy), model.min_distance_km)
-                    assert pl == pytest.approx(path_loss_db(model, d), abs=1e-9)
+        got = link_loss_db(model, np.array(points)[:, None], sites)
+        for (x, y), row in zip(points, got.tolist()):
+            for (sx, sy), pl in zip(sites, row):
+                d = max(math.hypot(x - sx, y - sy), model.min_distance_km)
+                assert pl == pytest.approx(path_loss_db(model, d), abs=1e-9)

@@ -4,7 +4,7 @@ import math
 import os
 import subprocess
 import sys
-import warnings
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +16,7 @@ from tvwsplan.cli import main as cli_main
 from tvwsplan.link_budget import (bundled_yaml, load_technology,
                                   max_allowable_path_loss_db)
 from tvwsplan.planner import Deployment, PlannerConfig, RunOutcome, plan
-from tvwsplan.propagation import (ModelValidityWarning, okumura_hata_rural,
-                                  one_slope, path_loss_db)
+from tvwsplan.propagation import okumura_hata_rural, one_slope, path_loss_db
 from tvwsplan.reporting import (assignment_csv, build_report, coverage_csv,
                                 deployment_csv, pathloss_csv, power_csv,
                                 raster_csv, report_to_json, runs_csv, svg_map,
@@ -172,10 +171,8 @@ class TestCsvEmitters:
             outcome = RunOutcome(seed=0, coverage_fraction=0.0,
                                  deployment=Deployment(active, {}, {}, {}, set()),
                                  total_power_w=0.0, served_mbps_total=0.0)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ModelValidityWarning)
-                text = raster_csv(outcome, sc, sites, model, pl_max, {})
-                expected = self.scalar_raster_rows(sc, sites, active, model, pl_max)
+            text = raster_csv(outcome, sc, sites, model, pl_max, {})
+            expected = self.scalar_raster_rows(sc, sites, active, model, pl_max)
             assert text.splitlines()[1:] == expected
             assert len(expected) > 500
             if active:  # both sides of the coverage edge are exercised
@@ -211,10 +208,8 @@ class TestCsvEmitters:
                              deployment=Deployment(set(assign.values()), assign,
                                                    {}, {}, set()),
                              total_power_w=0.0, served_mbps_total=0.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ModelValidityWarning)
-            text = assignment_csv(outcome, sc, sites, model, {})
-            expected = self.scalar_assignment_rows(sc, outcome, sites, model)
+        text = assignment_csv(outcome, sc, sites, model, {})
+        expected = self.scalar_assignment_rows(sc, outcome, sites, model)
         assert text.splitlines() == ["user_id,site_id,pl_db"] + expected
         assert len(expected) == sc.population.user_count
 
@@ -245,7 +240,6 @@ class TestSvgMap:
         report, result, sc, prof, model, cfg, sites = micro_report
         first = result.outcomes[0]
         svg = svg_map(first, sc, sites, title="micro")
-        import xml.etree.ElementTree as ET
         root = ET.fromstring(svg)
         assert root.tag.endswith("svg")
         body = svg
@@ -253,6 +247,14 @@ class TestSvgMap:
         assert body.count("<circle") >= len(sites)
         if first.deployment.uncovered_users:
             assert "<line" in body  # uncovered users drawn as crosses
+
+    def test_svg_title_is_escaped(self, micro_report):
+        report, result, sc, prof, model, cfg, sites = micro_report
+        title = "Ghent & <Co> / testtech / 1/2 QPSK"
+        svg = svg_map(result.outcomes[0], sc, sites, title=title,
+                      prov=report.provenance)
+        [text] = ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")
+        assert text.text == title
 
     def test_svg_deterministic(self, micro_report):
         report, result, sc, prof, model, cfg, sites = micro_report
@@ -597,30 +599,59 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "pathloss.csv").exists()
 
-    def test_plan_stderr_holds_no_warnings(self, tmp_path):
-        # rural growth pilots and the raster evaluate Hata beyond 20 km; in a
-        # subprocess, since pytest would capture the warnings in process
-        proc = subprocess.run(
-            [sys.executable, "-m", "tvwsplan.cli", "plan", "--env", "rural",
-             "--runs", "2", "--out", str(tmp_path)],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr == ""
-        prov = json.loads((tmp_path / "report.json").read_text())["provenance"]
-        assert "beyond Hata validity" in prov["model_warnings"]
+    def test_rural_plan_states_no_validity_notes(self, tmp_path):
+        # the planning reach of each bundled rural cell is within 20 km, the
+        # Hata limit; in a subprocess, so stderr is the command's own
+        for mimo in ("siso", "4x4"):
+            out = tmp_path / mimo
+            proc = subprocess.run(
+                [sys.executable, "-m", "tvwsplan.cli", "plan", "--env", "rural",
+                 "--mimo", mimo, "--runs", "2", "--out", str(out)],
+                capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == ""
+            prov = json.loads((out / "report.json").read_text())["provenance"]
+            assert "model_warnings" not in prov
+            assert "model_warnings" not in (out / "deployment.csv").read_text()
 
     def test_rural_plan_repeats_in_one_process(self, tmp_path):
-        # the second plan must still see the Hata warnings that the first one
-        # raised, so the provenance and every artifact match byte for byte
+        # with no margins the 4x4 802.22b budget reaches 28.73 km, past
+        # the Hata limit: both plans state it, and every artifact matches
+        raw = copy.deepcopy(bundled_yaml("scenarios", "boyeros_rural"))
+        raw["environment"].update(shadow_margin_db=0.0, fade_margin_db=0.0)
+        path = tmp_path / "no_margins.yaml"
+        path.write_text(yaml.safe_dump(raw))
         for name in ("a", "b"):
-            code, _, err = self.run_cli("plan", "--env", "rural", "--runs", "2",
+            code, _, err = self.run_cli("plan", "--scenario", str(path), "--mimo",
+                                        "4x4", "--runs", "2",
                                         "--out", str(tmp_path / name))
             assert code == 0, err
+            assert err == ""
         for name in PLAN_ARTIFACTS:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes(), name
         prov = json.loads((tmp_path / "b" / "report.json").read_text())
-        assert "beyond Hata validity" in prov["provenance"]["model_warnings"]
+        note = prov["provenance"]["model_warnings"]
+        assert note == ("distances up to 28.73 km beyond Hata validity (20.0 km); "
+                        "values extrapolated")
+        assert f"# model_warnings={note}\n" in (tmp_path / "b" / "runs.csv").read_text()
+
+    @pytest.mark.parametrize("field", ["name", "propagation.calibration_id"])
+    def test_line_break_in_a_string_is_invalid_scenario(self, tmp_path, field):
+        # it would end a provenance comment line and start a CSV row
+        value = "Ghent\nsite_id,x"
+        raw = copy.deepcopy(bundled_yaml("scenarios", "ghent_suburban"))
+        *section, key = field.split(".")
+        (raw[section[0]] if section else raw)[key] = value
+        path = tmp_path / "broken.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        code, _, err = self.run_cli("plan", "--scenario", str(path), "--runs", "1",
+                                    "--out", str(tmp_path / "out"))
+        assert code == 2, err
+        error = json.loads(err)["error"]
+        assert error["type"] == "invalid_scenario"
+        assert [f.split(":")[0] for f in error["fields"]] == [field]
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),

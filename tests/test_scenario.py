@@ -635,7 +635,22 @@ class TestScenarioFiles:
                                                         "outline_km": outline}})
             assert [e.split(":")[0] for e in err.value.errors] == [field]
 
-    @pytest.mark.filterwarnings("ignore::tvwsplan.propagation.ModelValidityWarning")
+    def test_strings_are_printable(self):
+        # a scenario's strings land in provenance lines, one per key
+        valid = bundled_yaml("scenarios", "ghent_suburban")
+        for bad in ("\n", "\r", "\t", "\x85", "\u2028", "\x00"):
+            for edited, field in (
+                    ({**valid, "name": f"Ghent{bad}site_id,x"}, "name"),
+                    ({**valid, "propagation": {**valid["propagation"],
+                                               "calibration_id": f"fit{bad}"}},
+                     "propagation.calibration_id")):
+                with pytest.raises(ScenarioError) as err:
+                    scenario_from_dict(edited)
+                assert [e.split(":")[0] for e in err.value.errors] == [field]
+                assert "must be printable" in err.value.errors[0]
+        sc = scenario_from_dict({**valid, "name": "Gent é"})
+        assert sc.name == "Gent é"
+
     @settings(max_examples=120, deadline=None)
     @given(st.sampled_from(["ghent_suburban", "boyeros_rural"]), st.data(),
            st.one_of(st.booleans(), st.text(max_size=5), st.none(),
