@@ -35,7 +35,7 @@ from .propagation import (PathLossModel, invert_range_km, okumura_hata_rural,
                           one_slope, path_loss_db)
 from .scenario import (CandidateSite, PopulationSpec, Region, Scenario,
                        UserPopulation, bundled_scenario, generate_population,
-                       load_scenario, total_demand)
+                       load_scenario)
 from .sizing import SizingResult, min_bs_for_area, min_bs_for_load, sweep_mcs
 
 __all__ = [
@@ -49,6 +49,6 @@ __all__ = [
     "PathLossModel", "invert_range_km", "okumura_hata_rural", "one_slope",
     "path_loss_db",
     "CandidateSite", "PopulationSpec", "Region", "Scenario", "UserPopulation",
-    "bundled_scenario", "generate_population", "load_scenario", "total_demand",
+    "bundled_scenario", "generate_population", "load_scenario",
     "SizingResult", "min_bs_for_area", "min_bs_for_load", "sweep_mcs",
 ]

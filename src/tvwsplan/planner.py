@@ -31,12 +31,13 @@ raise ValueError on a repeated id.
 A campaign records the model's validity notes over the reach of its budget,
 the longest link any of its runs can plan (`propagation.validity_notes`).
 
-Every accept/reject decision lands in an event log.  The independent
-feasibility checker replays a run from scratch (fresh path loss from
-`link_loss_db`, fresh capacity accounting, its own budget from its own
-arguments) and verifies the log, the assignment invariants and the capacity
-bounds without sharing any planner state; what it shares is the memoised,
-read-only population of each seed, a pure function of the seed.
+Every accept/reject decision lands in an event log; a user's id is its row in
+the population.  The feasibility checker shares no planner state but each
+seed's read-only population, and does not replay the log.  With its own path
+loss, budget and station draw it requires known users and candidate sites,
+links to active sites within `pl_max`, loads within capacity, per-site
+traffic and power (one station's draw) as recorded on active sites only,
+total power of draw × active count, and the served total and coverage.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ __all__ = [
     "run_campaign",
     "grow_site_set",
     "check_deployment",
-    "replay_event_log",
 ]
 
 
@@ -133,16 +133,15 @@ class CampaignResult:
 @dataclass(frozen=True)
 class _Budget:
     """What one campaign plans against, built by `_budget`: the planning MCS,
-    its `pl_max` and `capacity` (its bitrate), and `station_w`, one station's
-    draw (None without power data)."""
+    its `pl_max` and `capacity` (its bitrate), and `station_w`, one station's draw."""
 
     mcs_label: str
     pl_max: float
     capacity: float
-    station_w: float | None = None
+    station_w: float
 
 
-def _budget(scenario, profile, margins, model, config, power_params=None,
+def _budget(scenario, profile, margins, model, config, power_params,
             rows=None) -> _Budget:
     """The budget of one campaign from its own arguments.  Its MCS is
     `config.mcs_label` if set, else the optimum of the sizing sweep `rows`
@@ -160,12 +159,10 @@ def _budget(scenario, profile, margins, model, config, power_params=None,
             rows = sweep_mcs(profile, margins, model, scenario.region.area_km2,
                              scenario.population.expected_demand_mbps)
         mcs = profile.mcs(next(r.mcs_label for r in rows if r.is_optimal))
-    station_w = None
-    if power_params is not None:
-        station_w = station_power_w(profile.power_model, profile.n_transmitters,
-                                    power_params)
     return _Budget(mcs.label, max_allowable_path_loss_db(profile, margins, mcs),
-                   mcs.bitrate_at(profile.bandwidth_mhz), station_w)
+                   mcs.bitrate_at(profile.bandwidth_mhz),
+                   station_power_w(profile.power_model, profile.n_transmitters,
+                                   power_params))
 
 
 def plan_single_run(scenario: Scenario, profile: TechnologyProfile,
@@ -175,7 +172,8 @@ def plan_single_run(scenario: Scenario, profile: TechnologyProfile,
     """One greedy deployment for the user population drawn with `seed`."""
     sites = _sites_for(scenario, sites)
     budget = _budget(scenario, profile, margins, model, config, power_params)
-    return _run_one(scenario, sites, budget, model, seed)
+    pop = generate_population(scenario.region, scenario.population, seed)
+    return _greedy_plan(pop, sites, budget, model, seed)
 
 
 def _in_budget(model, xy, site_xy, pl_max):
@@ -194,7 +192,6 @@ def _in_budget(model, xy, site_xy, pl_max):
 def _greedy_plan(pop, sites, budget, model, seed) -> RunOutcome:
     n_users, n_sites = len(pop), len(sites)
     site_ids = [s.id for s in sites]
-    user_ids = pop.ids.tolist()
     # a user consumes its demand of the capacity at whichever site serves it
     demand = pop.demand_mbps.tolist()
     limit = budget.capacity + 1e-9
@@ -228,16 +225,16 @@ def _greedy_plan(pop, sites, budget, model, seed) -> RunOutcome:
             if load[j] + demand[u] <= limit:
                 link_of[u] = k
                 load[j] += demand[u]
-                log.append(("connect", user_ids[u], site_ids[j]))
+                log.append(("connect", u, site_ids[j]))
                 break
-            log.append(("reject_capacity", user_ids[u], site_ids[j]))
+            log.append(("reject_capacity", u, site_ids[j]))
         else:
             # else switch on the nearest inactive site able to serve the user
             k = next((k for k, j in enumerate(links, first[u])
                       if not is_active[j]), None)
             if k is None or demand[u] > limit:
                 uncovered.append(u)
-                log.append(("uncovered", user_ids[u]))
+                log.append(("uncovered", u))
                 continue
             j = link_site[k]
             active.append(j)
@@ -245,7 +242,7 @@ def _greedy_plan(pop, sites, budget, model, seed) -> RunOutcome:
             log.append(("activate", site_ids[j]))
             link_of[u] = k
             load[j] += demand[u]
-            log.append(("connect", user_ids[u], site_ids[j]))
+            log.append(("connect", u, site_ids[j]))
             # re-balance: one pass over the new site's links of the users
             # before u, ascending; one moves when its loss there is strictly lower
             for k in site_links[j][:site_links[j].index(k)]:
@@ -257,22 +254,20 @@ def _greedy_plan(pop, sites, budget, model, seed) -> RunOutcome:
                     load[link_site[cur]] -= demand[v]
                     link_of[v] = k
                     load[j] += demand[v]
-                    log.append(("switch", user_ids[v], site_ids[link_site[cur]],
-                                site_ids[j]))
+                    log.append(("switch", v, site_ids[link_site[cur]], site_ids[j]))
                 else:
-                    log.append(("switch_reject", user_ids[v], site_ids[j]))
+                    log.append(("switch_reject", v, site_ids[j]))
 
     # users enter the assignment in service order, ascending index
-    assign = {u: link_site[k] for u, k in enumerate(link_of) if k >= 0}
+    assign = {u: site_ids[link_site[k]] for u, k in enumerate(link_of) if k >= 0}
     served = {site_ids[j]: 0.0 for j in active}
-    for u, j in assign.items():
-        served[site_ids[j]] += demand[u]
+    for u, sid in assign.items():
+        served[sid] += demand[u]
     deployment = Deployment(
-        active_sites={site_ids[j] for j in active},
-        assignments={user_ids[u]: site_ids[j] for u, j in assign.items()},
+        active_sites={site_ids[j] for j in active}, assignments=assign,
         per_site_served_mbps=served,
         per_site_power_w={site_ids[j]: budget.station_w for j in active},
-        uncovered_users={user_ids[u] for u in uncovered})
+        uncovered_users=set(uncovered))
     coverage = 1.0 - len(uncovered) / n_users if n_users else 1.0
     return RunOutcome(seed=seed, coverage_fraction=coverage, deployment=deployment,
                       total_power_w=budget.station_w * len(active),
@@ -307,11 +302,6 @@ def _site_index(sites) -> dict:
     return index
 
 
-def _run_one(scenario, sites, budget, model, seed):
-    pop = generate_population(scenario.region, scenario.population, seed)
-    return _greedy_plan(pop, sites, budget, model, seed)
-
-
 def run_campaign(scenario: Scenario, profile: TechnologyProfile,
                  margins: EnvironmentMargins, model: PathLossModel,
                  power_params, config: PlannerConfig, sites=None) -> CampaignResult:
@@ -325,8 +315,10 @@ def run_campaign(scenario: Scenario, profile: TechnologyProfile,
 
 
 def _campaign(scenario, sites, budget, model, config) -> CampaignResult:
-    outcomes = [_run_one(scenario, sites, budget, model, seed) for seed in
-                range(config.base_seed, config.base_seed + config.runs)]
+    region, spec = scenario.region, scenario.population
+    outcomes = [_greedy_plan(generate_population(region, spec, seed), sites,
+                             budget, model, seed)
+                for seed in range(config.base_seed, config.base_seed + config.runs)]
     cov = np.array([o.coverage_fraction for o in outcomes])
     pow_ = np.array([o.total_power_w for o in outcomes])
     act = np.array([len(o.deployment.active_sites) for o in outcomes])
@@ -428,52 +420,55 @@ def check_deployment(outcome: RunOutcome, scenario: Scenario,
                      profile: TechnologyProfile, margins: EnvironmentMargins,
                      model: PathLossModel, config: PlannerConfig, sites) -> list:
     """Re-derive every invariant from scratch; returns a list of violations."""
-    problems = []
     dep = outcome.deployment
     pop = generate_population(scenario.region, scenario.population, outcome.seed)
+    n_users, demand = len(pop), pop.demand_mbps.tolist()
     site_by_id = _site_index(sites)
-    demand = {int(i): float(d) for i, d in zip(pop.ids, pop.demand_mbps)}
-
-    budget = _budget(scenario, profile, margins, model, config)
+    power_params = load_power_params(profile.power_model)
+    budget = _budget(scenario, profile, margins, model, config, power_params)
     pl_max, cap = budget.pl_max, budget.capacity
+    draw = station_power_w(profile.power_model, profile.n_transmitters, power_params)
 
-    # the path loss of every link to an active site, in one array evaluation
-    row = {uid: r for r, uid in enumerate(pop.ids.tolist())}
-    linked = [(uid, site_by_id[sid]) for uid, sid in dep.assignments.items()
-              if sid in dep.active_sites]
-    pls = link_loss_db(model, pop.xy_km[[row[uid] for uid, _ in linked]],
-                       np.reshape([(s.x_km, s.y_km) for _, s in linked], (-1, 2)))
-    link_pl = dict(zip([uid for uid, _ in linked], pls.tolist()))
-    for uid, sid in dep.assignments.items():
-        if sid not in dep.active_sites:
-            problems.append(f"user {uid} assigned to inactive site {sid}")
-        elif link_pl[uid] > pl_max + 1e-6:
-            problems.append(f"user {uid} at site {sid} exceeds PL_max")
+    problems = [f"active site {sid!r} is not a candidate"
+                for sid in dep.active_sites if sid not in site_by_id]
+    # a user's id is its row: a negative id would index from the end
+    users = {uid: sid for uid, sid in dep.assignments.items()
+             if (type(uid) is int or isinstance(uid, np.integer))
+             and 0 <= uid < n_users}
+    problems += [f"user {uid!r} is not one of the {n_users} users"
+                 for uid in dep.assignments if uid not in users]
+    problems += [f"user {uid} assigned to inactive site {sid}"
+                 for uid, sid in users.items() if sid not in dep.active_sites]
+    # the path loss of every link to an active candidate, in one array evaluation
+    linked = {uid: site_by_id[sid] for uid, sid in users.items()
+              if sid in dep.active_sites and sid in site_by_id}
+    pls = link_loss_db(model, pop.xy_km[list(linked)],
+                       np.reshape([(s.x_km, s.y_km) for s in linked.values()], (-1, 2)))
+    problems += [f"user {uid} at site {s.id} exceeds PL_max" for (uid, s), pl
+                 in zip(linked.items(), pls.tolist()) if pl > pl_max + 1e-6]
 
     served = {sid: 0.0 for sid in dep.active_sites}
-    for uid, sid in dep.assignments.items():
+    for uid, sid in users.items():
         served[sid] = served.get(sid, 0.0) + demand[uid]
     for sid, s_mbps in served.items():
         if s_mbps > cap + 1e-6:
             problems.append(f"site {sid} serves {s_mbps:.3f} Mbps > capacity {cap}")
-        if abs(s_mbps - dep.per_site_served_mbps.get(sid, -1.0)) > 1e-6:
+        if not abs(s_mbps - dep.per_site_served_mbps.get(sid, -1.0)) <= 1e-6:
             problems.append(f"site {sid} served traffic disagrees with record")
+    problems += [f"site {sid} power disagrees with the station draw {draw} W"
+                 for sid in dep.active_sites
+                 if not abs(dep.per_site_power_w.get(sid, -1.0) - draw) <= 1e-6]
+    problems += [f"site {sid!r} has a per-site record but is not active"
+                 for sid in {*dep.per_site_served_mbps, *dep.per_site_power_w}
+                 - dep.active_sites]
+    if not abs(outcome.total_power_w - draw * len(dep.active_sites)) <= 1e-6:
+        problems.append("total power is not the station draw times the active count")
+    if not abs(outcome.served_mbps_total - sum(served.values())) <= 1e-6:
+        problems.append("served total disagrees with the assigned demand")
 
-    assigned = set(dep.assignments)
-    expected_uncovered = {int(i) for i in pop.ids} - assigned
-    if expected_uncovered != dep.uncovered_users:
+    if set(range(n_users)) - dep.assignments.keys() != dep.uncovered_users:
         problems.append("uncovered set does not match assignment complement")
-    c = 1.0 - len(dep.uncovered_users) / len(pop) if len(pop) else 1.0
+    c = 1.0 - len(dep.uncovered_users) / n_users if n_users else 1.0
     if abs(c - outcome.coverage_fraction) > 1e-9:
         problems.append("coverage fraction inconsistent with uncovered set")
     return problems
-
-
-def replay_event_log(outcome: RunOutcome, scenario: Scenario,
-                     profile: TechnologyProfile, margins: EnvironmentMargins,
-                     model: PathLossModel, power_params,
-                     config: PlannerConfig, sites) -> bool:
-    """Re-run the greedy plan and require the identical event log."""
-    again = plan_single_run(scenario, profile, margins, model, power_params,
-                            config, outcome.seed, sites=sites)
-    return again.event_log == outcome.event_log

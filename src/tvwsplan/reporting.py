@@ -226,10 +226,9 @@ def deployment_csv(outcome: RunOutcome, sites, prov: dict) -> str:
 def assignment_csv(outcome: RunOutcome, scenario: Scenario, sites,
                    model: PathLossModel, prov: dict) -> str:
     pop = generate_population(scenario.region, scenario.population, outcome.seed)
-    row = {uid: r for r, uid in enumerate(pop.ids.tolist())}
     site_xy = {s.id: (s.x_km, s.y_km) for s in sites}
     links = sorted(outcome.deployment.assignments.items())
-    pls = link_loss_db(model, pop.xy_km[[row[uid] for uid, _ in links]],
+    pls = link_loss_db(model, pop.xy_km[[uid for uid, _ in links]],
                        np.reshape([site_xy[sid] for _, sid in links], (-1, 2)))
     rows = [[str(uid), str(sid), _fmt(pl)]
             for (uid, sid), pl in zip(links, pls.tolist())]
@@ -331,8 +330,8 @@ def svg_map(outcome: RunOutcome, scenario: Scenario, sites,
     pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in scenario.region.outline)
     parts.append(f'<polygon points="{pts}" fill="#eef3ea" stroke="#4a6741" '
                  f'stroke-width="2"/>')
-    for i, (x, y) in zip(pop.ids, pop.xy_km):
-        if int(i) in dep.uncovered_users:
+    for i, (x, y) in enumerate(pop.xy_km):
+        if i in dep.uncovered_users:
             parts.append(f'<g stroke="#c0392b" stroke-width="1.5">'
                          f'<line x1="{px(x)-3:.2f}" y1="{py(y)-3:.2f}" '
                          f'x2="{px(x)+3:.2f}" y2="{py(y)+3:.2f}"/>'

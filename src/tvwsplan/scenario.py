@@ -44,7 +44,6 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "generate_population",
-    "total_demand",
     "population_to_csv",
     "load_scenario",
     "bundled_scenario",
@@ -124,15 +123,14 @@ class PopulationSpec:
 
 @dataclass(frozen=True)
 class UserPopulation:
-    """Realised users: parallel arrays of id, position and demand."""
+    """Realised users: parallel arrays of position and demand.  A user's id
+    is its row, 0 .. N - 1, in the order the sampler accepted it."""
 
-    ids: np.ndarray      # (N,) int64
     xy_km: np.ndarray    # (N, 2) float64
     demand_mbps: np.ndarray  # (N,) float64
-    seed: int
 
     def __len__(self):
-        return len(self.ids)
+        return len(self.demand_mbps)
 
 
 @functools.lru_cache(maxsize=POPULATION_CACHE_SIZE)
@@ -184,10 +182,8 @@ def generate_population(region: Region, spec: PopulationSpec, seed: int) -> User
         k += len(taken)
     demand = np.where(u_demand < spec.data_fraction,
                       spec.data_bitrate_mbps, spec.voice_bitrate_mbps)
-    arrays = (np.arange(n, dtype=np.int64), xy, demand)
-    for a in arrays:
-        a.flags.writeable = False
-    return UserPopulation(*arrays, seed=seed)
+    xy.flags.writeable = demand.flags.writeable = False
+    return UserPopulation(xy, demand)
 
 
 @functools.lru_cache(maxsize=LATTICE_CACHE_SIZE)
@@ -200,17 +196,12 @@ def _lattice_xy(outline: tuple, count: int, jitter_fraction: float,
     return pts
 
 
-def total_demand(pop: UserPopulation) -> float:
-    """Sum of all user demands in Mbps."""
-    return float(pop.demand_mbps.sum()) if len(pop) else 0.0
-
-
 def population_to_csv(pop: UserPopulation) -> str:
     """Canonical CSV export (LF line endings, '.' decimal separator)."""
     buf = io.StringIO()
     buf.write("user_id,x_km,y_km,demand_mbps\n")
-    for i, (x, y), d in zip(pop.ids, pop.xy_km, pop.demand_mbps):
-        buf.write(f"{int(i)},{x:.9f},{y:.9f},{d:.6f}\n")
+    for i, ((x, y), d) in enumerate(zip(pop.xy_km, pop.demand_mbps)):
+        buf.write(f"{i},{x:.9f},{y:.9f},{d:.6f}\n")
     return buf.getvalue()
 
 

@@ -16,7 +16,7 @@ import pytest
 
 import tvwsplan as tp
 from tvwsplan.link_budget import EnvironmentMargins, McsEntry, TechnologyProfile
-from tvwsplan.planner import PlannerConfig, check_deployment, replay_event_log
+from tvwsplan.planner import PlannerConfig, check_deployment
 from tvwsplan.power_energy import (BsPowerInput, RunEnergy, TvwsPowerParams,
                                    load_power_params,
                                    network_energy_efficiency, tvws_bs_power_w)
@@ -357,8 +357,9 @@ def test_c11_brute_force_micro_oracle(micro_scenario, micro_profile,
                                                    pl, capacity)
     out = tp.plan_single_run(micro_scenario, micro_profile, micro_margins,
                              micro_model, tvws_power, cfg, 42, sites=micro_sites)
-    replay = replay_event_log(out, micro_scenario, micro_profile, micro_margins,
-                              micro_model, tvws_power, cfg, micro_sites)
+    replay = tp.plan_single_run(micro_scenario, micro_profile, micro_margins,
+                                micro_model, tvws_power, cfg, 42,
+                                sites=micro_sites).event_log == out.event_log
     ok = (len(out.deployment.assignments) == opt_cov
           and len(out.deployment.active_sites) == opt_act and replay)
     assert report("criterion 11: greedy vs exhaustive oracle on micro fixture",

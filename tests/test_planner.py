@@ -15,7 +15,7 @@ from tvwsplan.link_budget import (EnvironmentMargins, McsEntry,
 from tvwsplan.planner import (Deployment, PlannerConfig, RunOutcome,
                               _budget, _greedy_plan,
                               check_deployment, grow_site_set, plan_single_run,
-                              replay_event_log, run_campaign)
+                              run_campaign)
 from tvwsplan.power_energy import (BsPowerInput, TvwsPowerParams,
                                    load_power_params, tvws_bs_power_w)
 from tvwsplan.scenario import ScenarioError
@@ -29,11 +29,8 @@ CFG = PlannerConfig(runs=1, base_seed=42)
 
 
 def manual_population(positions, demands):
-    n = len(positions)
-    return UserPopulation(ids=np.arange(n, dtype=np.int64),
-                          xy_km=np.array(positions, dtype=float).reshape(-1, 2),
-                          demand_mbps=np.array(demands, dtype=float),
-                          seed=0)
+    return UserPopulation(xy_km=np.array(positions, dtype=float).reshape(-1, 2),
+                          demand_mbps=np.array(demands, dtype=float))
 
 
 def greedy(scenario, pop, sites, profile, margins, model, power_params, config,
@@ -181,9 +178,9 @@ def greedy_plan_oracle(pop, sites, profile, margins, model, power_params,
             if load[j] + cost <= capacity + 1e-9:
                 assign[u] = j
                 load[j] += cost
-                log.append(("connect", int(pop.ids[u]), site_ids[j]))
+                log.append(("connect", u, site_ids[j]))
                 return True
-            log.append(("reject_capacity", int(pop.ids[u]), site_ids[j]))
+            log.append(("reject_capacity", u, site_ids[j]))
         return False
 
     def rebalance(j):
@@ -199,9 +196,9 @@ def greedy_plan_oracle(pop, sites, profile, margins, model, power_params,
                 load[cur] -= old_cost
                 load[j] += cost
                 assign[u] = j
-                log.append(("switch", int(pop.ids[u]), site_ids[cur], site_ids[j]))
+                log.append(("switch", u, site_ids[cur], site_ids[j]))
             else:
-                log.append(("switch_reject", int(pop.ids[u]), site_ids[j]))
+                log.append(("switch_reject", u, site_ids[j]))
 
     for u in range(n_users):
         if try_connect(u):
@@ -217,13 +214,13 @@ def greedy_plan_oracle(pop, sites, profile, margins, model, power_params,
                 break
         if chosen is None:
             uncovered.append(u)
-            log.append(("uncovered", int(pop.ids[u])))
+            log.append(("uncovered", u))
             continue
         active.append(chosen)
         log.append(("activate", site_ids[chosen]))
         assign[u] = chosen
         load[chosen] += link_cost(u, chosen)
-        log.append(("connect", int(pop.ids[u]), site_ids[chosen]))
+        log.append(("connect", u, site_ids[chosen]))
         rebalance(chosen)
 
     bs_power = tvws_bs_power_w(power_params,
@@ -233,10 +230,10 @@ def greedy_plan_oracle(pop, sites, profile, margins, model, power_params,
         served[site_ids[j]] += float(pop.demand_mbps[u])
     deployment = Deployment(
         active_sites={site_ids[j] for j in active},
-        assignments={int(pop.ids[u]): site_ids[j] for u, j in assign.items()},
+        assignments={u: site_ids[j] for u, j in assign.items()},
         per_site_served_mbps=served,
         per_site_power_w={site_ids[j]: bs_power for j in active},
-        uncovered_users={int(pop.ids[u]) for u in uncovered})
+        uncovered_users=set(uncovered))
     coverage = 1.0 - len(uncovered) / n_users if n_users else 1.0
     return RunOutcome(seed=seed, coverage_fraction=coverage, deployment=deployment,
                       total_power_w=bs_power * len(active),
@@ -518,10 +515,10 @@ class TestBruteForceOracle:
     def test_event_log_replays_exactly(self, micro_scenario, micro_profile,
                                        micro_margins, micro_model, micro_sites,
                                        tvws_power):
-        out = plan_single_run(micro_scenario, micro_profile, micro_margins,
-                              micro_model, tvws_power, CFG, 42, sites=micro_sites)
-        assert replay_event_log(out, micro_scenario, micro_profile, micro_margins,
-                                micro_model, tvws_power, CFG, micro_sites)
+        args = (micro_scenario, micro_profile, micro_margins, micro_model,
+                tvws_power, CFG, 42)
+        out = plan_single_run(*args, sites=micro_sites)
+        assert plan_single_run(*args, sites=micro_sites).event_log == out.event_log
 
 
 class TestFeasibilityChecker:
@@ -552,7 +549,16 @@ class TestFeasibilityChecker:
         ("move_farthest_user_to_site_0", "exceeds PL_max"),
         ("crowd_the_middle_site", "> capacity"),
         ("mark_a_served_user_uncovered", "uncovered set does not match"),
-        ("misstate_coverage", "coverage fraction inconsistent")])
+        ("misstate_coverage", "coverage fraction inconsistent"),
+        ("assign_user_9999", "user 9999 is not one of the 12 users"),
+        ("assign_user_minus_1", "user -1 is not one of the 12 users"),
+        ("key_a_user_by_float", "user 0.0 is not one of the 12 users"),
+        ("move_a_user_to_site_99", "active site 99 is not a candidate"),
+        ("double_a_site_power", "power disagrees with the station draw"),
+        ("make_a_site_power_nan", "power disagrees with the station draw"),
+        ("misstate_total_power", "total power is not the station draw"),
+        ("misstate_served_total", "served total disagrees"),
+        ("record_site_7", "site 7 has a per-site record but is not active")])
     def test_each_tampering_gets_its_verdict(self, micro_scenario, micro_profile,
                                              micro_margins, micro_model,
                                              micro_sites, tvws_power, tamper,
@@ -578,6 +584,25 @@ class TestFeasibilityChecker:
             dep.uncovered_users.add(min(dep.assignments))
         elif tamper == "misstate_coverage":
             out.coverage_fraction -= 0.25
+        elif tamper == "assign_user_9999":
+            dep.assignments[9999] = micro_sites[0].id
+        elif tamper == "assign_user_minus_1":  # would index the last user
+            dep.assignments[-1] = micro_sites[0].id
+        elif tamper == "key_a_user_by_float":
+            dep.assignments[0.0] = dep.assignments.pop(min(dep.assignments))
+        elif tamper == "move_a_user_to_site_99":
+            dep.active_sites.add(99)
+            dep.assignments[min(dep.assignments)] = 99
+        elif tamper == "double_a_site_power":
+            dep.per_site_power_w[micro_sites[0].id] *= 2
+        elif tamper == "make_a_site_power_nan":
+            dep.per_site_power_w[micro_sites[0].id] = math.nan
+        elif tamper == "misstate_total_power":
+            out.total_power_w += 1.0
+        elif tamper == "misstate_served_total":
+            out.served_mbps_total += 1.0
+        elif tamper == "record_site_7":
+            dep.per_site_power_w[7] = dep.per_site_power_w[micro_sites[0].id]
         problems = check_deployment(out, *args, CFG, micro_sites)
         assert any(verdict in p for p in problems), problems
 

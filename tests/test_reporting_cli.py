@@ -184,7 +184,7 @@ class TestCsvEmitters:
     def scalar_assignment_rows(sc, outcome, sites, model):
         """The former per-user assignment loop, kept as the oracle."""
         pop = generate_population(sc.region, sc.population, outcome.seed)
-        pos = {int(i): (float(x), float(y)) for i, (x, y) in zip(pop.ids, pop.xy_km)}
+        pos = {i: (float(x), float(y)) for i, (x, y) in enumerate(pop.xy_km)}
         site_by_id = {s.id: s for s in sites}
         rows = []
         for uid in sorted(outcome.deployment.assignments):
@@ -202,8 +202,8 @@ class TestCsvEmitters:
         sites = sc.lattice_sites(24)
         pop = generate_population(sc.region, sc.population, 3)
         # every user on some site, near or far, in a shuffled id order
-        assign = {int(u): sites[(7 * int(u)) % len(sites)].id
-                  for u in pop.ids[::-1]}
+        assign = {u: sites[(7 * u) % len(sites)].id
+                  for u in reversed(range(len(pop)))}
         outcome = RunOutcome(seed=3, coverage_fraction=1.0,
                              deployment=Deployment(set(assign.values()), assign,
                                                    {}, {}, set()),

@@ -22,7 +22,7 @@ from tvwsplan.scenario import (CandidateSite, PopulationSpec, Region,
                                Scenario, ScenarioError, available_scenarios,
                                bundled_scenario, generate_population,
                                load_scenario, population_to_csv,
-                               scenario_from_dict, total_demand)
+                               scenario_from_dict)
 
 SUBURBAN_SPEC = PopulationSpec(user_count=224, data_fraction=0.91,
                                data_bitrate_mbps=1.0, voice_bitrate_mbps=0.064)
@@ -109,7 +109,7 @@ class TestGeneratePopulation:
         spec = PopulationSpec(user_count=0, data_fraction=0.5)
         pop = generate_population(micro_region, spec, 1)
         assert len(pop) == 0
-        assert total_demand(pop) == 0.0
+        assert pop.demand_mbps.sum() == 0.0
 
     def test_degenerate_mix_all_data(self, micro_region):
         spec = PopulationSpec(user_count=10, data_fraction=1.0,
@@ -122,7 +122,7 @@ class TestGeneratePopulation:
         pop = generate_population(micro_region, spec, 3)
         # force the documented mix on a copy: drawn populations are shared
         pop = dataclasses.replace(pop, demand_mbps=np.array([1.0, 0.064]))
-        assert total_demand(pop) == pytest.approx(1.064, abs=1e-12)
+        assert pop.demand_mbps.sum() == pytest.approx(1.064, abs=1e-12)
 
     def test_realised_204_20_split_sums_to_205_28(self):
         # derived by enumeration: seed 7 realises exactly 204 data users
@@ -130,8 +130,8 @@ class TestGeneratePopulation:
         pop = generate_population(sc.region, sc.population, seed=7)
         n_data = int((pop.demand_mbps == 1.0).sum())
         assert (n_data, len(pop) - n_data) == (204, 20)
-        assert total_demand(pop) == pytest.approx(204 * 1.0 + 20 * 0.064, abs=1e-9)
-        assert total_demand(pop) == pytest.approx(205.28, abs=1e-9)
+        assert pop.demand_mbps.sum() == pytest.approx(204 * 1.0 + 20 * 0.064, abs=1e-9)
+        assert pop.demand_mbps.sum() == pytest.approx(205.28, abs=1e-9)
 
     def test_mix_converges_over_10000_users(self, micro_region):
         spec = PopulationSpec(user_count=10_000, data_fraction=0.91)
@@ -220,9 +220,8 @@ def scalar_population(region, spec, seed):
         demand[k] = (spec.data_bitrate_mbps
                      if rng.uniform() < spec.data_fraction
                      else spec.voice_bitrate_mbps)
-    return scenario.UserPopulation(ids=np.arange(n, dtype=np.int64),
-                                   xy_km=np.column_stack([xs, ys]),
-                                   demand_mbps=demand, seed=seed)
+    return scenario.UserPopulation(xy_km=np.column_stack([xs, ys]),
+                                   demand_mbps=demand)
 
 
 def region_of(outline):
@@ -267,7 +266,6 @@ seeds = st.integers(0, 2**32)
 def assert_same_draw(region, spec, seed):
     new = generate_population.__wrapped__(region, spec, seed)
     old = scalar_population(region, spec, seed)
-    assert new.ids.tobytes() == old.ids.tobytes()
     assert new.xy_km.tobytes() == old.xy_km.tobytes()
     assert new.demand_mbps.tobytes() == old.demand_mbps.tobytes()
     assert population_to_csv(new) == population_to_csv(old)
@@ -372,7 +370,7 @@ class TestPopulationMemo:
         assert a is b
         assert generate_population(sc.region, sc.population, 4243) is not a
 
-    @pytest.mark.parametrize("field", ["ids", "xy_km", "demand_mbps"])
+    @pytest.mark.parametrize("field", ["xy_km", "demand_mbps"])
     def test_arrays_read_only(self, micro_region, field):
         pop = generate_population(micro_region, PopulationSpec(4, 0.5), 3)
         arr = getattr(pop, field)
