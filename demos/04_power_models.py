@@ -6,12 +6,11 @@ the calibrated macrocell model, then evaluates the efficiency metric on a
 toy pair of Monte-Carlo runs under both accounting conventions.
 """
 
-from tvwsplan import (BsPowerInput, TvwsPowerParams, load_power_params,
-                      macro_bs_power_w, network_energy_efficiency,
-                      tvws_bs_power_w)
+from tvwsplan import (BsPowerInput, load_power_params, macro_bs_power_w,
+                      network_energy_efficiency, tvws_bs_power_w)
 from tvwsplan.power_energy import RunEnergy
 
-tvws = TvwsPowerParams()
+tvws = load_power_params("tvws")
 macro = load_power_params("macro")
 
 print("TVWS station power (W):")

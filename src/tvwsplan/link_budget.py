@@ -18,9 +18,9 @@ different noise-bandwidth convention is a one-line change in
 from __future__ import annotations
 
 import functools
-import importlib.resources
 import math
 from dataclasses import dataclass
+from importlib.resources import files
 
 import yaml
 
@@ -35,7 +35,6 @@ __all__ = [
     "max_allowable_path_loss_db",
     "coverage_curve",
     "load_technology",
-    "available_technologies",
 ]
 
 THERMAL_NOISE_DBM_HZ = -174.0
@@ -165,7 +164,7 @@ def coverage_curve(profile: TechnologyProfile, margins: EnvironmentMargins,
 # ---------------------------------------------------------------------------
 
 def _data_dir():
-    return importlib.resources.files("tvwsplan") / "data"
+    return files("tvwsplan") / "data"
 
 
 @functools.cache
@@ -180,13 +179,10 @@ def bundled_yaml(folder: str, stem: str):
     return yaml.load(text, Loader=YAML_LOADER)
 
 
-def available_technologies() -> list:
-    tech_dir = _data_dir() / "technologies"
-    return sorted(p.name[:-5] for p in tech_dir.iterdir() if p.name.endswith(".yaml"))
-
-
-def _tech_file_name(name: str) -> str:
-    return name.replace(".", "_").replace("/", "_")
+def bundled_names(folder: str) -> list:
+    """The stems of the bundled data files `data/<folder>/*.yaml`, sorted."""
+    return sorted(p.name[:-5] for p in (_data_dir() / folder).iterdir()
+                  if p.name.endswith(".yaml"))
 
 
 def load_technology(name: str, environment: str, mimo: bool = False) -> TechnologyProfile:
@@ -199,11 +195,10 @@ def load_technology(name: str, environment: str, mimo: bool = False) -> Technolo
     support reject the flag.
     """
     try:
-        raw = bundled_yaml("technologies", _tech_file_name(name))
+        raw = bundled_yaml("technologies", name.replace(".", "_").replace("/", "_"))
     except FileNotFoundError:
-        raise FileNotFoundError(
-            f"no bundled technology {name!r}; available: {available_technologies()}"
-        ) from None
+        raise FileNotFoundError(f"no bundled technology {name!r}; available: "
+                                f"{bundled_names('technologies')}") from None
     if environment not in raw["environments"]:
         raise KeyError(f"{name} defines no environment {environment!r}")
     env = raw["environments"][environment]

@@ -32,12 +32,13 @@ A campaign records the model's validity notes over the reach of its budget,
 the longest link any of its runs can plan (`propagation.validity_notes`).
 
 Every accept/reject decision lands in an event log; a user's id is its row in
-the population.  The feasibility checker shares no planner state but each
-seed's read-only population, and does not replay the log.  With its own path
-loss, budget and station draw it requires known users and candidate sites,
-links to active sites within `pl_max`, loads within capacity, per-site
-traffic and power (one station's draw) as recorded on active sites only,
-total power of draw × active count, and the served total and coverage.
+the population.  The feasibility checker shares nothing with the planner but
+each seed's read-only population, and does not replay the log.  It derives
+its own path loss and budget (MCS, `pl_max`, capacity, station draw) and
+requires known users and candidate sites, links to active sites within
+`pl_max`, loads within capacity, per-site traffic and power (one station's
+draw) as recorded on active sites only, total power of draw × active count,
+and the served total and coverage.
 """
 
 from __future__ import annotations
@@ -166,12 +167,13 @@ def _budget(scenario, profile, margins, model, config, power_params,
 
 
 def plan_single_run(scenario: Scenario, profile: TechnologyProfile,
-                    margins: EnvironmentMargins, model: PathLossModel,
-                    power_params, config: PlannerConfig, seed: int,
-                    sites=None) -> RunOutcome:
-    """One greedy deployment for the user population drawn with `seed`."""
+                    config: PlannerConfig, seed: int, sites=None) -> RunOutcome:
+    """One greedy deployment for the user population drawn with `seed`; the
+    model, margins and power parameters come from the scenario and profile."""
     sites = _sites_for(scenario, sites)
-    budget = _budget(scenario, profile, margins, model, config, power_params)
+    model = scenario.model_for(profile)
+    budget = _budget(scenario, profile, scenario.margins, model, config,
+                     load_power_params(profile.power_model))
     pop = generate_population(scenario.region, scenario.population, seed)
     return _greedy_plan(pop, sites, budget, model, seed)
 
@@ -216,7 +218,8 @@ def _greedy_plan(pop, sites, budget, model, seed) -> RunOutcome:
     uncovered = []
     log = []
 
-    for u in range(n_users):
+    users = list(range(n_users))  # one int per user, shared by every record
+    for u in users:
         links = link_site[first[u]:first[u + 1]]
         # the nearest active site with spare capacity
         for k, j in enumerate(links, first[u]):
@@ -254,12 +257,12 @@ def _greedy_plan(pop, sites, budget, model, seed) -> RunOutcome:
                     load[link_site[cur]] -= demand[v]
                     link_of[v] = k
                     load[j] += demand[v]
-                    log.append(("switch", v, site_ids[link_site[cur]], site_ids[j]))
+                    log.append(("switch", users[v], site_ids[link_site[cur]], site_ids[j]))
                 else:
-                    log.append(("switch_reject", v, site_ids[j]))
+                    log.append(("switch_reject", users[v], site_ids[j]))
 
     # users enter the assignment in service order, ascending index
-    assign = {u: site_ids[link_site[k]] for u, k in enumerate(link_of) if k >= 0}
+    assign = {u: site_ids[link_site[k]] for u, k in zip(users, link_of) if k >= 0}
     served = {site_ids[j]: 0.0 for j in active}
     for u, sid in assign.items():
         served[sid] += demand[u]
@@ -284,7 +287,7 @@ def _sites_for(scenario: Scenario, sites=None) -> list:
         elif policy.mode == "lattice":
             sites = scenario.lattice_sites(policy.count)
         else:
-            raise ValueError("auto_grow scenarios need grow_site_set() first")
+            raise ValueError("auto_grow scenarios grow their sites in plan()")
     sites = list(sites)
     if not sites:
         raise ValueError("candidate site list is empty")
@@ -419,15 +422,22 @@ def plan(scenario: Scenario, profile: TechnologyProfile,
 def check_deployment(outcome: RunOutcome, scenario: Scenario,
                      profile: TechnologyProfile, margins: EnvironmentMargins,
                      model: PathLossModel, config: PlannerConfig, sites) -> list:
-    """Re-derive every invariant from scratch; returns a list of violations."""
+    """Re-derive every invariant from scratch; returns a list of violations.
+    The MCS is `config.mcs_label`, else the optimum of the checker's own sweep."""
     dep = outcome.deployment
     pop = generate_population(scenario.region, scenario.population, outcome.seed)
     n_users, demand = len(pop), pop.demand_mbps.tolist()
     site_by_id = _site_index(sites)
-    power_params = load_power_params(profile.power_model)
-    budget = _budget(scenario, profile, margins, model, config, power_params)
-    pl_max, cap = budget.pl_max, budget.capacity
-    draw = station_power_w(profile.power_model, profile.n_transmitters, power_params)
+    if config.mimo != profile.mimo:
+        raise ValueError(f"PlannerConfig.mimo={config.mimo} disagrees with the profile")
+    mcs = profile.mcs(config.mcs_label or next(
+        r.mcs_label for r in sweep_mcs(profile, margins, model, scenario.region.area_km2,
+                                        scenario.population.expected_demand_mbps)
+        if r.is_optimal))
+    pl_max = max_allowable_path_loss_db(profile, margins, mcs)
+    cap = mcs.bitrate_at(profile.bandwidth_mhz)
+    draw = station_power_w(profile.power_model, profile.n_transmitters,
+                           load_power_params(profile.power_model))
 
     problems = [f"active site {sid!r} is not a candidate"
                 for sid in dep.active_sites if sid not in site_by_id]

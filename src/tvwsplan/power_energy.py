@@ -45,10 +45,10 @@ LOAD_FACTOR = 1.0       # worst case: every station at full load
 
 @dataclass(frozen=True)
 class TvwsPowerParams:
-    p_backhaul_w: float = 32.0
-    p_poe_w: float = 4.0
-    p_idle_w: float = 6.0
-    ru_efficiency: float = 0.182
+    p_backhaul_w: float
+    p_poe_w: float
+    p_idle_w: float
+    ru_efficiency: float
 
     def __post_init__(self):
         if min(self.p_backhaul_w, self.p_poe_w, self.p_idle_w) <= 0:

@@ -85,10 +85,6 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def provenance_lines(prov: dict) -> list:
-    return [f"# {k}={prov[k]}" for k in sorted(prov)]
-
-
 def _base_provenance(scenario: Scenario, profile: TechnologyProfile,
                      model: PathLossModel) -> dict:
     """Provenance of a study; `build_report` adds its campaign's seed and runs."""
@@ -96,7 +92,7 @@ def _base_provenance(scenario: Scenario, profile: TechnologyProfile,
         "tool": "tvwsplan",
         "tool_version": __version__,
         "scenario": scenario.name,
-        "scenario_digest": scenario.digest(),
+        "scenario_digest": scenario.digest,
         "technology": profile.name,
         "environment": scenario.environment,
         "model_variant": model.variant,
@@ -132,7 +128,7 @@ def build_report(scenario: Scenario, profile: TechnologyProfile,
 
     return SimulationReport(
         scenario_name=scenario.name,
-        scenario_digest=scenario.digest(),
+        scenario_digest=scenario.digest,
         technology=profile.name,
         environment=scenario.environment,
         planning_mcs=result.budget.mcs_label,
@@ -196,8 +192,8 @@ def verify_report(report: SimulationReport) -> list:
 
 def _csv(prov: dict, header: str, rows) -> str:
     buf = io.StringIO()
-    for line in provenance_lines(prov):
-        buf.write(line + "\n")
+    for k in sorted(prov):
+        buf.write(f"# {k}={prov[k]}\n")
     buf.write(header + "\n")
     for row in rows:
         buf.write(",".join(row) + "\n")
@@ -246,7 +242,7 @@ def power_csv(outcome: RunOutcome, profile: TechnologyProfile, prov: dict) -> st
 def raster_csv(outcome: RunOutcome, scenario: Scenario, sites,
                model: PathLossModel, pl_max_db: float, prov: dict) -> str:
     """Coverage raster over the region grid at the scenario resolution."""
-    xmin, ymin, xmax, ymax = scenario.region.bbox()
+    xmin, ymin, xmax, ymax = geometry.polygon_bbox(scenario.region.outline)
     step = scenario.region.resolution_m / 1000.0
 
     def centres(lo, hi):
@@ -269,8 +265,8 @@ def raster_csv(outcome: RunOutcome, scenario: Scenario, sites,
     return _csv(prov, "x,y,best_pl_db,covered_flag", rows)
 
 
-def pathloss_csv(model: PathLossModel, prov: dict, d_min_km: float = 0.1,
-                 d_max_km: float = 20.0, step_km: float = 0.1) -> str:
+def pathloss_csv(model: PathLossModel, prov: dict, d_min_km: float,
+                 d_max_km: float, step_km: float) -> str:
     # the whole steps that stay within d_max_km, forgiving 1e-9 of a step
     d = d_min_km + np.arange(math.floor((d_max_km - d_min_km) / step_km + 1e-9) + 1) * step_km
     pl = path_loss_array_db(model, d)
@@ -304,7 +300,7 @@ def svg_map(outcome: RunOutcome, scenario: Scenario, sites,
     A rendering of the deployment CSVs; the provenance block rides along as
     an XML comment.
     """
-    xmin, ymin, xmax, ymax = scenario.region.bbox()
+    xmin, ymin, xmax, ymax = geometry.polygon_bbox(scenario.region.outline)
     pad = 0.5
     xmin -= pad; ymin -= pad; xmax += pad; ymax += pad
     width = 800.0

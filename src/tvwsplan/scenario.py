@@ -32,7 +32,7 @@ import numpy as np
 import yaml
 
 from . import geometry
-from .link_budget import YAML_LOADER, EnvironmentMargins, bundled_yaml
+from .link_budget import YAML_LOADER, EnvironmentMargins, bundled_names, bundled_yaml
 from .propagation import PathLossModel
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "population_to_csv",
     "load_scenario",
     "bundled_scenario",
-    "available_scenarios",
 ]
 
 AREA_TOLERANCE = 0.005          # declared vs recomputed polygon area
@@ -86,9 +85,6 @@ class Region:
                 f"{actual:.4f} km^2 by more than {AREA_TOLERANCE:.1%}")
         if not geometry.polygon_is_simple(self.outline):
             raise ValueError("region outline is self-intersecting")
-
-    def bbox(self):
-        return geometry.polygon_bbox(self.outline)
 
 
 @dataclass(frozen=True)
@@ -145,7 +141,7 @@ def generate_population(region: Region, spec: PopulationSpec, seed: int) -> User
     variates gets one containment mask, replayed attempt by attempt.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    xmin, ymin, xmax, ymax = region.bbox()
+    xmin, ymin, xmax, ymax = geometry.polygon_bbox(region.outline)
     n = spec.user_count
     # variates per user: two per attempt, one demand draw
     per_user = 2.0 * (xmax - xmin) * (ymax - ymin) / region.area_km2 + 1.0
@@ -274,13 +270,10 @@ class Scenario:
                               antenna_height_m=self.site_policy.antenna_height_m)
                 for i, (x, y) in enumerate(pts)]
 
-    def digest(self) -> str:
-        """Stable content hash used in report provenance."""
-        return self._digest
-
     @functools.cached_property
-    def _digest(self) -> str:
-        # computed once per scenario: one yaml dump costs milliseconds
+    def digest(self) -> str:
+        """Stable content hash used in report provenance, computed once per
+        scenario: one yaml dump costs milliseconds."""
         payload = {
             "name": self.name, "environment": self.environment,
             "outline": [[round(x, 9), round(y, 9)] for x, y in self.region.outline],
@@ -473,16 +466,10 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(raw, name_hint=str(path))
 
 
-def available_scenarios() -> list:
-    import importlib.resources
-    d = importlib.resources.files("tvwsplan") / "data" / "scenarios"
-    return sorted(p.name[:-5] for p in d.iterdir() if p.name.endswith(".yaml"))
-
-
 def bundled_scenario(name: str) -> Scenario:
     try:
         raw = bundled_yaml("scenarios", name)
     except FileNotFoundError:
-        raise FileNotFoundError(
-            f"no bundled scenario {name!r}; available: {available_scenarios()}") from None
+        raise FileNotFoundError(f"no bundled scenario {name!r}; available: "
+                                f"{bundled_names('scenarios')}") from None
     return scenario_from_dict(raw, name_hint=name)

@@ -1,7 +1,7 @@
 import pytest
 
 from tvwsplan.link_budget import EnvironmentMargins, McsEntry, TechnologyProfile
-from tvwsplan.power_energy import TvwsPowerParams
+from tvwsplan.power_energy import load_power_params
 from tvwsplan.propagation import one_slope
 from tvwsplan.scenario import (PopulationSpec, Region, Scenario, SitePolicy,
                                CandidateSite)
@@ -60,4 +60,4 @@ def micro_scenario(micro_region, micro_sites):
 
 @pytest.fixture(scope="session")
 def tvws_power():
-    return TvwsPowerParams()
+    return load_power_params("tvws")

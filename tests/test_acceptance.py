@@ -17,9 +17,9 @@ import pytest
 import tvwsplan as tp
 from tvwsplan.link_budget import EnvironmentMargins, McsEntry, TechnologyProfile
 from tvwsplan.planner import PlannerConfig, check_deployment
-from tvwsplan.power_energy import (BsPowerInput, RunEnergy, TvwsPowerParams,
-                                   load_power_params,
-                                   network_energy_efficiency, tvws_bs_power_w)
+from tvwsplan.power_energy import (BsPowerInput, RunEnergy, load_power_params,
+                                   network_energy_efficiency, station_power_w,
+                                   tvws_bs_power_w)
 from tvwsplan.propagation import (invert_range_km, okumura_hata_rural,
                                   one_slope, path_loss_db)
 
@@ -98,14 +98,14 @@ def battery():
 # --- exact tier ------------------------------------------------------------
 
 def test_c01_tvws_station_power():
-    p = tvws_bs_power_w(TvwsPowerParams(), BsPowerInput(1, 1, 4.0, 1.0))
+    p = tvws_bs_power_w(load_power_params("tvws"), BsPowerInput(1, 1, 4.0, 1.0))
     ok = abs(p - 63.98) < 0.1 and abs(p - 64.0) < 0.1
     assert report("criterion 1: TVWS station full-load power ~64 W",
                   ok, f"{p:.3f} W")
 
 
 def test_c02_tvws_idle_power():
-    p = tvws_bs_power_w(TvwsPowerParams(), BsPowerInput(1, 1, 0.0, 0.0))
+    p = tvws_bs_power_w(load_power_params("tvws"), BsPowerInput(1, 1, 0.0, 0.0))
     ok = p == pytest.approx(38.0, abs=1e-12)
     assert report("criterion 2: TVWS idle power = backhaul + idle = 38 W",
                   ok, f"{p:.3f} W")
@@ -238,12 +238,21 @@ def test_c08_mean_coverage(battery):
                   ok, "; ".join(details))
 
 
+def decomposition(cell) -> str:
+    """Mean active sites x station draw, mean coverage and growth history."""
+    camp, prof = cell["campaign"], cell["profile"]
+    draw = station_power_w(prof.power_model, prof.n_transmitters, cell["power"])
+    growth = ", ".join(f"{n}: {c:.3f}" for n, c in cell["growth"])
+    return (f"{camp.mean_active_sites:.1f} active x {draw:.1f} W, coverage "
+            f"{camp.mean_coverage:.3f}, growth (sites: coverage) {growth}")
+
+
 @pytest.mark.parametrize("tech", ["802.22", "802.22b", "802.11af"])
 def test_c08_tvws_suburban_power(battery, tech):
-    camp = battery[("suburban", tech, False)]["campaign"]
-    ok = 900.0 <= camp.mean_power_w <= 1150.0
+    cell = battery[("suburban", tech, False)]
+    ok = 900.0 <= cell["campaign"].mean_power_w <= 1150.0
     assert report(f"criterion 8c: {tech} suburban network power in [900, 1150] W",
-                  ok, f"{camp.mean_power_w:.1f} W")
+                  ok, f"{cell['campaign'].mean_power_w:.1f} W = {decomposition(cell)}")
 
 
 def test_c08_lte_suburban_power(battery):
@@ -291,7 +300,9 @@ def test_c09_22b_suburban_nonnegative_within_noise(battery):
     # "at least zero within noise": allow a two-sigma Monte-Carlo allowance
     ok = delta >= -2.0 * sigma
     assert report("criterion 9b: 802.22b suburban 4x4 change >= 0 within noise",
-                  ok, f"{delta:+.1%} (2-sigma {2*sigma:.1%})")
+                  ok, f"{delta:+.1%} (2-sigma {2*sigma:.1%}); SISO "
+                      f"{decomposition(battery[('suburban', '802.22b', False)])}; 4x4 "
+                      f"{decomposition(battery[('suburban', '802.22b', True)])}")
 
 
 def test_c09_11af_suburban_negative(battery):
@@ -339,8 +350,7 @@ def test_golden_battery_lock(battery):
 
 
 def test_c11_brute_force_micro_oracle(micro_scenario, micro_profile,
-                                      micro_margins, micro_model, micro_sites,
-                                      tvws_power):
+                                      micro_margins, micro_model, micro_sites):
     from test_planner import TestBruteForceOracle
     from tvwsplan.link_budget import max_allowable_path_loss_db
     from tvwsplan.scenario import generate_population
@@ -355,10 +365,9 @@ def test_c11_brute_force_micro_oracle(micro_scenario, micro_profile,
     capacity = micro_profile.mcs_table[0].bitrate_at(1.0)
     opt_cov, opt_act = TestBruteForceOracle.oracle(pop, micro_sites, pl_max,
                                                    pl, capacity)
-    out = tp.plan_single_run(micro_scenario, micro_profile, micro_margins,
-                             micro_model, tvws_power, cfg, 42, sites=micro_sites)
-    replay = tp.plan_single_run(micro_scenario, micro_profile, micro_margins,
-                                micro_model, tvws_power, cfg, 42,
+    out = tp.plan_single_run(micro_scenario, micro_profile, cfg, 42,
+                             sites=micro_sites)
+    replay = tp.plan_single_run(micro_scenario, micro_profile, cfg, 42,
                                 sites=micro_sites).event_log == out.event_log
     ok = (len(out.deployment.assignments) == opt_cov
           and len(out.deployment.active_sites) == opt_act and replay)
@@ -396,7 +405,7 @@ def test_c12_monotonicity_and_homogeneity_grids():
                 ok &= tp.max_allowable_path_loss_db(
                     bumped, sc.margins, harder) == pytest.approx(base - 1.0)
     # power: affine slopes and homogeneity over a grid
-    params = TvwsPowerParams()
+    params = load_power_params("tvws")
     for n_tx in (1, 2, 4):
         for alpha in (0.0, 0.5, 1.0):
             p0 = tvws_bs_power_w(params, BsPowerInput(1, n_tx, 2.0, alpha))

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from tvwsplan import link_budget
 from tvwsplan.link_budget import (EnvironmentMargins, McsEntry,
-                                  TechnologyProfile, available_technologies,
+                                  TechnologyProfile,
                                   coverage_curve, load_technology,
                                   max_allowable_path_loss_db,
                                   occupied_bandwidth_hz)
@@ -209,7 +209,7 @@ class TestCatalogue:
             assert fast == slow and repr(fast) == repr(slow), path.name
 
     def test_all_four_technologies_bundled(self):
-        techs = available_technologies()
+        techs = link_budget.bundled_names("technologies")
         assert {"802_22", "802_22b", "802_11af", "lte"} <= set(techs)
 
     def test_missing_technology_names_file(self):

@@ -112,11 +112,9 @@ class TestGreedyRules:
         assert out.deployment.active_sites == set()
         assert out.deployment.uncovered_users == {0, 1}
 
-    def test_empty_site_list_rejected(self, micro_scenario, micro_profile,
-                                      micro_margins, micro_model, tvws_power):
+    def test_empty_site_list_rejected(self, micro_scenario, micro_profile):
         with pytest.raises(ValueError, match="empty"):
-            plan_single_run(micro_scenario, micro_profile, micro_margins,
-                            micro_model, tvws_power, CFG, 42, sites=[])
+            plan_single_run(micro_scenario, micro_profile, CFG, 42, sites=[])
 
     def test_repeated_site_ids_rejected(self, micro_scenario, micro_profile,
                                         micro_margins, micro_model, micro_sites,
@@ -127,8 +125,8 @@ class TestGreedyRules:
         with pytest.raises(ValueError, match=r"repeat: \[0\]"):
             run_campaign(*args, tvws_power, CFG, sites=twin)
         with pytest.raises(ValueError, match=r"repeat: \[0\]"):
-            plan_single_run(*args, tvws_power, CFG, 42, sites=twin)
-        out = plan_single_run(*args, tvws_power, CFG, 42, sites=micro_sites)
+            plan_single_run(micro_scenario, micro_profile, CFG, 42, sites=twin)
+        out = plan_single_run(micro_scenario, micro_profile, CFG, 42, sites=micro_sites)
         with pytest.raises(ValueError, match=r"repeat: \[0\]"):
             check_deployment(out, *args, CFG, twin)
 
@@ -142,6 +140,25 @@ class TestGreedyRules:
         assert len(out.deployment.assignments) == 3
         assert len(out.deployment.uncovered_users) == 2
         assert out.deployment.per_site_served_mbps[0] <= 3.2 + 1e-9
+
+
+def test_one_int_object_per_user(micro_scenario, micro_profile, micro_margins,
+                                 micro_model, tvws_power):
+    # CPython shares only the ints up to 256: a larger user id must still be
+    # one object across the event log, the assignment keys and the uncovered set
+    sites = [CandidateSite(0, 0.8, 1.5, 30.0), CandidateSite(1, 3.2, 1.5, 30.0)]
+    # users 150-299 join site 0 and move to site 1 once user 300 opens it;
+    # user 301 is out of range
+    pop = manual_population([(1.0, 1.5)] * 150 + [(2.1, 1.5)] * 150
+                            + [(3.2, 1.5), (20.0, 20.0)], [0.01] * 302)
+    out = greedy(micro_scenario, pop, sites, micro_profile, micro_margins,
+                 micro_model, tvws_power, CFG, "1/2 QPSK", 0)
+    logged = [e[1] for e in out.event_log if e[0] != "activate"]
+    assert {e[0] for e in out.event_log if e[0] != "activate" and e[1] > 256} == \
+        {"connect", "switch", "uncovered"}
+    dep = out.deployment
+    assert len({id(u) for u in [*logged, *dep.assignments, *dep.uncovered_users]}) \
+        <= len(pop)
 
 
 def greedy_plan_oracle(pop, sites, profile, margins, model, power_params,
@@ -490,7 +507,7 @@ class TestBruteForceOracle:
 
     def test_greedy_matches_oracle_on_micro_fixture(
             self, micro_scenario, micro_profile, micro_margins, micro_model,
-            micro_sites, tvws_power):
+            micro_sites):
         pop = generate_population(micro_scenario.region,
                                   micro_scenario.population, 42)
         assert len(pop) == 12
@@ -503,8 +520,7 @@ class TestBruteForceOracle:
         capacity = micro_profile.mcs_table[0].bitrate_at(1.0)
         opt_covered, opt_active = self.oracle(pop, micro_sites, pl_max, pl,
                                               capacity)
-        out = plan_single_run(micro_scenario, micro_profile, micro_margins,
-                              micro_model, tvws_power, CFG, 42,
+        out = plan_single_run(micro_scenario, micro_profile, CFG, 42,
                               sites=micro_sites)
         greedy_covered = len(out.deployment.assignments)
         greedy_active = len(out.deployment.active_sites)
@@ -513,10 +529,8 @@ class TestBruteForceOracle:
         assert greedy_active == opt_active
 
     def test_event_log_replays_exactly(self, micro_scenario, micro_profile,
-                                       micro_margins, micro_model, micro_sites,
-                                       tvws_power):
-        args = (micro_scenario, micro_profile, micro_margins, micro_model,
-                tvws_power, CFG, 42)
+                                       micro_sites):
+        args = (micro_scenario, micro_profile, CFG, 42)
         out = plan_single_run(*args, sites=micro_sites)
         assert plan_single_run(*args, sites=micro_sites).event_log == out.event_log
 
@@ -534,10 +548,8 @@ class TestFeasibilityChecker:
                                     micro_sites) == []
 
     def test_checker_catches_tampering(self, micro_scenario, micro_profile,
-                                       micro_margins, micro_model, micro_sites,
-                                       tvws_power):
-        out = plan_single_run(micro_scenario, micro_profile, micro_margins,
-                              micro_model, tvws_power, CFG, 42, sites=micro_sites)
+                                       micro_margins, micro_model, micro_sites):
+        out = plan_single_run(micro_scenario, micro_profile, CFG, 42, sites=micro_sites)
         out.deployment.per_site_served_mbps[
             next(iter(out.deployment.active_sites))] += 5.0
         problems = check_deployment(out, micro_scenario, micro_profile,
@@ -606,6 +618,23 @@ class TestFeasibilityChecker:
         problems = check_deployment(out, *args, CFG, micro_sites)
         assert any(verdict in p for p in problems), problems
 
+    @pytest.mark.parametrize("fault", [
+        lambda b: replace(b, capacity=2 * b.capacity),
+        lambda b: replace(b, pl_max=b.pl_max + 3.0)], ids=["capacity", "pl_max"])
+    def test_checker_derives_its_own_budget(self, monkeypatch, fault):
+        # a planner that plans against a wrong budget must not fool the checker
+        from tvwsplan.scenario import bundled_scenario
+        budget = planner._budget
+        monkeypatch.setattr(planner, "_budget",
+                            lambda *args, **kw: fault(budget(*args, **kw)))
+        sc = bundled_scenario("ghent_suburban")
+        prof = load_technology("802.22b", "suburban")
+        cfg = PlannerConfig(runs=40, base_seed=sc.base_seed)
+        result, _ = planner.plan(sc, prof, cfg)
+        assert sum(len(check_deployment(o, sc, prof, sc.margins, sc.model_for(prof),
+                                        cfg, result.sites))
+                   for o in result.outcomes) > 0
+
     def test_config_values_validated(self):
         with pytest.raises(ValueError, match="runs must be >= 1"):
             PlannerConfig(runs=0)
@@ -613,12 +642,9 @@ class TestFeasibilityChecker:
 
 class TestDeterminism:
     def test_identical_runs_bitwise(self, micro_scenario, micro_profile,
-                                    micro_margins, micro_model, micro_sites,
-                                    tvws_power):
-        a = plan_single_run(micro_scenario, micro_profile, micro_margins,
-                            micro_model, tvws_power, CFG, 42, sites=micro_sites)
-        b = plan_single_run(micro_scenario, micro_profile, micro_margins,
-                            micro_model, tvws_power, CFG, 42, sites=micro_sites)
+                                    micro_sites):
+        a = plan_single_run(micro_scenario, micro_profile, CFG, 42, sites=micro_sites)
+        b = plan_single_run(micro_scenario, micro_profile, CFG, 42, sites=micro_sites)
         assert a.event_log == b.event_log
         assert a.deployment.assignments == b.deployment.assignments
         assert a.total_power_w == b.total_power_w
@@ -654,8 +680,7 @@ class TestCampaign:
         cfg = PlannerConfig(runs=1, base_seed=42)
         camp = run_campaign(micro_scenario, micro_profile, micro_margins,
                             micro_model, tvws_power, cfg, sites=micro_sites)
-        single = plan_single_run(micro_scenario, micro_profile, micro_margins,
-                                 micro_model, tvws_power, cfg, 42,
+        single = plan_single_run(micro_scenario, micro_profile, cfg, 42,
                                  sites=micro_sites)
         assert camp.outcomes[0].event_log == single.event_log
         assert camp.mean_coverage == single.coverage_fraction
@@ -692,8 +717,7 @@ class TestCampaign:
                                 micro_model, tvws_power, cfg, sites=micro_sites)
         assert sweep.call_count == 1
         for o in camp.outcomes:  # same runs as one plan_single_run per seed
-            single = plan_single_run(micro_scenario, micro_profile, micro_margins,
-                                     micro_model, tvws_power, cfg, o.seed,
+            single = plan_single_run(micro_scenario, micro_profile, cfg, o.seed,
                                      sites=micro_sites)
             assert single.event_log == o.event_log
 
@@ -742,14 +766,11 @@ class TestCampaign:
             "its energy efficiency is undefined"]
 
     def test_monotone_coverage_in_candidate_set(self, micro_scenario,
-                                                micro_profile, micro_margins,
-                                                micro_model, micro_sites,
-                                                tvws_power):
+                                                micro_profile, micro_sites):
         def mean_cov(sites):
             total = 0.0
             for seed in range(5):
                 out = plan_single_run(micro_scenario, micro_profile,
-                                      micro_margins, micro_model, tvws_power,
                                       PlannerConfig(runs=1, base_seed=0), seed,
                                       sites=sites)
                 total += out.coverage_fraction

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,7 @@ from tvwsplan.power_energy import (BsPowerInput, MacroPowerParams, RunEnergy,
                                    macro_bs_power_w,
                                    network_energy_efficiency, tvws_bs_power_w)
 
-DEFAULTS = TvwsPowerParams()
+DEFAULTS = load_power_params("tvws")
 
 
 class TestTvwsPower:
@@ -48,10 +49,12 @@ class TestTvwsPower:
         assert d_a == pytest.approx(n_st * n_tx * (p_r / 0.182 + 4.0), rel=1e-6)
 
     def test_parameter_validation(self):
+        with pytest.raises(TypeError):  # the values live in data/power/tvws.yaml
+            TvwsPowerParams()
         with pytest.raises(ValueError):
-            TvwsPowerParams(ru_efficiency=0.0)
+            replace(DEFAULTS, ru_efficiency=0.0)
         with pytest.raises(ValueError):
-            TvwsPowerParams(p_idle_w=-1.0)
+            replace(DEFAULTS, p_idle_w=-1.0)
         with pytest.raises(ValueError):
             BsPowerInput(0, 1, 4.0, 1.0)
         with pytest.raises(ValueError):

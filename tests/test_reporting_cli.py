@@ -105,7 +105,7 @@ class TestCsvEmitters:
                       "bs_id,n_tx,p_r_w,load,p_total_w"),
             "raster": (raster_csv(first, sc, sites, model, pl_max, prov),
                        "x,y,best_pl_db,covered_flag"),
-            "pathloss": (pathloss_csv(model, prov), "d_km,pl_db"),
+            "pathloss": (pathloss_csv(model, prov, 0.1, 20.0, 0.1), "d_km,pl_db"),
         }
         for name, (text, header) in emitted.items():
             assert "\r" not in text, name
@@ -137,7 +137,7 @@ class TestCsvEmitters:
     @staticmethod
     def scalar_raster_rows(sc, sites, active, model, pl_max):
         """The former per-pixel, per-site raster loop, kept as the oracle."""
-        xmin, ymin, xmax, ymax = sc.region.bbox()
+        xmin, ymin, xmax, ymax = geometry.polygon_bbox(sc.region.outline)
         step = sc.region.resolution_m / 1000.0
         live = [s for s in sites if s.id in active]
         rows = []

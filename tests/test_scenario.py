@@ -16,10 +16,10 @@ import yaml
 from hypothesis import assume, given, settings, strategies as st
 
 from tvwsplan import geometry, link_budget, scenario
-from tvwsplan.link_budget import bundled_yaml, load_technology
+from tvwsplan.link_budget import bundled_names, bundled_yaml, load_technology
 from tvwsplan.power_energy import load_power_params
 from tvwsplan.scenario import (CandidateSite, PopulationSpec, Region,
-                               Scenario, ScenarioError, available_scenarios,
+                               Scenario, ScenarioError,
                                bundled_scenario, generate_population,
                                load_scenario, population_to_csv,
                                scenario_from_dict)
@@ -201,7 +201,7 @@ def broadcast_points_in_polygon(points, vertices):
 def scalar_population(region, spec, seed):
     """The former per-attempt rejection loop, kept as the oracle."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    xmin, ymin, xmax, ymax = region.bbox()
+    xmin, ymin, xmax, ymax = geometry.polygon_bbox(region.outline)
     n = spec.user_count
     xs = np.empty(n)
     ys = np.empty(n)
@@ -544,7 +544,7 @@ class TestExpectedDemand:
 
 class TestScenarioFiles:
     def test_bundled_scenarios_load(self):
-        names = available_scenarios()
+        names = bundled_names("scenarios")
         assert {"ghent_suburban", "boyeros_rural"} <= set(names)
         sub = bundled_scenario("ghent_suburban")
         assert sub.environment == "suburban"
@@ -703,18 +703,18 @@ class TestScenarioFiles:
     def test_digest_stable_and_sensitive(self):
         a = bundled_scenario("ghent_suburban")
         b = bundled_scenario("ghent_suburban")
-        assert a.digest() == b.digest()
-        assert a.digest() != bundled_scenario("boyeros_rural").digest()
+        assert a.digest == b.digest
+        assert a.digest != bundled_scenario("boyeros_rural").digest
 
     def test_digest_computed_once_per_scenario(self):
         sc = bundled_scenario("ghent_suburban")
         with mock.patch.object(scenario.yaml, "safe_dump",
                                wraps=yaml.safe_dump) as dump:
-            assert sc.digest() == sc.digest()
+            assert sc.digest == sc.digest
             assert dump.call_count == 1
             # a changed copy hashes its own content
             other = dataclasses.replace(sc, base_seed=sc.base_seed + 1)
-            assert other.digest() != sc.digest()
+            assert other.digest != sc.digest
             assert dump.call_count == 2
 
 
