@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the greedy kernel on the calls the benchmark workloads make.
+"""Time the greedy kernel on the calls the benchmark workloads make, and
+measure the memory its outcomes retain.
 
     python3 scripts/replay_greedy_calls.py [--seed 1000]
 
@@ -7,19 +8,23 @@ Runs the three workloads of `bench/` in this process at `--seed`:
 `plan --env suburban`, `plan` on the scenario `bench/dense_lattice.py`
 writes (40 runs) and `bench/battery.run_battery`.  Every call they make to
 `planner._greedy_plan` is recorded; each round then replays every workload's
-calls once, and the script prints per workload the call count and the median
-of 12 round times.  The benchmark's tracer wraps only the public planner
-entry points, so it reads no time for this layer.  `bench/` is only read:
-the `plan` outputs go to a temporary directory.
+calls once, and the script prints per workload the call count, the median
+of 12 round times, and the bytes that one replay's outcomes hold while they
+are all kept, as `tracemalloc` counts them (taken outside the timed rounds).
+The benchmark's tracer wraps only the public planner entry points, so it
+reads no time for this layer.  `bench/` is only read: the `plan` outputs go
+to a temporary directory.
 """
 
 import argparse
 import contextlib
+import gc
 import io
 import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,6 +52,20 @@ def record(workload) -> list:
     finally:
         planner._greedy_plan = kernel
     return calls
+
+
+def retained_bytes(recorded) -> int:
+    """Bytes allocated by replaying `recorded` and still held by its outcomes."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        outcomes = [planner._greedy_plan(*call) for call in recorded]
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    return held
 
 
 def plan_cli(*args):
@@ -84,7 +103,8 @@ def main(argv=None) -> int:
     for name, recorded in calls.items():
         print(f"{name}: {len(recorded)} calls, median "
               f"{1e3 * statistics.median(times[name]):.1f} ms "
-              f"over {ROUNDS} rounds")
+              f"over {ROUNDS} rounds, outcomes retain "
+              f"{retained_bytes(recorded)} bytes")
     return 0
 
 

@@ -148,14 +148,25 @@ def max_allowable_path_loss_db(profile: TechnologyProfile,
             - profile.interference_margin_db)
 
 
+def tier_range_km(model: PathLossModel, pl_max_db: float) -> float:
+    """The range of a tier whose budget is `pl_max_db` (`invert_range_km`),
+    or 0.0 for an unreachable tier: one whose budget lies below the model's
+    loss at its distance floor reaches no distance."""
+    try:
+        return invert_range_km(model, pl_max_db)
+    except ValueError:
+        return 0.0
+
+
 def coverage_curve(profile: TechnologyProfile, margins: EnvironmentMargins,
                    model: PathLossModel) -> list:
-    """(label, bitrate_mbps, range_km) per MCS, bitrate ascending."""
+    """(label, bitrate_mbps, range_km) per MCS, bitrate ascending; an
+    unreachable tier's range is 0.0 (`tier_range_km`)."""
     curve = []
     for m in profile.mcs_table:
         pl_max = max_allowable_path_loss_db(profile, margins, m)
         curve.append((m.label, m.bitrate_at(profile.bandwidth_mhz),
-                      invert_range_km(model, pl_max)))
+                      tier_range_km(model, pl_max)))
     return curve
 
 

@@ -32,8 +32,14 @@ A campaign records the model's validity notes over the reach of its budget,
 the longest link any of its runs can plan (`propagation.validity_notes`).
 
 Every accept/reject decision lands in an event log; a user's id is its row in
-the population.  The feasibility checker shares nothing with the planner but
-each seed's read-only population, and does not replay the log.  It derives
+the population.  The log is stored as flat int codes (`EventLog`), and its
+event tuples are built only when it is read.  Every run in the process takes
+its user-id objects from one shared list, so all logs, assignment keys and
+uncovered sets hold one int per row.  Site growth releases each pilot it
+outgrows before the next one runs.
+
+The feasibility checker shares nothing with the planner but each seed's
+read-only population, and does not replay the log.  It derives
 its own path loss and budget (MCS, `pl_max`, capacity, station draw) and
 requires known users and candidate sites, links to active sites within
 `pl_max`, loads within capacity, per-site traffic and power (one station's
@@ -96,6 +102,72 @@ class Deployment:
     uncovered_users: set
 
 
+#: the event kinds, indexed by the code `EventLog` stores
+EVENT_KINDS = ("connect", "reject_capacity", "activate", "switch",
+               "switch_reject", "uncovered")
+
+_user_ids = []  # user row -> one int object, shared by every run in the process
+
+
+def _shared_user_ids(n: int) -> list:
+    """The process's user ids, grown to at least `n`."""
+    if len(_user_ids) < n:
+        _user_ids.extend(range(len(_user_ids), n))
+    return _user_ids
+
+
+class EventLog:
+    """A run's decisions as one flat list of ints.  Per event: its kind's
+    index in `EVENT_KINDS`, then the user's row (not for `activate`), then
+    the site index (none for `uncovered`; from and to for `switch`).  Rows
+    are the process's shared user-id objects, so the log allocates no int.
+
+    It reads as the tuple of event tuples, `("connect", user, site_id)`,
+    `("activate", site_id)`, `("switch", user, from_id, to_id)` and so on,
+    built only when read.  Iteration, `len`, `in`, `==` with such a tuple
+    (either way round), `hash` and `repr` give what that tuple gives.
+    """
+
+    __slots__ = ("codes", "site_ids")
+
+    def __init__(self, codes: list, site_ids: list):
+        self.codes, self.site_ids = codes, site_ids
+
+    def _events(self) -> list:
+        """The event tuples, decoded afresh."""
+        sites, events = self.site_ids, []
+        append, codes = events.append, iter(self.codes)
+        for kind in codes:
+            if kind == 0:  # connect
+                append(("connect", next(codes), sites[next(codes)]))
+            elif kind == 2:  # activate
+                append(("activate", sites[next(codes)]))
+            elif kind == 5:  # uncovered
+                append(("uncovered", next(codes)))
+            elif kind == 3:  # switch
+                append(("switch", next(codes), sites[next(codes)], sites[next(codes)]))
+            else:  # reject_capacity, switch_reject
+                append((EVENT_KINDS[kind], next(codes), sites[next(codes)]))
+        return events
+
+    def __iter__(self):
+        return iter(self._events())
+
+    def __len__(self):
+        return len(self._events())
+
+    def __eq__(self, other):
+        if isinstance(other, (EventLog, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+
 @dataclass
 class RunOutcome:
     seed: int
@@ -103,7 +175,7 @@ class RunOutcome:
     deployment: Deployment
     total_power_w: float
     served_mbps_total: float
-    event_log: tuple = ()
+    event_log: EventLog | tuple = ()  # `EventLog` from the planner
 
     # duck-typed RunEnergy interface for network_energy_efficiency
     @property
@@ -216,36 +288,40 @@ def _greedy_plan(pop, sites, budget, model, seed) -> RunOutcome:
     load = [0.0] * n_sites             # consumed capacity, summed in order
     link_of = [-1] * n_users           # user -> table position; -1 unserved
     uncovered = []
-    log = []
+    # the event log, see `EventLog`; the two frequent events append code by
+    # code, which runs faster than extending the list by a tuple
+    codes = []
 
-    users = list(range(n_users))  # one int per user, shared by every record
-    for u in users:
-        links = link_site[first[u]:first[u + 1]]
+    users = _shared_user_ids(n_users)
+    for u, lo, hi, want in zip(users, first, first[1:], demand):
+        links = link_site[lo:hi]
         # the nearest active site with spare capacity
-        for k, j in enumerate(links, first[u]):
+        for k, j in enumerate(links, lo):
             if not is_active[j]:
                 continue
-            if load[j] + demand[u] <= limit:
+            if load[j] + want <= limit:
                 link_of[u] = k
-                load[j] += demand[u]
-                log.append(("connect", u, site_ids[j]))
+                load[j] += want
+                codes.append(0)  # connect
+                codes.append(u)
+                codes.append(j)
                 break
-            log.append(("reject_capacity", u, site_ids[j]))
+            codes.append(1)  # reject_capacity
+            codes.append(u)
+            codes.append(j)
         else:
             # else switch on the nearest inactive site able to serve the user
-            k = next((k for k, j in enumerate(links, first[u])
-                      if not is_active[j]), None)
-            if k is None or demand[u] > limit:
+            k = next((k for k, j in enumerate(links, lo) if not is_active[j]), None)
+            if k is None or want > limit:
                 uncovered.append(u)
-                log.append(("uncovered", u))
+                codes.extend((5, u))  # uncovered
                 continue
             j = link_site[k]
             active.append(j)
             is_active[j] = True
-            log.append(("activate", site_ids[j]))
             link_of[u] = k
-            load[j] += demand[u]
-            log.append(("connect", u, site_ids[j]))
+            load[j] += want
+            codes.extend((2, j, 0, u, j))  # activate, connect
             # re-balance: one pass over the new site's links of the users
             # before u, ascending; one moves when its loss there is strictly lower
             for k in site_links[j][:site_links[j].index(k)]:
@@ -257,9 +333,9 @@ def _greedy_plan(pop, sites, budget, model, seed) -> RunOutcome:
                     load[link_site[cur]] -= demand[v]
                     link_of[v] = k
                     load[j] += demand[v]
-                    log.append(("switch", users[v], site_ids[link_site[cur]], site_ids[j]))
+                    codes.extend((3, users[v], link_site[cur], j))  # switch
                 else:
-                    log.append(("switch_reject", users[v], site_ids[j]))
+                    codes.extend((4, users[v], j))  # switch_reject
 
     # users enter the assignment in service order, ascending index
     assign = {u: site_ids[link_site[k]] for u, k in zip(users, link_of) if k >= 0}
@@ -275,7 +351,7 @@ def _greedy_plan(pop, sites, budget, model, seed) -> RunOutcome:
     return RunOutcome(seed=seed, coverage_fraction=coverage, deployment=deployment,
                       total_power_w=budget.station_w * len(active),
                       served_mbps_total=sum(served.values()),
-                      event_log=tuple(log))
+                      event_log=EventLog(codes, site_ids))
 
 
 def _sites_for(scenario: Scenario, sites=None) -> list:
@@ -379,6 +455,7 @@ def _grow(scenario, profile, margins, model, power_params, config):
         history.append((count, result.mean_coverage))
         if result.mean_coverage > policy.target_coverage:
             return result, history
+        del result  # outgrown: released before the next pilot runs
         count += step
     raise ScenarioError([
         f"sites.target_coverage: site growth cap {policy.max_sites} reached; "
@@ -406,7 +483,9 @@ def plan(scenario: Scenario, profile: TechnologyProfile,
         result, history = _grow(scenario, profile, scenario.margins, model,
                                 power_params, config)
         if config.runs != scenario.site_policy.pilot_runs:
-            result = _campaign(scenario, result.sites, result.budget, model, config)
+            sites, budget = result.sites, result.budget
+            del result  # the last pilot is released before the campaign runs
+            result = _campaign(scenario, sites, budget, model, config)
     idle = [o.seed for o in result.outcomes if not o.deployment.active_sites]
     if idle:
         raise ScenarioError([

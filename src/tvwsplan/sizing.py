@@ -4,6 +4,11 @@ Two constraints bound the station count for one MCS choice: covering the
 target area with circles of the MCS coverage range, and carrying the total
 offered traffic with the per-station bitrate.  Sweeping the deployable MCS
 tiers exposes the coverage/capacity trade-off and marks the best tier.
+
+A tier whose budget lies below the model's loss at its distance floor is
+unreachable: its range is 0.0 and its station counts `n_bs_area` and
+`n_bs_min` are inf, so it is never the optimum.  A sweep in which no tier
+reaches is a `ScenarioError`.
 """
 
 from __future__ import annotations
@@ -12,8 +17,9 @@ import math
 from dataclasses import dataclass
 
 from .link_budget import (EnvironmentMargins, TechnologyProfile,
-                          max_allowable_path_loss_db)
-from .propagation import PathLossModel, invert_range_km
+                          max_allowable_path_loss_db, tier_range_km)
+from .propagation import PathLossModel, path_loss_db
+from .scenario import ScenarioError
 
 __all__ = ["SizingResult", "min_bs_for_area", "min_bs_for_load", "sweep_mcs"]
 
@@ -22,11 +28,11 @@ __all__ = ["SizingResult", "min_bs_for_area", "min_bs_for_load", "sweep_mcs"]
 class SizingResult:
     mcs_label: str
     required_snr_db: float
-    range_km: float
+    range_km: float       # 0.0 for an unreachable tier
     bs_bitrate_mbps: float
-    n_bs_area: int
+    n_bs_area: int        # inf for an unreachable tier
     n_bs_load: int
-    n_bs_min: int
+    n_bs_min: int         # inf for an unreachable tier
     is_optimal: bool = False
 
 
@@ -52,12 +58,13 @@ def sweep_mcs(profile: TechnologyProfile, margins: EnvironmentMargins,
     The optimum minimises n_bs_min; ties break toward the larger coverage
     range (the area constraint prevails among equal minima).
     """
-    rows = []
+    rows, best_db = [], -math.inf
     for mcs in profile.deployable_mcs():
         pl_max = max_allowable_path_loss_db(profile, margins, mcs)
-        rng = invert_range_km(model, pl_max)
+        best_db = max(best_db, pl_max)
+        rng = tier_range_km(model, pl_max)
         bitrate = mcs.bitrate_at(profile.bandwidth_mhz)
-        n_area = min_bs_for_area(area_km2, rng)
+        n_area = min_bs_for_area(area_km2, rng) if rng else math.inf
         n_load = min_bs_for_load(total_demand_mbps, bitrate)
         rows.append(SizingResult(
             mcs_label=mcs.label, required_snr_db=mcs.required_snr_db,
@@ -65,6 +72,14 @@ def sweep_mcs(profile: TechnologyProfile, margins: EnvironmentMargins,
             n_bs_area=n_area, n_bs_load=n_load, n_bs_min=max(n_area, n_load)))
     if not rows:
         raise ValueError(f"{profile.name} has no deployable MCS")
+    if not any(r.range_km for r in rows):
+        floor_db = path_loss_db(model, model.min_distance_km)
+        raise ScenarioError([
+            f"environment: no deployable {profile.name} tier reaches the model's "
+            f"{model.min_distance_km} km floor: with shadow margin "
+            f"{margins.shadow_margin_db} dB and fade margin {margins.fade_margin_db} "
+            f"dB, its largest budget {best_db:.2f} dB is {floor_db - best_db:.2f} "
+            f"dB short of the {floor_db:.2f} dB loss there"])
     best = min(range(len(rows)), key=lambda i: (rows[i].n_bs_min, -rows[i].range_km))
     rows[best] = SizingResult(**{**rows[best].__dict__, "is_optimal": True})
     return rows

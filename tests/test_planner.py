@@ -1,6 +1,8 @@
 import copy
 import itertools
 import math
+import pickle
+import weakref
 from dataclasses import replace
 from unittest import mock
 
@@ -159,6 +161,40 @@ def test_one_int_object_per_user(micro_scenario, micro_profile, micro_margins,
     dep = out.deployment
     assert len({id(u) for u in [*logged, *dep.assignments, *dep.uncovered_users]}) \
         <= len(pop)
+
+
+def test_one_int_object_per_user_across_runs(micro_scenario, micro_profile):
+    # every run of a campaign reuses one id object per user row: two runs of
+    # 300 voice users (twice the three sites' capacity) log ids above 256
+    spec = replace(micro_scenario.population, user_count=300, data_fraction=0.0)
+    camp = planner.plan(replace(micro_scenario, population=spec), micro_profile,
+                        PlannerConfig(runs=2, base_seed=42))[0]
+    ids = [u for o in camp.outcomes
+           for u in (*(e[1] for e in o.event_log if e[0] != "activate"),
+                     *o.deployment.assignments, *o.deployment.uncovered_users)]
+    assert all(max(e[1] for e in o.event_log if e[0] != "activate") > 256
+               for o in camp.outcomes)
+    assert len({id(u) for u in ids}) <= 300
+
+
+def test_event_log_reads_as_its_tuple(micro_scenario, micro_margins, tvws_power):
+    # the stored log answers as the tuple of event tuples it encodes
+    sites, pop, label, seed = KIND_LAYOUTS["activate", "connect", "switch",
+                                           "uncovered"]
+    log = greedy(micro_scenario, pop, sites, TIERED, micro_margins,
+                 one_slope(108.0, 1.0, 3.5), tvws_power, CFG, label, seed).event_log
+    events = tuple(log)
+    assert isinstance(log, planner.EventLog)
+    assert events == (("activate", 100), ("connect", 0, 100), ("connect", 1, 100),
+                      ("activate", 101), ("connect", 2, 101),
+                      ("switch", 1, 100, 101), ("uncovered", 3))
+    assert log == events and events == log and not log != events
+    assert log != events[:-1] and events[:-1] != log and log != list(events)
+    assert all(e in log for e in events) and ("connect", 3, 100) not in log
+    assert (len(log), hash(log), repr(log)) == (len(events), hash(events),
+                                                repr(events))
+    again = pickle.loads(pickle.dumps(log))
+    assert type(again) is type(log) and again == log and repr(again) == repr(events)
 
 
 def greedy_plan_oracle(pop, sites, profile, margins, model, power_params,
@@ -348,20 +384,22 @@ def assert_kernel_equals_oracle(layout, scenario, margins, power_params):
                            label, seed))
 
 
-def event_kinds(layouts, scenario, margins, power_params) -> set:
-    """The event kinds that 50 derandomised draws of `layouts` produce."""
-    kinds = set()
-
-    @settings(max_examples=50, deadline=None, derandomize=True)
-    @given(layout=layouts)
-    def collect(layout):
-        sites, pop, label, seed = layout
-        out = greedy(scenario, pop, sites, TIERED, margins,
-                     one_slope(108.0, 1.0, 3.5), power_params, CFG, label, seed)
-        kinds.update(e[0] for e in out.event_log)
-
-    collect()
-    return kinds
+# hand-built layouts that reach each event kind they are listed under, at
+# the "low" tier (3.2 Mbps per site, about 2.2 km).  Users 0 and 1 join site
+# 100; user 2, beyond its reach, opens site 101, nearer to user 1, which
+# switches to it, or is refused when site 101 is full.  User 1 of the second
+# layout finds site 100 full, and no other site in range.
+NEAR, FAR = CandidateSite(100, 0.8, 1.5, 30.0), CandidateSite(101, 3.2, 1.5, 30.0)
+KIND_LAYOUTS = {
+    ("activate", "connect", "switch", "uncovered"): (
+        [NEAR, FAR], manual_population(
+            [(1.0, 1.5), (2.1, 1.5), (3.2, 1.5), (20.0, 20.0)], [0.5] * 4), "low", 0),
+    ("reject_capacity",): (
+        [NEAR], manual_population([(1.0, 1.5), (1.1, 1.5)], [3.1, 1.0]), "low", 0),
+    ("switch_reject",): (
+        [NEAR, FAR], manual_population([(1.0, 1.5), (2.1, 1.5), (3.2, 1.5)],
+                                       [0.5, 1.0, 3.1]), "low", 0),
+}
 
 
 class TestGreedyKernelOracle:
@@ -383,12 +421,16 @@ class TestGreedyKernelOracle:
 
     def test_layouts_reach_every_event_kind(self, micro_scenario, micro_margins,
                                             tvws_power):
-        # the drawn layouts exercise each decision the kernel makes
-        for layouts in (greedy_layouts(), sparse_layouts()):
-            assert event_kinds(layouts, micro_scenario, micro_margins,
-                               tvws_power) == {
-                "connect", "reject_capacity", "activate", "switch",
-                "switch_reject", "uncovered"}
+        # each decision the kernel makes is compared with the former loop on
+        # a fixed layout, whatever Hypothesis draws for the tests above
+        assert set().union(*KIND_LAYOUTS) == set(planner.EVENT_KINDS)
+        for kinds, layout in KIND_LAYOUTS.items():
+            sites, pop, label, seed = layout
+            out = greedy(micro_scenario, pop, sites, TIERED, micro_margins,
+                         one_slope(108.0, 1.0, 3.5), tvws_power, CFG, label, seed)
+            assert set(kinds) <= {e[0] for e in out.event_log}, kinds
+            assert_kernel_equals_oracle(layout, micro_scenario, micro_margins,
+                                        tvws_power)
 
 
 @st.composite
@@ -856,6 +898,24 @@ class TestGrowth:
             [o.event_log for o in fresh.outcomes]
         assert (len(result.sites), result.mean_coverage) == \
             (history[-1][0], fresh.mean_coverage)
+
+    def test_outgrown_pilots_are_released(self, micro_profile, monkeypatch):
+        # no earlier pilot's outcomes are alive when the next campaign starts,
+        # the final 7-run campaign after the last 5-run pilot included
+        sc = self._grow_scenario(target=0.95)
+        campaign, pilots = planner._campaign, []
+
+        def recording(*args):
+            assert [ref() for ref in pilots] == [None] * len(pilots)
+            result = campaign(*args)
+            pilots.append(weakref.ref(result.outcomes[0]))
+            return result
+
+        monkeypatch.setattr(planner, "_campaign", recording)
+        _, history = planner.plan(sc, micro_profile,
+                                  PlannerConfig(runs=7, base_seed=500))
+        assert len(history) > 1
+        assert len(pilots) == len(history) + 1
 
     def test_growth_cap_raises_with_best_coverage(self, micro_profile, tvws_power):
         # the sizing start is 13 sites and the step 4: pilots at 13 and 17

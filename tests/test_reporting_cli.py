@@ -524,14 +524,62 @@ class TestCli:
         assert error["type"] == "invalid_scenario"
         assert [f.split(":")[0] for f in error["fields"]] == [field]
 
+    @pytest.mark.parametrize("name, field, value", [
+        *[("ghent_suburban", f"environment.{margin}_margin_db", v)
+          for margin in ("shadow", "fade") for v in (50.0, 99.0)],
+        ("ghent_suburban", "propagation.pl0_db", 250.0),
+        *[("ghent_suburban", "propagation.d0_km", v) for v in (1e-9, 1e-300, 5e-324)],
+        ("boyeros_rural", "environment.shadow_margin_db", 99.0),
+        ("boyeros_rural", "environment.fade_margin_db", 99.0),
+        ("boyeros_rural", "propagation.offset_db", 99.0)])
+    def test_budget_below_model_floor_is_invalid_scenario(self, tmp_path, name,
+                                                          field, value):
+        # in-range values that leave no deployable tier reaching the model's
+        # distance floor: one record naming the technology, margins and shortfall
+        raw = copy.deepcopy(bundled_yaml("scenarios", name))
+        section, key = field.split(".")
+        raw[section][key] = value
+        path = tmp_path / "short.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        for command in (["sweep"], ["plan", "--runs", "1"]):
+            code, _, err = self.run_cli(*command, "--scenario", str(path),
+                                        "--out", str(tmp_path / "out"))
+            assert code == 2, (command, err)
+            [line] = err.splitlines()
+            error = json.loads(line)["error"]
+            assert error["type"] == "invalid_scenario"
+            [field_error] = error["fields"]
+            assert field_error.startswith("environment: no deployable 802.22b tier")
+            assert "shadow margin" in field_error and "dB short of" in field_error
+
+    def test_unreachable_tier_is_printed_and_never_optimal(self, tmp_path):
+        # at a 40 dB shadow margin the two lowest 802.22b tiers still reach
+        raw = copy.deepcopy(bundled_yaml("scenarios", "ghent_suburban"))
+        raw["environment"]["shadow_margin_db"] = 40.0
+        path = tmp_path / "part.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        for command in ("sweep", "coverage"):
+            code, _, err = self.run_cli(command, "--scenario", str(path),
+                                        "--out", str(tmp_path))
+            assert code == 0, err
+        sweep = [r.split(",") for r in (tmp_path / "sweep.csv").read_text()
+                 .splitlines() if not r.startswith("#")][1:]
+        assert [(r[2], r[3], r[5], r[6]) for r in sweep[2:]] == \
+            [("0.000000", "inf", "inf", "0")] * 3
+        assert [r[6] for r in sweep[:2]] == ["1", "0"]
+        coverage = [r.split(",") for r in (tmp_path / "coverage.csv").read_text()
+                    .splitlines() if not r.startswith("#")][1:]
+        assert [r[2] for r in coverage[2:]] == ["0.000000"] * 5
+        assert all(float(r[2]) > 0.05 for r in coverage[:2])
+
     def test_overflowing_outline_stderr_is_one_record(self, tmp_path):
         # in a subprocess, since pytest would capture numpy's warnings in process
         raw = bundled_yaml("scenarios", "ghent_suburban")
         outline = [list(v) for v in raw["region"]["outline_km"]]
         outline[3] = [5.0, 1e308]
         huge_outline = {**raw, "region": {**raw["region"], "outline_km": outline}}
-        # a denormal d0 overflows distance / d0; the budget is then below the
-        # model floor, which still exits 3
+        # a denormal d0 overflows distance / d0; no tier's budget then reaches
+        # the model floor
         tiny_d0 = {**raw, "propagation": {**raw["propagation"], "d0_km": 5e-324}}
         # a site's distance to the outline overflows
         huge_site = {**raw, "sites": {"mode": "explicit", "list": [
@@ -539,7 +587,7 @@ class TestCli:
         for name, edited, code, kind in (
                 ("huge", huge_outline, 2, "invalid_scenario"),
                 ("huge_site", huge_site, 2, "invalid_scenario"),
-                ("tiny_d0", tiny_d0, 3, "internal")):
+                ("tiny_d0", tiny_d0, 2, "invalid_scenario")):
             path = tmp_path / f"{name}.yaml"
             path.write_text(yaml.safe_dump(edited))
             proc = subprocess.run(

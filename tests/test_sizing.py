@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from tvwsplan.link_budget import (EnvironmentMargins, McsEntry,
                                   TechnologyProfile, load_technology)
-from tvwsplan.propagation import okumura_hata_rural, one_slope
+from tvwsplan.propagation import okumura_hata_rural, one_slope, path_loss_db
+from tvwsplan.scenario import ScenarioError
 from tvwsplan.sizing import min_bs_for_area, min_bs_for_load, sweep_mcs
 
 SUBURBAN = EnvironmentMargins(7.91, 7.37)
@@ -139,6 +140,32 @@ class TestSweep:
         assert [r.n_bs_min for r in rows] == [1, 1]
         assert rows[0].is_optimal and not rows[1].is_optimal
         assert rows[0].range_km > rows[1].range_km
+
+    def test_tier_below_the_model_floor_is_unreachable(self):
+        # budgets 133 and 127 dB less the margins; the loss at the 50 m floor
+        # of one_slope(100, 1, 3) is 60.97 dB
+        p = TechnologyProfile(
+            name="tie", eirp_dbm=30.0, freq_mhz=600.0, bandwidth_mhz=1.0,
+            total_subcarriers=64, used_subcarriers=64, sampling_factor=1.0,
+            interference_margin_db=0.0, mimo_gain_db=0.0,
+            rx_antenna_gain_db=0.0, rx_feeder_loss_db=0.0,
+            rx_noise_figure_db=5.0,
+            mcs_table=(McsEntry("low", 6.0, {1: 5.0}),
+                       McsEntry("high", 12.0, {1: 10.0})))
+        model = one_slope(100.0, 1.0, 3.0)
+        low, high = sweep_mcs(p, EnvironmentMargins(67, 1), model, 1.0, 40.0)
+        # "high" would need fewer stations for the load, but reaches nothing
+        assert (high.range_km, high.n_bs_area, high.n_bs_min, high.n_bs_load) == \
+            (0.0, math.inf, math.inf, 4)
+        assert low.range_km > 0.05 and low.is_optimal and not high.is_optimal
+        with pytest.raises(ScenarioError) as err:
+            sweep_mcs(p, EnvironmentMargins(75, 1), model, 1.0, 40.0)
+        floor = path_loss_db(model, 0.05)
+        assert err.value.errors == [
+            "environment: no deployable tie tier reaches the model's 0.05 km "
+            "floor: with shadow margin 75 dB and fade margin 1 dB, its largest "
+            f"budget 57.00 dB is {floor - 57:.2f} dB short of the {floor:.2f} dB "
+            "loss there"]
 
     def test_rural_22b_ties_resolve_to_wider_range(self):
         profile = load_technology("802.22b", "rural")
