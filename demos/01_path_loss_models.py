@@ -2,17 +2,17 @@
 """Walk through the two bundled path-loss models.
 
 Evaluates the suburban one-slope fit and the rural Okumura-Hata open-area
-model over distance, inverts them back from a loss target, and shows the
-rural calibration offset at work.
+model as the bundled scenarios carry them over distance, inverts them back
+from a loss target, and shows the rural calibration offset at work.
 """
 
 import numpy as np
 
-from tvwsplan import invert_range_km, okumura_hata_rural, one_slope, path_loss_db
+from tvwsplan import bundled_scenario, invert_range_km, okumura_hata_rural, path_loss_db
 
-suburban = one_slope(pl0_db=114.927123, d0_km=1.0, exponent=1.79)
-rural_raw = okumura_hata_rural(605.0, 30.0, 3.0)
-rural = okumura_hata_rural(605.0, 30.0, 3.0, offset_db=1.784748)
+suburban = bundled_scenario("ghent_suburban").model
+rural = bundled_scenario("boyeros_rural").model
+rural_raw = okumura_hata_rural(rural.freq_mhz, rural.bs_height_m, rural.rx_height_m)
 
 print("distance  suburban    rural(raw)  rural(calibrated)")
 for d in (0.5, 1.0, 2.0, 5.0, 10.0, 17.6):

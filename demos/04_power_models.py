@@ -6,8 +6,8 @@ the calibrated macrocell model, then evaluates the efficiency metric on a
 toy pair of Monte-Carlo runs under both accounting conventions.
 """
 
-from tvwsplan import (BsPowerInput, load_power_params, macro_bs_power_w,
-                      network_energy_efficiency, tvws_bs_power_w)
+from tvwsplan import (BsPowerInput, bundled_scenario, load_power_params,
+                      macro_bs_power_w, network_energy_efficiency, tvws_bs_power_w)
 from tvwsplan.power_energy import RunEnergy
 
 tvws = load_power_params("tvws")
@@ -32,9 +32,11 @@ runs = [
     RunEnergy(coverage_fraction=0.95, served_mbps=(15.1, 15.8, 13.9),
               power_w=(64.0, 64.0, 64.0)),
 ]
-ee = network_energy_efficiency(runs, area_km2=68.0)
-ee_lit = network_energy_efficiency(runs, area_km2=68.0, user_count=224,
+suburban = bundled_scenario("ghent_suburban")
+area, users = suburban.region.area_km2, suburban.population.user_count
+ee = network_energy_efficiency(runs, area_km2=area)
+ee_lit = network_energy_efficiency(runs, area_km2=area, user_count=users,
                                    include_user_count=True)
-print("\nefficiency metric on a toy two-run campaign:")
+print(f"\nefficiency metric on a toy two-run campaign over {suburban.name}:")
 print(f"  units-clean convention:   {ee:10.2f} km^2*Mbps/W")
-print(f"  user-count convention:    {ee_lit:10.2f} (x224)")
+print(f"  user-count convention:    {ee_lit:10.2f} (x{users})")

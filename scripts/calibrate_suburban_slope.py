@@ -6,77 +6,70 @@ measurement campaign is not available in closed form, so the bundled
 coefficients are anchored to published study results instead:
 
   anchor A: the 802.22b station reaches 7.0 km at its lowest MCS
-            (1/2 QPSK, SNR 4.3 dB) under the suburban link budget;
+            (1/2 QPSK) under the suburban link budget;
   anchor B: the LTE station reaches 3.2 km (+/-10%) at 1/2 QPSK;
-  anchor C: the per-MCS station-count sweep must select 1/2 16-QAM for
-            LTE and 2/3 16-QAM for the 802.22 family in this environment.
+  anchor C: the per-MCS station-count sweep selects `SWEEP_OPTIMA`.
 
-Anchor A pins pl0 once the exponent n is chosen.  Anchors B and C bound n
-from both sides: B gives an upper bound (larger n shrinks the LTE range
-below tolerance), C a lower bound (smaller n enlarges mid-tier ranges until
-the LTE sweep optimum drifts off 1/2 16-QAM).  The midpoint of the feasible
-window is rounded to n = 1.79.
-
-Run this script to reproduce the window and the bundled values.
+Anchor A pins pl0 once the exponent n is chosen.  Anchor B bounds n from
+above (a larger n shrinks the LTE range below tolerance), anchor C from
+below (a smaller n enlarges mid-tier ranges until the LTE optimum drifts off
+1/2 16-QAM); n is the window's midpoint to two decimals.  `derive()` reads
+the margins, area and demand from the bundled scenario; `main()` prints its
+result beside the bundled coefficients and exits 1 if they disagree.
 """
 
 import math
+from dataclasses import replace
 
-from tvwsplan.link_budget import (EnvironmentMargins, load_technology,
-                                  max_allowable_path_loss_db)
-from tvwsplan.propagation import one_slope
+from tvwsplan import bundled_scenario, load_technology, max_allowable_path_loss_db
+from tvwsplan.propagation import reach_km
 from tvwsplan.sizing import sweep_mcs
 
-MARGINS = EnvironmentMargins(shadow_margin_db=7.91, fade_margin_db=7.37)
-AREA_KM2 = 68.0
-DEMAND_MBPS = 224 * (0.91 * 1.0 + 0.09 * 0.064)
 ANCHOR_22B_KM = 7.0
 ANCHOR_LTE_KM = 3.2
 LTE_TOL = 0.10
-
-p22b = load_technology("802.22b", "suburban")
-plte = load_technology("lte", "suburban")
-pl_22b_t0 = max_allowable_path_loss_db(p22b, MARGINS, p22b.mcs_table[0])
-pl_lte_t0 = max_allowable_path_loss_db(plte, MARGINS, plte.mcs_table[0])
+SWEEP_OPTIMA = {"802.22": "2/3 16-QAM", "802.22b": "2/3 16-QAM",
+                "802.11af": "3/4 16-QAM", "lte": "1/2 16-QAM"}
 
 
-def pl0_for(n: float) -> float:
-    return pl_22b_t0 - 10.0 * n * math.log10(ANCHOR_22B_KM)
+def derive():
+    """(lo, hi, model): the feasible exponent window, and the bundled model
+    with the coefficients it implies at their stored precision."""
+    scenario = bundled_scenario("ghent_suburban")
+    margins, base = scenario.margins, scenario.model
+    sizing = scenario.region.area_km2, scenario.population.expected_demand_mbps
+    profiles = {tech: load_technology(tech, "suburban") for tech in SWEEP_OPTIMA}
+    pl_22b, pl_lte = (max_allowable_path_loss_db(p, margins, p.mcs_table[0])
+                      for p in (profiles["802.22b"], profiles["lte"]))
 
+    def model_at(n):  # anchor A
+        return replace(base, exponent=n, pl0_db=pl_22b - 10.0 * n * math.log10(
+            ANCHOR_22B_KM / base.d0_km))
 
-def feasible(n: float) -> bool:
-    model = one_slope(pl0_for(n), 1.0, n)
-    lte_range = 10.0 ** ((pl_lte_t0 - model.pl0_db) / (10.0 * n))
-    if abs(lte_range - ANCHOR_LTE_KM) > LTE_TOL * ANCHOR_LTE_KM:
-        return False
-    for tech, want in (("802.22", "2/3 16-QAM"), ("802.22b", "2/3 16-QAM"),
-                       ("802.11af", "3/4 16-QAM"), ("lte", "1/2 16-QAM")):
-        prof = load_technology(tech, "suburban")
-        try:
-            rows = sweep_mcs(prof, MARGINS, model, AREA_KM2, DEMAND_MBPS)
-        except ValueError:
-            return False  # a tier's budget fell below the evaluation floor
-        if next(r.mcs_label for r in rows if r.is_optimal) != want:
-            return False
-    return True
+    def feasible(n):  # anchors B and C
+        model = model_at(n)
+        return (abs(reach_km(model, pl_lte) - ANCHOR_LTE_KM) <= LTE_TOL * ANCHOR_LTE_KM
+                and all(next(r.mcs_label for r in sweep_mcs(prof, margins, model, *sizing)
+                             if r.is_optimal) == SWEEP_OPTIMA[tech]
+                        for tech, prof in profiles.items()))
+
+    window = [n for n in (round(1.40 + 0.005 * i, 3) for i in range(161)) if feasible(n)]
+    if not window:
+        raise SystemExit("no feasible exponent window")
+    model = model_at(round(0.5 * (window[0] + window[-1]), 2))
+    return window[0], window[-1], replace(model, pl0_db=round(model.pl0_db, 6))
 
 
 def main():
-    lo, hi = None, None
-    n = 1.40
-    while n <= 2.20:
-        if feasible(n):
-            lo = n if lo is None else lo
-            hi = n
-        n = round(n + 0.005, 3)
-    if lo is None:
-        raise SystemExit("no feasible exponent window")
-    mid = round(0.5 * (lo + hi), 2)
+    lo, hi, derived = derive()
+    bundled = bundled_scenario("ghent_suburban").model
     print(f"feasible exponent window: [{lo:.3f}, {hi:.3f}]")
-    print(f"chosen exponent n = {mid}")
-    print(f"pl0(1 km) = {pl0_for(mid):.6f} dB")
-    print("bundled values: exponent 1.79, pl0 114.927123 dB "
-          "(calibration id suburban-oneslope-v1)")
+    print(f"chosen exponent n = {derived.exponent}")
+    print(f"pl0({derived.d0_km:g} km) = {derived.pl0_db:.6f} dB")
+    print(f"bundled values: exponent {bundled.exponent}, pl0 {bundled.pl0_db} dB "
+          f"(calibration id {bundled.calibration_id})")
+    if derived != bundled:
+        raise SystemExit("derived coefficients disagree with the bundled scenario")
 
 
 if __name__ == "__main__":

@@ -55,11 +55,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .link_budget import (EnvironmentMargins, TechnologyProfile,
-                          max_allowable_path_loss_db)
+                          max_allowable_path_loss_db, tier_range_km)
 from .power_energy import load_power_params, station_power_w
 from .propagation import PathLossModel, link_loss_db, reach_km, validity_notes
 from .scenario import Scenario, ScenarioError, generate_population
-from .sizing import sweep_mcs
+from .sizing import floor_error, sweep_mcs
 
 __all__ = [
     "PlannerConfig",
@@ -217,9 +217,9 @@ class _Budget:
 def _budget(scenario, profile, margins, model, config, power_params,
             rows=None) -> _Budget:
     """The budget of one campaign from its own arguments.  Its MCS is
-    `config.mcs_label` if set, else the optimum of the sizing sweep `rows`
-    (swept here if not given); its station draw is `station_power_w` of the
-    profile."""
+    `config.mcs_label` if set (a ScenarioError if that tier reaches no
+    distance), else the optimum of the sizing sweep `rows` (swept here if not
+    given); its station draw is `station_power_w` of the profile."""
     if config.mimo != profile.mimo:
         raise ValueError(f"PlannerConfig.mimo={config.mimo} disagrees with the profile")
     if config.mcs_label:
@@ -232,8 +232,11 @@ def _budget(scenario, profile, margins, model, config, power_params,
             rows = sweep_mcs(profile, margins, model, scenario.region.area_km2,
                              scenario.population.expected_demand_mbps)
         mcs = profile.mcs(next(r.mcs_label for r in rows if r.is_optimal))
-    return _Budget(mcs.label, max_allowable_path_loss_db(profile, margins, mcs),
-                   mcs.bitrate_at(profile.bandwidth_mhz),
+    pl_max = max_allowable_path_loss_db(profile, margins, mcs)
+    if config.mcs_label and not tier_range_km(model, pl_max):
+        raise floor_error(f"the fixed {profile.name} tier {mcs.label!r} does not "
+                          "reach", "budget", margins, model, pl_max)
+    return _Budget(mcs.label, pl_max, mcs.bitrate_at(profile.bandwidth_mhz),
                    station_power_w(profile.power_model, profile.n_transmitters,
                                    power_params))
 

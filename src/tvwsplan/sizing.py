@@ -50,6 +50,18 @@ def min_bs_for_load(total_demand_mbps: float, bs_bitrate_mbps: float) -> int:
     return math.ceil(total_demand_mbps / bs_bitrate_mbps)
 
 
+def floor_error(lead: str, noun: str, margins: EnvironmentMargins,
+                model: PathLossModel, budget_db: float) -> ScenarioError:
+    """The `environment` error for a budget below the model's loss at its
+    distance floor: `lead` says what does not reach it, `noun` names the budget."""
+    floor_db = path_loss_db(model, model.min_distance_km)
+    return ScenarioError([
+        f"environment: {lead} the model's {model.min_distance_km} km floor: with "
+        f"shadow margin {margins.shadow_margin_db} dB and fade margin "
+        f"{margins.fade_margin_db} dB, its {noun} {budget_db:.2f} dB is "
+        f"{floor_db - budget_db:.2f} dB short of the {floor_db:.2f} dB loss there"])
+
+
 def sweep_mcs(profile: TechnologyProfile, margins: EnvironmentMargins,
               model: PathLossModel, area_km2: float,
               total_demand_mbps: float) -> list:
@@ -73,13 +85,8 @@ def sweep_mcs(profile: TechnologyProfile, margins: EnvironmentMargins,
     if not rows:
         raise ValueError(f"{profile.name} has no deployable MCS")
     if not any(r.range_km for r in rows):
-        floor_db = path_loss_db(model, model.min_distance_km)
-        raise ScenarioError([
-            f"environment: no deployable {profile.name} tier reaches the model's "
-            f"{model.min_distance_km} km floor: with shadow margin "
-            f"{margins.shadow_margin_db} dB and fade margin {margins.fade_margin_db} "
-            f"dB, its largest budget {best_db:.2f} dB is {floor_db - best_db:.2f} "
-            f"dB short of the {floor_db:.2f} dB loss there"])
+        raise floor_error(f"no deployable {profile.name} tier reaches",
+                          "largest budget", margins, model, best_db)
     best = min(range(len(rows)), key=lambda i: (rows[i].n_bs_min, -rows[i].range_km))
     rows[best] = SizingResult(**{**rows[best].__dict__, "is_optimal": True})
     return rows

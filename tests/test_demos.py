@@ -1,4 +1,4 @@
-"""The planning demos run end to end in a fresh process, silently on stderr."""
+"""The demos run end to end in a fresh process, silently on stderr."""
 
 import os
 import subprocess
@@ -11,6 +11,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo, writes", [
+    ("01_path_loss_models.py", []),  # the plot only where matplotlib is installed
+    ("02_link_budgets_and_ranges.py", []),
+    ("03_station_count_bounds.py", []),
+    ("04_power_models.py", []),
     ("05_plan_campaign.py", ["demo05_out/report.json", "demo05_out/runs.csv",
                              "demo05_out/map.svg"]),
     ("06_mimo_comparison.py", [])])

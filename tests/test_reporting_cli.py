@@ -572,6 +572,30 @@ class TestCli:
         assert [r[2] for r in coverage[2:]] == ["0.000000"] * 5
         assert all(float(r[2]) > 0.05 for r in coverage[:2])
 
+    @pytest.mark.parametrize("sites", [None, {"mode": "lattice", "count": 10}])
+    def test_fixed_mcs_reaching_no_distance_fails_before_planning(
+            self, tmp_path, monkeypatch, sites):
+        # at a 40 dB shadow margin 3/4 64-QAM reaches no distance, though the
+        # two lowest tiers do: one record naming the tier, and no run planned
+        raw = copy.deepcopy(bundled_yaml("scenarios", "ghent_suburban"))
+        raw["environment"]["shadow_margin_db"] = 40.0
+        raw["sites"] = sites or raw["sites"]
+        path = tmp_path / "fixed.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        planned = []
+        monkeypatch.setattr("tvwsplan.planner._greedy_plan",
+                            lambda *args: planned.append(args))
+        code, _, err = self.run_cli("plan", "--scenario", str(path), "--mcs",
+                                    "3/4 64-QAM", "--out", str(tmp_path / "out"))
+        assert (code, planned) == (2, []), err
+        [line] = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "invalid_scenario"
+        [field_error] = error["fields"]
+        assert field_error.startswith(
+            "environment: the fixed 802.22b tier '3/4 64-QAM' does not reach")
+        assert "its budget" in field_error and "dB short of" in field_error
+
     def test_overflowing_outline_stderr_is_one_record(self, tmp_path):
         # in a subprocess, since pytest would capture numpy's warnings in process
         raw = bundled_yaml("scenarios", "ghent_suburban")
