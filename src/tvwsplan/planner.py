@@ -32,10 +32,13 @@ A campaign records the model's validity notes over the reach of its budget,
 the longest link any of its runs can plan (`propagation.validity_notes`).
 
 Every accept/reject decision lands in an event log; a user's id is its row in
-the population.  The log is stored as flat int codes (`EventLog`), and its
-event tuples are built only when it is read.  Every run in the process takes
-its user-id objects from one shared list, so all logs, assignment keys and
-uncovered sets hold one int per row.  Site growth releases each pilot it
+the population.  The log is stored as flat int codes (`records.EventLog`), and
+its event tuples are built only when it is read.  A run's assignment is stored
+as one site index per user row, -1 for an unserved user
+(`records.Assignments`), and reads as the dict `{user: site_id}`; it is
+read-only, so copy it to a dict before editing it.  Every run in the process
+takes its user-id objects from one shared list, so all logs, assignment keys
+and uncovered sets hold one int per row.  Site growth releases each pilot it
 outgrows before the next one runs.
 
 The feasibility checker shares nothing with the planner but each seed's
@@ -58,6 +61,8 @@ from .link_budget import (EnvironmentMargins, TechnologyProfile,
                           max_allowable_path_loss_db, tier_range_km)
 from .power_energy import load_power_params, station_power_w
 from .propagation import PathLossModel, link_loss_db, reach_km, validity_notes
+from .records import (EVENT_KINDS, Assignments, EventLog,  # noqa: F401 (re-exported)
+                      _shared_user_ids)
 from .scenario import Scenario, ScenarioError, generate_population
 from .sizing import floor_error, sweep_mcs
 
@@ -95,77 +100,16 @@ class PlannerConfig:
 
 @dataclass
 class Deployment:
+    """What one run switched on and who it serves.  The planner's
+    `assignments` is a read-only `Assignments`; copy it to a dict
+    (`dict(dep.assignments)`) before editing it.  The checker also takes a
+    plain dict."""
+
     active_sites: set
-    assignments: dict            # user_id -> site_id
+    assignments: Assignments | dict  # user_id -> site_id
     per_site_served_mbps: dict   # site_id -> Mbps
     per_site_power_w: dict       # site_id -> W
     uncovered_users: set
-
-
-#: the event kinds, indexed by the code `EventLog` stores
-EVENT_KINDS = ("connect", "reject_capacity", "activate", "switch",
-               "switch_reject", "uncovered")
-
-_user_ids = []  # user row -> one int object, shared by every run in the process
-
-
-def _shared_user_ids(n: int) -> list:
-    """The process's user ids, grown to at least `n`."""
-    if len(_user_ids) < n:
-        _user_ids.extend(range(len(_user_ids), n))
-    return _user_ids
-
-
-class EventLog:
-    """A run's decisions as one flat list of ints.  Per event: its kind's
-    index in `EVENT_KINDS`, then the user's row (not for `activate`), then
-    the site index (none for `uncovered`; from and to for `switch`).  Rows
-    are the process's shared user-id objects, so the log allocates no int.
-
-    It reads as the tuple of event tuples, `("connect", user, site_id)`,
-    `("activate", site_id)`, `("switch", user, from_id, to_id)` and so on,
-    built only when read.  Iteration, `len`, `in`, `==` with such a tuple
-    (either way round), `hash` and `repr` give what that tuple gives.
-    """
-
-    __slots__ = ("codes", "site_ids")
-
-    def __init__(self, codes: list, site_ids: list):
-        self.codes, self.site_ids = codes, site_ids
-
-    def _events(self) -> list:
-        """The event tuples, decoded afresh."""
-        sites, events = self.site_ids, []
-        append, codes = events.append, iter(self.codes)
-        for kind in codes:
-            if kind == 0:  # connect
-                append(("connect", next(codes), sites[next(codes)]))
-            elif kind == 2:  # activate
-                append(("activate", sites[next(codes)]))
-            elif kind == 5:  # uncovered
-                append(("uncovered", next(codes)))
-            elif kind == 3:  # switch
-                append(("switch", next(codes), sites[next(codes)], sites[next(codes)]))
-            else:  # reject_capacity, switch_reject
-                append((EVENT_KINDS[kind], next(codes), sites[next(codes)]))
-        return events
-
-    def __iter__(self):
-        return iter(self._events())
-
-    def __len__(self):
-        return len(self._events())
-
-    def __eq__(self, other):
-        if isinstance(other, (EventLog, tuple)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(self))
-
-    def __repr__(self):
-        return repr(tuple(self))
 
 
 @dataclass
@@ -340,13 +284,17 @@ def _greedy_plan(pop, sites, budget, model, seed) -> RunOutcome:
                 else:
                     codes.extend((4, users[v], j))  # switch_reject
 
-    # users enter the assignment in service order, ascending index
-    assign = {u: site_ids[link_site[k]] for u, k in zip(users, link_of) if k >= 0}
-    served = {site_ids[j]: 0.0 for j in active}
-    for u, sid in assign.items():
-        served[sid] += demand[u]
+    # each user's site index; table position -1 is the unserved sentinel
+    link_site.append(-1)
+    site_of = list(map(link_site.__getitem__, link_of))
+    # served totals summed in ascending user; index -1 collects the unserved
+    total = [0.0] * (n_sites + 1)
+    for j, want in zip(site_of, demand):
+        total[j] += want
+    served = {site_ids[j]: total[j] for j in active}
     deployment = Deployment(
-        active_sites={site_ids[j] for j in active}, assignments=assign,
+        active_sites={site_ids[j] for j in active},
+        assignments=Assignments(site_of, site_ids),
         per_site_served_mbps=served,
         per_site_power_w={site_ids[j]: budget.station_w for j in active},
         uncovered_users=set(uncovered))
@@ -558,7 +506,7 @@ def check_deployment(outcome: RunOutcome, scenario: Scenario,
     if not abs(outcome.served_mbps_total - sum(served.values())) <= 1e-6:
         problems.append("served total disagrees with the assigned demand")
 
-    if set(range(n_users)) - dep.assignments.keys() != dep.uncovered_users:
+    if set(range(n_users)).difference(dep.assignments) != dep.uncovered_users:
         problems.append("uncovered set does not match assignment complement")
     c = 1.0 - len(dep.uncovered_users) / n_users if n_users else 1.0
     if abs(c - outcome.coverage_fraction) > 1e-9:

@@ -1,9 +1,15 @@
 import copy
+import gc
 import itertools
 import math
+import os
 import pickle
+import subprocess
+import sys
+import tracemalloc
 import weakref
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -195,6 +201,123 @@ def test_event_log_reads_as_its_tuple(micro_scenario, micro_margins, tvws_power)
                                                 repr(events))
     again = pickle.loads(pickle.dumps(log))
     assert type(again) is type(log) and again == log and repr(again) == repr(events)
+
+
+def test_event_log_decodes_once_per_read(monkeypatch, micro_scenario,
+                                         micro_margins, tvws_power):
+    # `len` steps over the codes, so no read decodes a log twice
+    logs = [greedy(micro_scenario, pop, sites, TIERED, micro_margins,
+                   one_slope(108.0, 1.0, 3.5), tvws_power, CFG, label,
+                   seed).event_log
+            for sites, pop, label, seed in KIND_LAYOUTS.values()]
+    assert all(len(log) == len(tuple(log)) for log in logs)  # all six kinds
+    log = logs[0]
+    events, twin = tuple(log), planner.EventLog(list(log.codes), log.site_ids)
+    decoded, decode = [], planner.EventLog._events
+    monkeypatch.setattr(planner.EventLog, "_events",
+                        lambda self: decoded.append(self) or decode(self))
+    for read, operands in ((repr, [log]), (hash, [log]), (tuple, [log]),
+                           (len, []), (lambda x: x == events, [log]),
+                           (lambda x: events == x, [log]),
+                           (lambda x: x == twin, [log, twin])):
+        decoded.clear()
+        read(log)
+        assert sorted(map(id, decoded)) == sorted(map(id, operands))
+
+
+# served users below and above 256 at both sites; users 5 and 301 are out of
+# range.  Users 150-299 join site 0 and move to site 1 once user 300 opens it.
+PARITY_SITES = [CandidateSite(0, 0.8, 1.5, 30.0), CandidateSite(1, 3.2, 1.5, 30.0)]
+PARITY_POP = manual_population(
+    [(20.0, 20.0) if u in (5, 301) else (1.0, 1.5) if u < 150
+     else (2.1, 1.5) if u < 300 else (3.2, 1.5) for u in range(302)],
+    [0.01] * 302)
+
+
+@pytest.fixture
+def parity_run(micro_scenario, micro_profile, micro_margins, micro_model,
+               tvws_power):
+    """(the kernel's assignment, the former loop's dict) of one run."""
+    args = (micro_profile, micro_margins, micro_model, tvws_power)
+    got = greedy(micro_scenario, PARITY_POP, PARITY_SITES, *args, CFG,
+                 "1/2 QPSK", 0)
+    want = greedy_plan_oracle(PARITY_POP, PARITY_SITES, *args, "1/2 QPSK", 0)
+    return got.deployment.assignments, want.deployment.assignments
+
+
+class TestAssignments:
+    """The stored assignment reads as the dict it replaces."""
+
+    def test_reads_as_its_dict(self, parity_run):
+        view, want = parity_run
+        assert isinstance(view, planner.Assignments) and type(want) is dict
+        assert set(range(302)) - set(want) == {5, 301}
+        assert {want[u] for u in (0, 299, 300)} == {0, 1} and want[299] == 1
+        assert view == want and want == view
+        assert not view != want and not want != view
+        moved, short = {**want, 0: 1}, dict(list(want.items())[:-1])
+        for other in (moved, short, {**want, 5: 0}):
+            assert view != other and other != view
+            assert not view == other and not other == view
+        for key in (0, 4, 200, 299, 300, 5, 301, -1, 9999, 0.0):
+            assert (key in view) == (key in want), key
+            if key in want:
+                assert view[key] == want[key]
+            else:
+                with pytest.raises(KeyError) as miss:
+                    view[key]
+                assert miss.value.args == (key,)
+        assert len(view) == len(want) == 300
+        assert list(view.items()) == list(want.items())
+        assert list(view) == list(view.keys()) == list(want)
+        assert type(dict(view)) is dict and dict(view) == want
+        assert repr(view) == repr(want)
+
+    def test_unpickles_in_a_fresh_process(self, parity_run):
+        # the keys come from the reading process's user ids, not the pickle
+        view, want = parity_run
+        src = str(Path(planner.__file__).resolve().parents[1])
+        code = ("import pickle, sys\n"
+                "from tvwsplan import planner, records\n"
+                "view, want = pickle.loads(sys.stdin.buffer.read())\n"
+                "assert records._user_ids == [] and type(view) is planner.Assignments\n"
+                "assert view == want and want == view and len(view) == len(want)\n"
+                "assert list(view.items()) == list(want.items())\n"
+                "print(repr(view))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], input=pickle.dumps((view, want)),
+            capture_output=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))})
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.decode() == repr(want) + "\n"
+
+    def test_retains_a_few_bytes_per_user(self, micro_scenario, micro_profile,
+                                          micro_margins, micro_model, tvws_power):
+        # one list slot per user: the dicts it replaces retained about 40 bytes
+        users, runs = 300, 10
+        spec = replace(micro_scenario.population, user_count=users,
+                       data_fraction=0.0)
+        sites = [CandidateSite(i, x, y, 30.0) for i, (x, y) in enumerate(
+            itertools.product((0.5, 1.5, 2.5, 3.5), (0.5, 1.5, 2.5)))]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = run_campaign(replace(micro_scenario, population=spec),
+                                  micro_profile, micro_margins, micro_model,
+                                  tvws_power, PlannerConfig(runs=runs, base_seed=42),
+                                  sites=sites)
+            served = sum(len(o.deployment.assignments) for o in result.outcomes)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            for o in result.outcomes:
+                o.deployment.assignments = None
+            gc.collect()
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert served > 0.9 * users * runs
+        assert 0 < held <= 12 * users * runs
 
 
 def greedy_plan_oracle(pop, sites, profile, margins, model, power_params,
@@ -623,6 +746,7 @@ class TestFeasibilityChecker:
         assert check_deployment(out, *args, CFG, micro_sites) == []
         out = copy.deepcopy(out)
         dep = out.deployment
+        dep.assignments = dict(dep.assignments.items())  # the planner's is read-only
         pop = generate_population(micro_scenario.region,
                                   micro_scenario.population, out.seed)
         if tamper == "deactivate_a_serving_site":
