@@ -14,17 +14,17 @@ tvws = load_power_params("tvws")
 macro = load_power_params("macro")
 
 print("TVWS station power (W):")
-print(f"  idle (alpha=0, P_r=0):        {tvws_bs_power_w(tvws, BsPowerInput(1, 1, 0.0, 0.0)):7.2f}")
-print(f"  SISO, 4 W radiated, full load: {tvws_bs_power_w(tvws, BsPowerInput(1, 1, 4.0, 1.0)):7.2f}")
-print(f"  4x4, 4 W per branch:           {tvws_bs_power_w(tvws, BsPowerInput(1, 4, 4.0, 1.0)):7.2f}")
+print(f"  idle (alpha=0, P_r=0):        {tvws_bs_power_w(tvws, BsPowerInput(1, 0.0, 0.0)):7.2f}")
+print(f"  SISO, 4 W radiated, full load: {tvws_bs_power_w(tvws, BsPowerInput(1, 4.0, 1.0)):7.2f}")
+print(f"  4x4, 4 W per branch:           {tvws_bs_power_w(tvws, BsPowerInput(4, 4.0, 1.0)):7.2f}")
 
 print("\nmacrocell station power (W):")
-print(f"  SISO, 4 W radiated:            {macro_bs_power_w(macro, BsPowerInput(1, 1, 4.0, 1.0)):7.2f}")
-print(f"  4x4, 4 W per branch:           {macro_bs_power_w(macro, BsPowerInput(1, 4, 4.0, 1.0)):7.2f}")
+print(f"  SISO, 4 W radiated:            {macro_bs_power_w(macro, BsPowerInput(1, 4.0, 1.0)):7.2f}")
+print(f"  4x4, 4 W per branch:           {macro_bs_power_w(macro, BsPowerInput(4, 4.0, 1.0)):7.2f}")
 
 print("\nnetwork comparison at full load:")
-print(f"  20 TVWS stations: {20 * tvws_bs_power_w(tvws, BsPowerInput(1, 1, 4.0, 1.0)):8.1f} W")
-print(f"  36 macro stations: {36 * macro_bs_power_w(macro, BsPowerInput(1, 1, 4.0, 1.0)):7.1f} W")
+print(f"  20 TVWS stations: {20 * tvws_bs_power_w(tvws, BsPowerInput(1, 4.0, 1.0)):8.1f} W")
+print(f"  36 macro stations: {36 * macro_bs_power_w(macro, BsPowerInput(1, 4.0, 1.0)):7.1f} W")
 
 runs = [
     RunEnergy(coverage_fraction=0.97, served_mbps=(16.0, 14.5, 15.2),

@@ -344,11 +344,13 @@ def run_campaign(scenario: Scenario, profile: TechnologyProfile,
     return _campaign(scenario, sites, budget, model, config)
 
 
-def _campaign(scenario, sites, budget, model, config) -> CampaignResult:
-    region, spec = scenario.region, scenario.population
-    outcomes = [_greedy_plan(generate_population(region, spec, seed), sites,
-                             budget, model, seed)
-                for seed in range(config.base_seed, config.base_seed + config.runs)]
+def _campaign(scenario, sites, budget, model, config, done=()) -> CampaignResult:
+    # `done`: outcomes of the first seeds, already planned on these sites and budget
+    region, spec, first = scenario.region, scenario.population, config.base_seed
+    outcomes = list(done[:config.runs]) + [
+        _greedy_plan(generate_population(region, spec, seed), sites, budget,
+                     model, seed)
+        for seed in range(first + len(done), first + config.runs)]
     cov = np.array([o.coverage_fraction for o in outcomes])
     pow_ = np.array([o.total_power_w for o in outcomes])
     act = np.array([len(o.deployment.active_sites) for o in outcomes])
@@ -421,9 +423,9 @@ def plan(scenario: Scenario, profile: TechnologyProfile,
 
     Model, margins and power parameters come from the scenario and profile.
     `auto_grow` sites grow as in `grow_site_set`, else the history is empty.
-    The last pilot has the campaign's sites, budget and seeds, so it is the
-    campaign when `config.runs` equals `pilot_runs`.  A run that activates
-    no site is a ScenarioError: its energy efficiency is undefined.
+    The campaign reuses the last pilot's runs (its sites, budget and first
+    seeds) and plans only the seeds after them.  A run that activates no
+    site is a ScenarioError: its energy efficiency is undefined.
     """
     model = scenario.model_for(profile)
     power_params = load_power_params(profile.power_model)
@@ -431,12 +433,10 @@ def plan(scenario: Scenario, profile: TechnologyProfile,
         result, history = run_campaign(scenario, profile, scenario.margins,
                                        model, power_params, config), []
     else:
-        result, history = _grow(scenario, profile, scenario.margins, model,
-                                power_params, config)
-        if config.runs != scenario.site_policy.pilot_runs:
-            sites, budget = result.sites, result.budget
-            del result  # the last pilot is released before the campaign runs
-            result = _campaign(scenario, sites, budget, model, config)
+        pilot, history = _grow(scenario, profile, scenario.margins, model,
+                               power_params, config)
+        result = _campaign(scenario, pilot.sites, pilot.budget, model, config,
+                           pilot.outcomes)
     idle = [o.seed for o in result.outcomes if not o.deployment.active_sites]
     if idle:
         raise ScenarioError([

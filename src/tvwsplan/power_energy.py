@@ -6,9 +6,10 @@ TVWS base stations follow
     P_BS = P_bh + P_idle + n_st * n_tx * alpha * (P_r / eta_ru + P_PoE)
 
 with the backhaul draw P_bh constant and the radio-unit and PoE draw scaling
-with load.  LTE-class macrocells use a fixed block (rectifier, processing,
-backhaul) plus a per-transmitter block (power amplifier at `amp_efficiency`
-plus transceiver overhead); its coefficients are calibration data, pinned by
+with load; the planner's sites have one sector (n_st = 1).  LTE-class
+macrocells use a fixed block (rectifier, processing, backhaul) plus a
+per-transmitter block (power amplifier at `amp_efficiency` plus transceiver
+overhead); its coefficients are calibration data, pinned by
 scripts/calibrate_macro_power.py.
 
 Network energy efficiency aggregates Monte-Carlo runs:
@@ -72,14 +73,13 @@ class MacroPowerParams:
 
 @dataclass(frozen=True)
 class BsPowerInput:
-    n_sectors: int = 1
     n_transmitters: int = 1
     radiated_power_w: float = RADIATED_POWER_W  # per transmitter
     load_factor: float = LOAD_FACTOR
 
     def __post_init__(self):
-        if self.n_sectors < 1 or self.n_transmitters < 1:
-            raise ValueError("sector and transmitter counts must be >= 1")
+        if self.n_transmitters < 1:
+            raise ValueError("transmitter count must be >= 1")
         if self.radiated_power_w < 0:
             raise ValueError("radiated power must be >= 0")
         if not 0.0 <= self.load_factor <= 1.0:
@@ -88,15 +88,14 @@ class BsPowerInput:
 
 def tvws_bs_power_w(params: TvwsPowerParams, inp: BsPowerInput) -> float:
     return (params.p_backhaul_w + params.p_idle_w
-            + inp.n_sectors * inp.n_transmitters * inp.load_factor
+            + inp.n_transmitters * inp.load_factor
             * (inp.radiated_power_w / params.ru_efficiency + params.p_poe_w))
 
 
 def macro_bs_power_w(params: MacroPowerParams, inp: BsPowerInput) -> float:
     return (params.p_fixed_w
-            + inp.n_sectors * inp.n_transmitters
-            * (inp.radiated_power_w / params.amp_efficiency
-               + params.p_per_tx_overhead_w))
+            + inp.n_transmitters * (inp.radiated_power_w / params.amp_efficiency
+                                    + params.p_per_tx_overhead_w))
 
 
 POWER_MODELS = {

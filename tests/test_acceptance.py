@@ -98,14 +98,14 @@ def battery():
 # --- exact tier ------------------------------------------------------------
 
 def test_c01_tvws_station_power():
-    p = tvws_bs_power_w(load_power_params("tvws"), BsPowerInput(1, 1, 4.0, 1.0))
+    p = tvws_bs_power_w(load_power_params("tvws"), BsPowerInput(1, 4.0, 1.0))
     ok = abs(p - 63.98) < 0.1 and abs(p - 64.0) < 0.1
     assert report("criterion 1: TVWS station full-load power ~64 W",
                   ok, f"{p:.3f} W")
 
 
 def test_c02_tvws_idle_power():
-    p = tvws_bs_power_w(load_power_params("tvws"), BsPowerInput(1, 1, 0.0, 0.0))
+    p = tvws_bs_power_w(load_power_params("tvws"), BsPowerInput(1, 0.0, 0.0))
     ok = p == pytest.approx(38.0, abs=1e-12)
     assert report("criterion 2: TVWS idle power = backhaul + idle = 38 W",
                   ok, f"{p:.3f} W")
@@ -408,8 +408,8 @@ def test_c12_monotonicity_and_homogeneity_grids():
     params = load_power_params("tvws")
     for n_tx in (1, 2, 4):
         for alpha in (0.0, 0.5, 1.0):
-            p0 = tvws_bs_power_w(params, BsPowerInput(1, n_tx, 2.0, alpha))
-            p1 = tvws_bs_power_w(params, BsPowerInput(1, n_tx, 3.0, alpha))
+            p0 = tvws_bs_power_w(params, BsPowerInput(n_tx, 2.0, alpha))
+            p1 = tvws_bs_power_w(params, BsPowerInput(n_tx, 3.0, alpha))
             ok &= (p1 - p0) == pytest.approx(n_tx * alpha / 0.182, rel=1e-9)
     runs = [RunEnergy(0.9, (8.0, 6.0), (64.0, 64.0))]
     ee = network_energy_efficiency(runs, 68.0)

@@ -400,7 +400,7 @@ def greedy_plan_oracle(pop, sites, profile, margins, model, power_params,
         rebalance(chosen)
 
     bs_power = tvws_bs_power_w(power_params,
-                               BsPowerInput(1, profile.n_transmitters, 4.0, 1.0))
+                               BsPowerInput(profile.n_transmitters, 4.0, 1.0))
     served = {site_ids[j]: 0.0 for j in active}
     for u, j in assign.items():
         served[site_ids[j]] += float(pop.demand_mbps[u])
@@ -1001,20 +1001,21 @@ class TestGrowth:
         assert len(history) > 1
         assert sweep.call_count == 1
 
-    @pytest.mark.parametrize("runs, final", [(5, 0), (7, 1)])
-    def test_plan_reuses_the_last_pilot(self, micro_profile, tvws_power, runs,
-                                        final):
-        # with runs == pilot_runs the last pilot is the campaign; otherwise
-        # one campaign more runs on the grown sites.  One sweep either way.
+    @pytest.mark.parametrize("runs", [3, 5, 7])
+    def test_plan_reuses_the_last_pilot(self, micro_profile, tvws_power, runs):
+        # the campaign takes the last pilot's runs and plans only the seeds
+        # past pilot_runs, so no (site set, seed) is planned twice; one sweep
         sc = self._grow_scenario(target=0.95)
+        pilot_runs = sc.site_policy.pilot_runs
         cfg = PlannerConfig(runs=runs, base_seed=500)
-        with mock.patch.object(planner, "_campaign",
-                               wraps=planner._campaign) as campaigns, \
+        with mock.patch.object(planner, "_greedy_plan",
+                               wraps=planner._greedy_plan) as greedy, \
                 mock.patch.object(planner, "sweep_mcs",
                                   wraps=planner.sweep_mcs) as sweep:
             result, history = planner.plan(sc, micro_profile, cfg)
         assert len(history) > 1
-        assert campaigns.call_count == len(history) + final
+        assert greedy.call_count == \
+            pilot_runs * len(history) + max(0, runs - pilot_runs)
         assert sweep.call_count == 1
         fresh = run_campaign(sc, micro_profile, sc.margins, sc.model,
                              tvws_power, cfg, sites=result.sites)
@@ -1023,23 +1024,32 @@ class TestGrowth:
         assert (len(result.sites), result.mean_coverage) == \
             (history[-1][0], fresh.mean_coverage)
 
-    def test_outgrown_pilots_are_released(self, micro_profile, monkeypatch):
-        # no earlier pilot's outcomes are alive when the next campaign starts,
-        # the final 7-run campaign after the last 5-run pilot included
+    @pytest.mark.parametrize("runs", [3, 5, 7])
+    def test_outgrown_pilots_are_released(self, micro_profile, monkeypatch,
+                                          runs):
+        # no outgrown pilot's outcomes are alive when the next pilot or the
+        # final campaign starts; the campaign holds the last pilot's first
+        # outcomes themselves, and the pilot's surplus dies when plan returns
         sc = self._grow_scenario(target=0.95)
-        campaign, pilots = planner._campaign, []
+        pilot_runs = sc.site_policy.pilot_runs
+        campaign, calls, alive = planner._campaign, [], []
 
         def recording(*args):
-            assert [ref() for ref in pilots] == [None] * len(pilots)
+            alive.append([i for i, refs in enumerate(calls)
+                          if any(ref() is not None for ref in refs)])
             result = campaign(*args)
-            pilots.append(weakref.ref(result.outcomes[0]))
+            calls.append([weakref.ref(o) for o in result.outcomes])
             return result
 
         monkeypatch.setattr(planner, "_campaign", recording)
-        _, history = planner.plan(sc, micro_profile,
-                                  PlannerConfig(runs=7, base_seed=500))
-        assert len(history) > 1
-        assert len(pilots) == len(history) + 1
+        result, history = planner.plan(sc, micro_profile,
+                                       PlannerConfig(runs=runs, base_seed=500))
+        n, kept = len(history), min(runs, pilot_runs)
+        assert n > 1 and len(calls) == n + 1
+        assert alive[:n] == [[]] * n and set(alive[n]) <= {n - 1}
+        last = [ref() for ref in calls[n - 1]]
+        assert all(o is p for o, p in zip(result.outcomes[:kept], last[:kept]))
+        assert last[kept:] == [None] * (pilot_runs - kept)
 
     def test_growth_cap_raises_with_best_coverage(self, micro_profile, tvws_power):
         # the sizing start is 13 sites and the step 4: pilots at 13 and 17

@@ -14,39 +14,37 @@ DEFAULTS = load_power_params("tvws")
 
 class TestTvwsPower:
     def test_single_tx_full_load_is_64w(self):
-        p = tvws_bs_power_w(DEFAULTS, BsPowerInput(1, 1, 4.0, 1.0))
+        p = tvws_bs_power_w(DEFAULTS, BsPowerInput(1, 4.0, 1.0))
         assert p == pytest.approx(63.978, abs=0.01)
         assert abs(p - 64.0) < 0.1
 
     def test_idle_draw_is_backhaul_plus_idle(self):
-        p = tvws_bs_power_w(DEFAULTS, BsPowerInput(1, 1, 0.0, 0.0))
+        p = tvws_bs_power_w(DEFAULTS, BsPowerInput(1, 0.0, 0.0))
         assert p == pytest.approx(38.0, abs=1e-12)
 
     def test_four_transmitters_direct_evaluation(self):
         # 32 + 6 + 4*(4/0.182 + 4) = 141.91 W
-        p = tvws_bs_power_w(DEFAULTS, BsPowerInput(1, 4, 4.0, 1.0))
+        p = tvws_bs_power_w(DEFAULTS, BsPowerInput(4, 4.0, 1.0))
         expected = 32.0 + 6.0 + 4.0 * (4.0 / 0.182 + 4.0)
         assert p == pytest.approx(expected, abs=1e-9)
         assert p == pytest.approx(141.912, abs=0.01)
 
     def test_idle_independent_of_tx_configuration(self):
-        for n_st in (1, 2, 3):
-            for n_tx in (1, 2, 4):
-                assert tvws_bs_power_w(
-                    DEFAULTS, BsPowerInput(n_st, n_tx, 7.5, 0.0)) == pytest.approx(38.0)
+        for n_tx in (1, 2, 4):
+            assert tvws_bs_power_w(
+                DEFAULTS, BsPowerInput(n_tx, 7.5, 0.0)) == pytest.approx(38.0)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 4), st.integers(1, 4),
-           st.floats(0.0, 20.0), st.floats(0.01, 0.99))
-    def test_affine_slopes_by_finite_difference(self, n_st, n_tx, p_r, alpha):
+    @given(st.integers(1, 4), st.floats(0.0, 20.0), st.floats(0.01, 0.99))
+    def test_affine_slopes_by_finite_difference(self, n_tx, p_r, alpha):
         def f(pr, a):
-            return tvws_bs_power_w(DEFAULTS, BsPowerInput(n_st, n_tx, pr, a))
-        # slope in radiated power: n_st*n_tx*alpha/eta
+            return tvws_bs_power_w(DEFAULTS, BsPowerInput(n_tx, pr, a))
+        # slope in radiated power: n_tx*alpha/eta
         d_pr = (f(p_r + 1.0, alpha) - f(p_r, alpha))
-        assert d_pr == pytest.approx(n_st * n_tx * alpha / 0.182, rel=1e-9)
-        # slope in load factor: n_st*n_tx*(p_r/eta + p_poe)
+        assert d_pr == pytest.approx(n_tx * alpha / 0.182, rel=1e-9)
+        # slope in load factor: n_tx*(p_r/eta + p_poe)
         d_a = (f(p_r, min(alpha + 0.01, 1.0)) - f(p_r, alpha)) / (min(alpha + 0.01, 1.0) - alpha)
-        assert d_a == pytest.approx(n_st * n_tx * (p_r / 0.182 + 4.0), rel=1e-6)
+        assert d_a == pytest.approx(n_tx * (p_r / 0.182 + 4.0), rel=1e-6)
 
     def test_parameter_validation(self):
         with pytest.raises(TypeError):  # the values live in data/power/tvws.yaml
@@ -56,41 +54,41 @@ class TestTvwsPower:
         with pytest.raises(ValueError):
             replace(DEFAULTS, p_idle_w=-1.0)
         with pytest.raises(ValueError):
-            BsPowerInput(0, 1, 4.0, 1.0)
+            BsPowerInput(0, 4.0, 1.0)
         with pytest.raises(ValueError):
-            BsPowerInput(1, 1, 4.0, 1.5)
+            BsPowerInput(1, 4.0, 1.5)
 
 
 class TestMacroPower:
     def test_calibrated_station_draw(self):
         params = load_power_params("macro")
-        p = macro_bs_power_w(params, BsPowerInput(1, 1, 4.0, 1.0))
+        p = macro_bs_power_w(params, BsPowerInput(1, 4.0, 1.0))
         assert p == pytest.approx(382.5, abs=0.5)
         assert 36 * p == pytest.approx(13769.0, abs=20.0)
 
     def test_pa_share_below_ten_percent(self):
         params = load_power_params("macro")
-        total = macro_bs_power_w(params, BsPowerInput(1, 1, 4.0, 1.0))
+        total = macro_bs_power_w(params, BsPowerInput(1, 4.0, 1.0))
         assert (4.0 / params.amp_efficiency) / total < 0.10
 
     def test_no_radiated_power_leaves_fixed_plus_overhead(self):
         params = MacroPowerParams(300.0, 0.12, 50.0)
-        p = macro_bs_power_w(params, BsPowerInput(1, 1, 0.0, 1.0))
+        p = macro_bs_power_w(params, BsPowerInput(1, 0.0, 1.0))
         assert p == pytest.approx(350.0, abs=1e-12)
 
     def test_per_tx_block_scales_linearly(self):
         params = load_power_params("macro")
-        one = macro_bs_power_w(params, BsPowerInput(1, 1, 4.0, 1.0))
-        four = macro_bs_power_w(params, BsPowerInput(1, 4, 4.0, 1.0))
+        one = macro_bs_power_w(params, BsPowerInput(1, 4.0, 1.0))
+        four = macro_bs_power_w(params, BsPowerInput(4, 4.0, 1.0))
         per_tx = one - params.p_fixed_w
         assert four - params.p_fixed_w == pytest.approx(4 * per_tx, rel=1e-12)
 
     def test_network_power_ratio_tvws_vs_lte(self):
         # 20 TVWS stations vs 36 macro stations at full load: the macro
         # network draws an order of magnitude more
-        tvws = 20 * tvws_bs_power_w(DEFAULTS, BsPowerInput(1, 1, 4.0, 1.0))
+        tvws = 20 * tvws_bs_power_w(DEFAULTS, BsPowerInput(1, 4.0, 1.0))
         lte = 36 * macro_bs_power_w(load_power_params("macro"),
-                                    BsPowerInput(1, 1, 4.0, 1.0))
+                                    BsPowerInput(1, 4.0, 1.0))
         assert lte / tvws > 9.0
         assert tvws == pytest.approx(1279.6, abs=1.0)
         assert lte == pytest.approx(13769.0, abs=20.0)

@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import yaml
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tvwsplan import geometry, link_budget, scenario
 from tvwsplan.link_budget import bundled_names, bundled_yaml, load_technology
@@ -485,11 +485,16 @@ class TestContainmentMatchesBroadcast:
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(star_regions().map(lambda r: r.outline), rectilinear_outlines()),
            st.integers(0, 2**32 - 1), st.integers(0, 400))
+    # a rectilinear outline with y1 == y2 repeats a vertex: a zero-length edge
+    @example(((0.0, 0.0), (2.0, 0.0), (2.0, 6.0), (1.0, 6.0), (1.0, 6.0), (0.0, 6.0)),
+             0, 400)
     def test_matches_broadcast_oracle(self, outline, seed, keep):
         rng = np.random.default_rng(seed)
         v = np.asarray(outline)
         edge = np.roll(v, -1, axis=0) - v
-        normal = edge[:, ::-1] * [1.0, -1.0] / np.hypot(*edge.T)[:, None]
+        length = np.hypot(*edge.T)[:, None]
+        # a zero-length edge (a repeated vertex) gets no normal offset
+        normal = edge[:, ::-1] * [1.0, -1.0] / np.where(length > 0, length, 1.0)
         on_edge = v + rng.uniform(0, 1, (len(v), 1)) * edge
         near = [on_edge + d * offset for d in (1e-12, -1e-12, 1e-10, -1e-10)
                 for offset in (normal, np.array([1.0, 0.0]), np.array([0.0, 1.0]))]
