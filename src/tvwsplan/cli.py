@@ -123,8 +123,8 @@ def _study(args):
     """(scenario, profile, model, provenance) of the command's study."""
     scenario = _load_scenario(args)
     profile = _load_profile(scenario, args)
-    model = scenario.model_for(profile)
-    return scenario, profile, model, _base_provenance(scenario, profile, model)
+    return (scenario, profile, scenario.model_for(profile),
+            _base_provenance(scenario, profile))
 
 
 def cmd_pathloss(args) -> list:

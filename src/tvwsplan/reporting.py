@@ -85,8 +85,7 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def _base_provenance(scenario: Scenario, profile: TechnologyProfile,
-                     model: PathLossModel) -> dict:
+def _base_provenance(scenario: Scenario, profile: TechnologyProfile) -> dict:
     """Provenance of a study; `build_report` adds its campaign's seed and runs."""
     prov = {
         "tool": "tvwsplan",
@@ -95,8 +94,8 @@ def _base_provenance(scenario: Scenario, profile: TechnologyProfile,
         "scenario_digest": scenario.digest,
         "technology": profile.name,
         "environment": scenario.environment,
-        "model_variant": model.variant,
-        "model_calibration": model.calibration_id or "none",
+        "model_variant": scenario.model.variant,
+        "model_calibration": scenario.model.calibration_id or "none",
         "mimo": "4x4" if profile.mimo else "siso",
     }
     prov.update({f"convention_{k}": v for k, v in CONVENTIONS.items()})
@@ -113,7 +112,7 @@ def build_report(scenario: Scenario, profile: TechnologyProfile,
                for o in result.outcomes]
     ee = float(np.mean(ee_runs))
     ee_lit = ee * scenario.population.user_count
-    prov = _base_provenance(scenario, profile, scenario.model_for(profile))
+    prov = _base_provenance(scenario, profile)
     prov.update(base_seed=base_seed, runs=runs)
     if result.model_warnings:
         prov["model_warnings"] = " | ".join(result.model_warnings)

@@ -92,7 +92,6 @@ class CandidateSite:
     id: int
     x_km: float
     y_km: float
-    antenna_height_m: float
 
 
 @dataclass(frozen=True)
@@ -266,8 +265,7 @@ class Scenario:
         pts = _lattice_xy(self.region.outline, count,
                           self.site_policy.jitter_fraction,
                           self.site_policy.seed + count)
-        return [CandidateSite(id=i, x_km=float(x), y_km=float(y),
-                              antenna_height_m=self.site_policy.antenna_height_m)
+        return [CandidateSite(id=i, x_km=float(x), y_km=float(y))
                 for i, (x, y) in enumerate(pts)]
 
     @functools.cached_property
@@ -318,15 +316,18 @@ _MODELS = {
                                     ("rx_height_m", float, None, 0, 1000),
                                     ("offset_db", float, 0.0, -100, 100)),
 }
-_SITES = (("jitter_fraction", float, 0.3, 0), ("seed", int, 1, 0),
-          ("antenna_height_m", float, 30.0))
+_HEIGHT = ("antenna_height_m", float, 30.0)
+_LATTICE = (("jitter_fraction", float, 0.3, 0), ("seed", int, 1, 0), _HEIGHT)
 _SITE_MODES = {
-    "explicit": _SITES + (("list", list, []),),
-    "lattice": _SITES + (("count", int, None, 1),),
-    "auto_grow": _SITES + (("target_coverage", float, 0.95, 0, 1),
-                           ("pilot_runs", int, 10, 1), ("max_sites", int, 200, 1)),
+    "explicit": (_HEIGHT, ("list", list, [])),
+    "lattice": _LATTICE + (("count", int, None, 1),),
+    "auto_grow": _LATTICE + (("target_coverage", float, 0.95, 0, 1),
+                             ("pilot_runs", int, 10, 1), ("max_sites", int, 200, 1)),
 }
 _SITE_ENTRY = (("id", int), ("x_km", float), ("y_km", float))
+# the keys a section accepts besides its table's, which its reader takes itself
+_BY_HAND = {"region": ("outline_km",), "environment": ("kind",),
+            "propagation": ("variant",), "sites": ("mode",)}
 
 
 def _field(errors: list, cfg: dict, where: str, name: str, kind, default=None,
@@ -363,9 +364,12 @@ def _field(errors: list, cfg: dict, where: str, name: str, kind, default=None,
 
 def _read(errors: list, cfg: dict, where: str, rows, make=dict, **known):
     """`make(**known, **fields)` over the fields `rows` of `cfg`, or None when
-    a field or a known value is faulty (its error is listed already).  A
-    `ValueError` from `make`, a class invariant, is listed under `where`."""
+    a field or a known value is faulty; each key of neither `rows` nor
+    `_BY_HAND` is listed unknown, and a `ValueError` from `make` under `where`."""
     fields = dict(known, **{row[0]: _field(errors, cfg, where, *row) for row in rows})
+    accepted = {row[0] for row in rows}.union(_BY_HAND.get(where, ()))
+    errors += [f"{where}.{key}: unknown field" if where else f"{key}: unknown field"
+               for key in cfg if key not in accepted]
     if None in fields.values():
         return None
     try:
@@ -392,18 +396,18 @@ def _outline(errors: list, cfg: dict) -> tuple | None:
 
 def _site_list(errors: list, policy: dict, region: Region | None):
     """Read `policy["list"]` into `policy["sites"]`, listing faults under
-    `sites.list`: field errors and repeated ids in list order, then per site
-    a non-positive antenna height, else a position more than `SITE_MARGIN_KM`
-    outside the region, all positions checked in one pass."""
+    `sites.list`: field errors and repeated ids in list order, then each
+    position more than `SITE_MARGIN_KM` outside the region, all positions
+    checked in one pass."""
     entries = policy.pop("list")
     if not entries:
         errors.append("sites.list: explicit mode needs at least one site")
-    rows = _SITE_ENTRY + (("antenna_height_m", float, policy["antenna_height_m"]),)
     sites, seen = [], set()
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             errors.append(f"sites.list: [{i}]: must be a mapping, got {entry!r}")
-        elif site := _read(errors, entry, f"sites.list: [{i}]", rows, CandidateSite):
+        elif site := _read(errors, entry, f"sites.list: [{i}]", _SITE_ENTRY,
+                           CandidateSite):
             if site.id in seen:
                 errors.append(f"sites.list: site id {site.id} repeats")
             seen.add(site.id)
@@ -413,10 +417,7 @@ def _site_list(errors: list, policy: dict, region: Region | None):
         inside = geometry.points_in_polygon(xy, region.outline)
         outside_km = geometry.distance_to_outline(xy, region.outline)
         for site, within, d in zip(sites, inside.tolist(), outside_km.tolist()):
-            if not site.antenna_height_m > 0:  # NaN is not positive either
-                errors.append(f"sites.list: site {site.id}: antenna height "
-                              "must be positive")
-            elif not within and d > SITE_MARGIN_KM:
+            if not within and d > SITE_MARGIN_KM:
                 errors.append(f"sites.list: site {site.id} lies {d:.2f} km outside "
                               f"the region (limit {SITE_MARGIN_KM} km)")
     policy["sites"] = tuple(sites)

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from tvwsplan.link_budget import EnvironmentMargins, McsEntry, TechnologyProfile
@@ -5,6 +8,15 @@ from tvwsplan.power_energy import load_power_params
 from tvwsplan.propagation import one_slope
 from tvwsplan.scenario import (PopulationSpec, Region, Scenario, SitePolicy,
                                CandidateSite)
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def with_src(env):
+    """`env` with this checkout's `src` first on its PYTHONPATH, so that a
+    child Python process imports the tvwsplan under test."""
+    path = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return {**env, "PYTHONPATH": path}
 
 
 @pytest.fixture(scope="session")
@@ -39,9 +51,9 @@ def micro_model():
 
 @pytest.fixture(scope="session")
 def micro_sites():
-    return [CandidateSite(0, 0.8, 1.5, 30.0),
-            CandidateSite(1, 2.0, 1.5, 30.0),
-            CandidateSite(2, 3.2, 1.5, 30.0)]
+    return [CandidateSite(0, 0.8, 1.5),
+            CandidateSite(1, 2.0, 1.5),
+            CandidateSite(2, 3.2, 1.5)]
 
 
 @pytest.fixture(scope="session")

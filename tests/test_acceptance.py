@@ -7,6 +7,7 @@ technologies, plus the 4x4 variants used by the diversity criterion.
 """
 
 import hashlib
+import itertools
 import json
 import math
 from pathlib import Path
@@ -349,9 +350,39 @@ def test_golden_battery_lock(battery):
                   else f"{len(got)} cells, {logs} event logs")
 
 
+def brute_force_oracle(pop, sites, pl_max, pl, capacity):
+    """Exhaustive search over site subsets and user assignments."""
+    n_users = len(pop)
+    best = (-1, len(sites) + 1)  # (covered, active)
+    for r in range(1, len(sites) + 1):
+        for subset in itertools.combinations(range(len(sites)), r):
+            caps = {j: capacity for j in subset}
+            order = list(range(n_users))
+            best_here = [-1]
+
+            def rec(k, covered):
+                if covered + (n_users - k) <= best_here[0]:
+                    return
+                if k == n_users:
+                    best_here[0] = max(best_here[0], covered)
+                    return
+                u = order[k]
+                for j in subset:
+                    if pl[u, j] <= pl_max and caps[j] >= pop.demand_mbps[u] - 1e-9:
+                        caps[j] -= pop.demand_mbps[u]
+                        rec(k + 1, covered + 1)
+                        caps[j] += pop.demand_mbps[u]
+                rec(k + 1, covered)
+
+            rec(0, 0)
+            cand = (best_here[0], r)
+            if cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
+                best = cand
+    return best  # (max covered users, min active sites achieving it)
+
+
 def test_c11_brute_force_micro_oracle(micro_scenario, micro_profile,
                                       micro_margins, micro_model, micro_sites):
-    from test_planner import TestBruteForceOracle
     from tvwsplan.link_budget import max_allowable_path_loss_db
     from tvwsplan.scenario import generate_population
     cfg = PlannerConfig(runs=1, base_seed=42)
@@ -363,8 +394,7 @@ def test_c11_brute_force_micro_oracle(micro_scenario, micro_profile,
                                      micro_model.min_distance_km))
                     for s in micro_sites] for x, y in pop.xy_km])
     capacity = micro_profile.mcs_table[0].bitrate_at(1.0)
-    opt_cov, opt_act = TestBruteForceOracle.oracle(pop, micro_sites, pl_max,
-                                                   pl, capacity)
+    opt_cov, opt_act = brute_force_oracle(pop, micro_sites, pl_max, pl, capacity)
     out = tp.plan_single_run(micro_scenario, micro_profile, cfg, 42,
                              sites=micro_sites)
     replay = tp.plan_single_run(micro_scenario, micro_profile, cfg, 42,

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import with_src
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -19,10 +21,8 @@ ROOT = Path(__file__).resolve().parent.parent
                              "demo05_out/map.svg"]),
     ("06_mimo_comparison.py", [])])
 def test_demo_runs_with_empty_stderr(tmp_path, demo, writes):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                         os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
-                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+                          cwd=tmp_path, env=with_src(os.environ),
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""

@@ -1,6 +1,5 @@
 import csv
 import math
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -14,12 +13,13 @@ from tvwsplan.link_budget import (EnvironmentMargins, McsEntry,
                                   coverage_curve, load_technology,
                                   max_allowable_path_loss_db,
                                   occupied_bandwidth_hz)
-from tvwsplan.propagation import okumura_hata_rural, one_slope
+from tvwsplan.propagation import one_slope
+from tvwsplan.scenario import bundled_scenario
 
 WORKSHEET = Path(__file__).resolve().parent.parent / "docs" / "link_budget_worksheet.csv"
 
-SUBURBAN = EnvironmentMargins(7.91, 7.37)
-RURAL = EnvironmentMargins(5.5, 4.0)
+STUDIES = {"suburban": bundled_scenario("ghent_suburban"),
+           "rural": bundled_scenario("boyeros_rural")}
 
 
 def synthetic_profile(**overrides):
@@ -69,7 +69,7 @@ class TestMaxAllowablePathLoss:
         assert len(rows) == 44
         for row in rows:
             profile = load_technology(row["technology"], row["environment"])
-            margins = SUBURBAN if row["environment"] == "suburban" else RURAL
+            margins = STUDIES[row["environment"]].margins
             mcs = profile.mcs(row["mcs"])
             got = max_allowable_path_loss_db(profile, margins, mcs)
             assert got == pytest.approx(float(row["pl_max_db"]), abs=0.01), row
@@ -77,16 +77,17 @@ class TestMaxAllowablePathLoss:
     def test_mimo_gain_adds_exactly_12db(self):
         siso = load_technology("802.22b", "suburban", mimo=False)
         mimo = load_technology("802.22b", "suburban", mimo=True)
+        margins = STUDIES["suburban"].margins
         for m_s, m_m in zip(siso.mcs_table, mimo.mcs_table):
-            assert (max_allowable_path_loss_db(mimo, SUBURBAN, m_m)
-                    - max_allowable_path_loss_db(siso, SUBURBAN, m_s)
+            assert (max_allowable_path_loss_db(mimo, margins, m_m)
+                    - max_allowable_path_loss_db(siso, margins, m_s)
                     ) == pytest.approx(12.0, abs=1e-12)
 
     def test_foreign_mcs_rejected(self):
         p = load_technology("802.22b", "suburban")
         alien = McsEntry("9/9 FAKE-QAM", 99.0, {8: 99.0})
         with pytest.raises(ValueError):
-            max_allowable_path_loss_db(p, SUBURBAN, alien)
+            max_allowable_path_loss_db(p, STUDIES["suburban"].margins, alien)
 
     def test_unit_step_directions(self):
         p = synthetic_profile()
@@ -127,27 +128,14 @@ class TestCoverageCurve:
 
     @pytest.mark.parametrize("tech", ["802.22", "802.22b", "802.11af", "lte"])
     @pytest.mark.parametrize("env", ["suburban", "rural"])
-    def test_bitrate_up_range_down(self, tech, env, suburban_model, rural_model):
+    def test_bitrate_up_range_down(self, tech, env):
         p = load_technology(tech, env)
-        margins = SUBURBAN if env == "suburban" else RURAL
-        model = suburban_model if env == "suburban" else \
-            replace(rural_model, freq_mhz=p.freq_mhz)
-        curve = coverage_curve(p, margins, model)
+        curve = coverage_curve(p, STUDIES[env].margins, STUDIES[env].model_for(p))
         bitrates = [b for _, b, _ in curve]
         ranges = [r for _, _, r in curve]
         assert bitrates == sorted(bitrates)
         assert all(b2 > b1 for b1, b2 in zip(bitrates, bitrates[1:]))
         assert all(r2 < r1 for r1, r2 in zip(ranges, ranges[1:]))
-
-
-@pytest.fixture(scope="module")
-def suburban_model():
-    return one_slope(114.927123, 1.0, 1.79)
-
-
-@pytest.fixture(scope="module")
-def rural_model():
-    return okumura_hata_rural(605.0, 30.0, 3.0, offset_db=1.784748)
 
 
 class TestTechnologyOrdering:
@@ -171,14 +159,12 @@ class TestTechnologyOrdering:
                    for _, b_a, r_a in curve_a)
 
     @pytest.mark.parametrize("env", ["suburban", "rural"])
-    def test_tvws_family_and_lte_ordering(self, env, suburban_model, rural_model):
-        margins = SUBURBAN if env == "suburban" else RURAL
+    def test_tvws_family_and_lte_ordering(self, env):
+        sc = STUDIES[env]
         curves = {}
         for tech in ("802.22", "802.22b", "802.11af", "lte"):
             p = load_technology(tech, env)
-            model = suburban_model if env == "suburban" else \
-                replace(rural_model, freq_mhz=p.freq_mhz)
-            curves[tech] = coverage_curve(p, margins, model)
+            curves[tech] = coverage_curve(p, sc.margins, sc.model_for(p))
         assert self.dominates(curves["802.22b"], curves["802.22"])
         assert self.dominates(curves["802.22"], curves["802.11af"])
         assert self.dominates(curves["802.22b"], curves["lte"])
@@ -186,13 +172,12 @@ class TestTechnologyOrdering:
         for _, b, r in curves["lte"]:
             assert r < self.range_at(curves["802.22b"], b)
 
-    def test_22b_beats_22_at_every_shared_label(self, suburban_model, rural_model):
-        for env, model in (("suburban", suburban_model), ("rural", rural_model)):
-            margins = SUBURBAN if env == "suburban" else RURAL
-            a = dict((lbl, r) for lbl, _, r in
-                     coverage_curve(load_technology("802.22", env), margins, model))
-            b = dict((lbl, r) for lbl, _, r in
-                     coverage_curve(load_technology("802.22b", env), margins, model))
+    def test_22b_beats_22_at_every_shared_label(self):
+        for env, sc in STUDIES.items():
+            a = dict((lbl, r) for lbl, _, r in coverage_curve(
+                load_technology("802.22", env), sc.margins, sc.model))
+            b = dict((lbl, r) for lbl, _, r in coverage_curve(
+                load_technology("802.22b", env), sc.margins, sc.model))
             for lbl in a:
                 assert b[lbl] > a[lbl]
 

@@ -9,13 +9,13 @@ import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import with_src
 from tvwsplan import planner
 from tvwsplan.link_budget import (EnvironmentMargins, McsEntry,
                                   TechnologyProfile, load_technology,
@@ -63,7 +63,7 @@ class TestGreedyRules:
     def test_one_site_one_user(self, micro_scenario, micro_profile, micro_margins,
                                micro_model, tvws_power):
         pop = manual_population([(1.0, 1.5)], [1.0])
-        sites = [CandidateSite(0, 0.8, 1.5, 30.0)]
+        sites = [CandidateSite(0, 0.8, 1.5)]
         out = greedy(micro_scenario, pop, sites, micro_profile, micro_margins,
                      micro_model, tvws_power, CFG, "1/2 QPSK", 0)
         assert out.deployment.active_sites == {0}
@@ -73,7 +73,7 @@ class TestGreedyRules:
     def test_lower_path_loss_site_wins(self, micro_scenario, micro_profile,
                                        micro_margins, micro_model, tvws_power):
         pop = manual_population([(1.0, 1.5)], [1.0])
-        sites = [CandidateSite(0, 0.8, 1.5, 30.0), CandidateSite(1, 2.0, 1.5, 30.0)]
+        sites = [CandidateSite(0, 0.8, 1.5), CandidateSite(1, 2.0, 1.5)]
         out = greedy(micro_scenario, pop, sites, micro_profile, micro_margins,
                      micro_model, tvws_power, CFG, "1/2 QPSK", 0)
         assert out.deployment.active_sites == {0}  # 0.2 km beats 1.0 km
@@ -85,7 +85,7 @@ class TestGreedyRules:
         # capacity 2: user0 -> A; user1 prefers (inactive) B but connects to
         # A; user2 fills B on; the rebalance pass then moves user1 to B
         prof = profile_with_capacity(2.0)
-        sites = [CandidateSite(0, 0.8, 1.5, 30.0), CandidateSite(1, 2.6, 1.5, 30.0)]
+        sites = [CandidateSite(0, 0.8, 1.5), CandidateSite(1, 2.6, 1.5)]
         pop = manual_population([(0.6, 1.5), (1.8, 1.5), (2.8, 1.5)],
                                 [1.0, 1.0, 1.0])
         out = greedy(micro_scenario, pop, sites, prof, micro_margins,
@@ -100,8 +100,8 @@ class TestGreedyRules:
         # opens A; user3 opens C.  Re-balancing then moves user1 from B to C,
         # which frees B, but user2 stays on A: B is not the new site.
         prof = profile_with_capacity(2.0)
-        sites = [CandidateSite(0, 0.0, 1.5, 30.0), CandidateSite(1, 1.0, 1.5, 30.0),
-                 CandidateSite(2, 2.0, 1.5, 30.0)]
+        sites = [CandidateSite(0, 0.0, 1.5), CandidateSite(1, 1.0, 1.5),
+                 CandidateSite(2, 2.0, 1.5)]
         pop = manual_population([(1.0, 1.5), (1.6, 1.5), (0.7, 1.5), (2.3, 1.5)],
                                 [1.0] * 4)
         out = greedy(micro_scenario, pop, sites, prof, micro_margins,
@@ -113,7 +113,7 @@ class TestGreedyRules:
                                          micro_margins, tvws_power):
         far_model = one_slope(145.0, 1.0, 3.5)  # floor above PL_max: no reach
         pop = manual_population([(1.0, 1.5), (3.0, 1.5)], [1.0, 1.0])
-        sites = [CandidateSite(0, 0.8, 1.5, 30.0)]
+        sites = [CandidateSite(0, 0.8, 1.5)]
         out = greedy(micro_scenario, pop, sites, micro_profile, micro_margins,
                      far_model, tvws_power, CFG, "1/2 QPSK", 0)
         assert out.coverage_fraction == 0.0
@@ -142,7 +142,7 @@ class TestGreedyRules:
                                 micro_margins, micro_model, tvws_power):
         # 5 users of 1.0 against a single 3.2 Mbps site: 3 served, 2 uncovered
         pop = manual_population([(1.0, 1.5)] * 5, [1.0] * 5)
-        sites = [CandidateSite(0, 0.8, 1.5, 30.0)]
+        sites = [CandidateSite(0, 0.8, 1.5)]
         out = greedy(micro_scenario, pop, sites, micro_profile, micro_margins,
                      micro_model, tvws_power, CFG, "1/2 QPSK", 0)
         assert len(out.deployment.assignments) == 3
@@ -154,7 +154,7 @@ def test_one_int_object_per_user(micro_scenario, micro_profile, micro_margins,
                                  micro_model, tvws_power):
     # CPython shares only the ints up to 256: a larger user id must still be
     # one object across the event log, the assignment keys and the uncovered set
-    sites = [CandidateSite(0, 0.8, 1.5, 30.0), CandidateSite(1, 3.2, 1.5, 30.0)]
+    sites = [CandidateSite(0, 0.8, 1.5), CandidateSite(1, 3.2, 1.5)]
     # users 150-299 join site 0 and move to site 1 once user 300 opens it;
     # user 301 is out of range
     pop = manual_population([(1.0, 1.5)] * 150 + [(2.1, 1.5)] * 150
@@ -227,7 +227,7 @@ def test_event_log_decodes_once_per_read(monkeypatch, micro_scenario,
 
 # served users below and above 256 at both sites; users 5 and 301 are out of
 # range.  Users 150-299 join site 0 and move to site 1 once user 300 opens it.
-PARITY_SITES = [CandidateSite(0, 0.8, 1.5, 30.0), CandidateSite(1, 3.2, 1.5, 30.0)]
+PARITY_SITES = [CandidateSite(0, 0.8, 1.5), CandidateSite(1, 3.2, 1.5)]
 PARITY_POP = manual_population(
     [(20.0, 20.0) if u in (5, 301) else (1.0, 1.5) if u < 150
      else (2.1, 1.5) if u < 300 else (3.2, 1.5) for u in range(302)],
@@ -276,7 +276,6 @@ class TestAssignments:
     def test_unpickles_in_a_fresh_process(self, parity_run):
         # the keys come from the reading process's user ids, not the pickle
         view, want = parity_run
-        src = str(Path(planner.__file__).resolve().parents[1])
         code = ("import pickle, sys\n"
                 "from tvwsplan import planner, records\n"
                 "view, want = pickle.loads(sys.stdin.buffer.read())\n"
@@ -286,9 +285,7 @@ class TestAssignments:
                 "print(repr(view))\n")
         proc = subprocess.run(
             [sys.executable, "-c", code], input=pickle.dumps((view, want)),
-            capture_output=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(
-                filter(None, [src, os.environ.get("PYTHONPATH")]))})
+            capture_output=True, timeout=120, env=with_src(os.environ))
         assert proc.returncode == 0, proc.stderr.decode()
         assert proc.stdout.decode() == repr(want) + "\n"
 
@@ -298,7 +295,7 @@ class TestAssignments:
         users, runs = 300, 10
         spec = replace(micro_scenario.population, user_count=users,
                        data_fraction=0.0)
-        sites = [CandidateSite(i, x, y, 30.0) for i, (x, y) in enumerate(
+        sites = [CandidateSite(i, x, y) for i, (x, y) in enumerate(
             itertools.product((0.5, 1.5, 2.5, 3.5), (0.5, 1.5, 2.5)))]
         gc.collect()
         tracemalloc.start()
@@ -442,7 +439,7 @@ def greedy_layouts(draw):
     coords += draw(st.lists(st.sampled_from(coords), max_size=12))
     coords = draw(st.permutations(coords))
     ids = draw(st.permutations(range(100, 100 + len(coords))))
-    sites = [CandidateSite(i, x, y, 30.0) for i, (x, y) in zip(ids, coords)]
+    sites = [CandidateSite(i, x, y) for i, (x, y) in zip(ids, coords)]
     # one user in ten far out, two in ten on a site, the rest anywhere inside
     user = st.tuples(st.integers(0, 9),
                      st.tuples(st.floats(-0.5, 4.5), st.floats(-0.5, 3.5)),
@@ -471,7 +468,7 @@ def sparse_layouts(draw):
     coords += draw(st.lists(st.sampled_from(coords), max_size=4))
     coords = draw(st.permutations(coords))
     ids = draw(st.permutations(range(100, 100 + len(coords))))
-    sites = [CandidateSite(i, x, y, 30.0) for i, (x, y) in zip(ids, coords)]
+    sites = [CandidateSite(i, x, y) for i, (x, y) in zip(ids, coords)]
     midway = st.tuples(st.integers(0, 6), st.integers(0, 7)).map(
         lambda p: (2.5 * p[0] + 1.25, 2.5 * p[1]))
     hx, hy = draw(st.tuples(st.floats(0.0, 12.5), st.floats(0.0, 12.5)))
@@ -512,7 +509,7 @@ def assert_kernel_equals_oracle(layout, scenario, margins, power_params):
 # 100; user 2, beyond its reach, opens site 101, nearer to user 1, which
 # switches to it, or is refused when site 101 is full.  User 1 of the second
 # layout finds site 100 full, and no other site in range.
-NEAR, FAR = CandidateSite(100, 0.8, 1.5, 30.0), CandidateSite(101, 3.2, 1.5, 30.0)
+NEAR, FAR = CandidateSite(100, 0.8, 1.5), CandidateSite(101, 3.2, 1.5)
 KIND_LAYOUTS = {
     ("activate", "connect", "switch", "uncovered"): (
         [NEAR, FAR], manual_population(
@@ -535,7 +532,7 @@ class TestGreedyKernelOracle:
 
     @settings(max_examples=50, deadline=None)
     @given(layout=sparse_layouts())
-    @example(layout=([CandidateSite(100 + i, 2.5 * i, 0.0, 30.0) for i in range(8)],
+    @example(layout=([CandidateSite(100 + i, 2.5 * i, 0.0) for i in range(8)],
                      manual_population([], []), "low", 0))
     def test_kernel_equals_former_loop_on_sparse_reach(
             self, layout, micro_scenario, micro_margins, tvws_power):
@@ -613,7 +610,7 @@ class TestPrunedLinkTable:
         # 64 sites 2.5 km apart and 600 users: under the lowest tier's 2.2 km
         # reach each user has a few sites in range
         rng = np.random.default_rng(5)
-        sites = [CandidateSite(i, 2.5 * (i % 8), 2.5 * (i // 8), 30.0)
+        sites = [CandidateSite(i, 2.5 * (i % 8), 2.5 * (i // 8))
                  for i in range(64)]
         pop = manual_population(rng.uniform(-1.0, 18.5, (600, 2)),
                                 rng.choice(DEMANDS, 600))
@@ -635,69 +632,6 @@ class TestPrunedLinkTable:
         in_reach = np.count_nonzero(dist <= reach)
         assert in_reach < dist.size / 10
         assert sum(cells) <= in_reach
-
-
-class TestBruteForceOracle:
-    """Exhaustive subset + assignment search on the 3-site/12-user fixture."""
-
-    @staticmethod
-    def oracle(pop, sites, pl_max, pl, capacity):
-        n_users = len(pop)
-        best = (-1, len(sites) + 1)  # (covered, active)
-        for r in range(1, len(sites) + 1):
-            for subset in itertools.combinations(range(len(sites)), r):
-                caps = {j: capacity for j in subset}
-                order = list(range(n_users))
-                best_here = [-1]
-
-                def rec(k, covered):
-                    if covered + (n_users - k) <= best_here[0]:
-                        return
-                    if k == n_users:
-                        best_here[0] = max(best_here[0], covered)
-                        return
-                    u = order[k]
-                    for j in subset:
-                        if pl[u, j] <= pl_max and caps[j] >= pop.demand_mbps[u] - 1e-9:
-                            caps[j] -= pop.demand_mbps[u]
-                            rec(k + 1, covered + 1)
-                            caps[j] += pop.demand_mbps[u]
-                    rec(k + 1, covered)
-
-                rec(0, 0)
-                cand = (best_here[0], r)
-                if cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
-                    best = cand
-        return best  # (max covered users, min active sites achieving it)
-
-    def test_greedy_matches_oracle_on_micro_fixture(
-            self, micro_scenario, micro_profile, micro_margins, micro_model,
-            micro_sites):
-        pop = generate_population(micro_scenario.region,
-                                  micro_scenario.population, 42)
-        assert len(pop) == 12
-        pl_max = max_allowable_path_loss_db(micro_profile, micro_margins,
-                                            micro_profile.mcs_table[0])
-        pl = np.array([[path_loss_db(micro_model,
-                                     max(math.hypot(x - s.x_km, y - s.y_km),
-                                         micro_model.min_distance_km))
-                        for s in micro_sites] for x, y in pop.xy_km])
-        capacity = micro_profile.mcs_table[0].bitrate_at(1.0)
-        opt_covered, opt_active = self.oracle(pop, micro_sites, pl_max, pl,
-                                              capacity)
-        out = plan_single_run(micro_scenario, micro_profile, CFG, 42,
-                              sites=micro_sites)
-        greedy_covered = len(out.deployment.assignments)
-        greedy_active = len(out.deployment.active_sites)
-        # recorded optimality gap: none on this fixture
-        assert greedy_covered == opt_covered
-        assert greedy_active == opt_active
-
-    def test_event_log_replays_exactly(self, micro_scenario, micro_profile,
-                                       micro_sites):
-        args = (micro_scenario, micro_profile, CFG, 42)
-        out = plan_single_run(*args, sites=micro_sites)
-        assert plan_single_run(*args, sites=micro_sites).event_log == out.event_log
 
 
 class TestFeasibilityChecker:
@@ -924,7 +858,7 @@ class TestCampaign:
         # the lone site reaches no user, so a run's energy efficiency would
         # divide by zero power
         sc = replace(micro_scenario, site_policy=SitePolicy(
-            mode="explicit", sites=(CandidateSite(7, 40.0, 40.0, 30.0),)))
+            mode="explicit", sites=(CandidateSite(7, 40.0, 40.0),)))
         with pytest.raises(ScenarioError) as err:
             planner.plan(sc, micro_profile, PlannerConfig(runs=2, base_seed=42))
         assert err.value.errors == [

